@@ -13,9 +13,10 @@ from .basis import (
     PkBasis,
     auxiliary_factor,
     build_basis,
+    chain_rule_weights,
     interpolate,
     multi_indices,
-    spatial_derivative,
+    tabulate,
 )
 from .bounds import (
     BoundCheck,
@@ -44,7 +45,6 @@ from .geometry import (
     structured_mesh_2d,
     uniform_mesh_1d,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .norms import (
     AdmissibilityError,
     AnalyticField,

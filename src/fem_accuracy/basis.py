@@ -6,8 +6,11 @@ shape function is a product over the barycentric variables of univariate
 factors built from the node spacing 1/k, expanded here into an explicit
 term list with exact rational coefficients.  Construction, differentiation
 in the barycentric variables, and evaluation at rational points are all
-exact; floating point enters only when evaluating at float points or when
-chaining through the (float) barycentric gradients of a physical simplex.
+exact; floating point enters only when evaluating at float points.  Float
+work goes through one route: `tabulate` evaluates the exact barycentric
+derivatives of a polynomial list at the points of a rule, once, and
+`chain_rule_weights` turns such a table into physical derivatives on any
+simplex through its (float) barycentric gradients.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class BarycentricPolynomial:
     """Polynomial in the barycentric variables as a term map.
 
     terms maps an exponent tuple (one entry per variable) to a nonzero
-    coefficient, Fraction for exact polynomials or float after chaining
-    through physical gradients.  Instances are treated as immutable.
+    coefficient: Fraction for the exact shape functions, though any number
+    type works.  Instances are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms", "_arrays")
@@ -292,47 +295,49 @@ def build_basis(n, k):
     return PkBasis(n=n, k=k, indices=idx, nodes=nodes, polynomials=polys)
 
 
-def spatial_derivative(poly, simplex, alpha):
-    """Derivative of a barycentric polynomial in physical coordinates.
+def tabulate(polynomials, points, order):
+    """Barycentric derivatives of order `order` of each polynomial at the points.
 
-    Applies d/dx_j = sum_q (grad lambda_q)_j d/dlambda_q once per unit of
-    alpha[j].  The gradients are floats, so the result has float
-    coefficients.  Orders beyond the polynomial degree give the zero
-    polynomial.
-
-    Parameters
-    ----------
-    poly : BarycentricPolynomial in n+1 variables
-    simplex : Simplex
-    alpha : tuple of n nonnegative ints, one order per spatial direction
+    Returns an array of shape ((nvars)^order, N, npts): row s holds
+    d/dlambda_{q_1} ... d/dlambda_{q_order} of every polynomial, where q is
+    the s-th sequence of itertools.product(range(nvars), repeat=order).
+    Derivatives are taken exactly; only the evaluation is in floats.  Orders
+    beyond the degree give zeros.
     """
-    n = simplex.n
-    if poly.nvars != n + 1:
-        raise ValueError("polynomial variable count does not match the simplex")
-    if len(alpha) != n:
-        raise ValueError(f"alpha must have {n} entries")
-    if sum(alpha) > poly.degree():
-        return BarycentricPolynomial(n + 1)
+    nvars = polynomials[0].nvars
+    rows = {}
+    table = []
+    for seq in itertools.product(range(nvars), repeat=order):
+        orders = tuple(seq.count(v) for v in range(nvars))
+        if orders not in rows:
+            rows[orders] = np.array([p.lambda_derivative(orders).eval_points(points) for p in polynomials])
+        table.append(rows[orders])
+    return np.array(table)
+
+
+def chain_rule_weights(simplex, alpha):
+    """Weights turning a barycentric derivative table into d^alpha in x.
+
+    With the directions (j_1, ..., j_l) of alpha and G the barycentric
+    gradients of the simplex, sequence q of `tabulate` has the weight
+    prod_s G[q_s, j_s]; this is d/dx_j = sum_q G[q, j] d/dlambda_q applied
+    once per unit of alpha[j].  Returns shape ((n+1)^l,).
+    """
+    if len(alpha) != simplex.n:
+        raise ValueError(f"alpha must have {simplex.n} entries")
     grads = simplex.barycentric_gradients()
-    cur = poly
+    weights = np.ones(1)
     for j, times in enumerate(alpha):
         for _ in range(times):
-            acc = BarycentricPolynomial(n + 1)
-            for q in range(n + 1):
-                g = float(grads[q, j])
-                if g != 0.0:
-                    acc = acc + cur.derivative(q) * g
-            cur = acc
-            if cur.is_zero():
-                return cur
-    return cur
+            weights = np.multiply.outer(weights, grads[:, j]).ravel()
+    return weights
 
 
 class LocalInterpolant:
     """Lagrange interpolant of a function on one simplex.
 
-    Holds the basis, the simplex, and the nodal values; the underlying
-    polynomial (float coefficients) is assembled lazily.
+    Holds the basis, the simplex, and the nodal values, which are the
+    coefficients of the interpolant in the exact shape functions.
     """
 
     def __init__(self, basis, simplex, values):
@@ -342,21 +347,10 @@ class LocalInterpolant:
         self.basis = basis
         self.simplex = simplex
         self.values = values
-        self._poly = None
-
-    def as_polynomial(self):
-        if self._poly is None:
-            acc = BarycentricPolynomial(self.basis.n + 1)
-            for v, p in zip(self.values, self.basis.polynomials):
-                if v != 0.0:
-                    acc = acc + p * float(v)
-            self._poly = acc
-        return self._poly
 
     def __call__(self, x):
         lam = self.simplex.barycentric(x)
-        pts = lam.reshape(1, -1) if lam.ndim == 1 else lam
-        vals = self.as_polynomial().eval_points(pts)
+        vals = self.values @ tabulate(self.basis.polynomials, np.atleast_2d(lam), 0)[0]
         return float(vals[0]) if lam.ndim == 1 else vals
 
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,29 @@ def _emit(rows, fmt, out):
         sys.stdout.write(text)
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _int_list(text):
+    """argparse type: a nonempty comma-separated list of positive integers."""
+    values = [_int_at_least(1)(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of positive integers")
+    return values
+
+
 def _model(name, p):
     if name == "sinpi":
         return SinPiSeminormModel(p)
@@ -99,16 +123,21 @@ def cmd_bounds(args):
 
 
 def cmd_constant(args):
-    bundle = ConstantBundle(
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        p=args.p,
-        sigma=args.sigma,
-        lam=args.lam,
-        cea_ratio=args.cea_ratio,
-        h_cap=args.h_cap,
-    )
+    try:
+        bundle = ConstantBundle(
+            n=args.n,
+            m=args.m,
+            k=args.k,
+            p=args.p,
+            sigma=args.sigma,
+            lam=args.lam,
+            cea_ratio=args.cea_ratio,
+            h_cap=args.h_cap,
+        )
+    except AdmissibilityError:
+        raise
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     row = {
         "n": args.n,
         "m": args.m,
@@ -125,7 +154,7 @@ def cmd_constant(args):
 
 
 def _h_grid(args):
-    if args.hmin <= 0 or args.hmax <= args.hmin or args.steps < 2:
+    if not 0 < args.hmin < args.hmax < math.inf or args.steps < 2:
         raise argparse.ArgumentTypeError("need 0 < hmin < hmax and steps >= 2")
     return np.geomspace(args.hmin, args.hmax, args.steps)
 
@@ -158,17 +187,15 @@ def cmd_hstar_seq(args):
 
 def cmd_weakstar(args):
     model = _model(args.model, args.p)
-    q_list = [int(t) for t in args.q_list.split(",") if t.strip()]
     bump = Bump(args.bump_a, args.bump_b)
-    rows = weak_star_test(args.k, q_list, bump, model, n=args.n, m=args.m, p=args.p)
+    rows = weak_star_test(args.k, args.q_list, bump, model, n=args.n, m=args.m, p=args.p)
     _emit(rows, args.format, args.out)
     return EXIT_OK
 
 
 def cmd_converge(args):
-    counts = [int(t) for t in args.meshes.split(",") if t.strip()]
     problem = fem1d.ModelProblem.sine() if args.problem == "sine" else fem1d.ModelProblem.cubic()
-    rows, slope = fem1d.convergence_study(problem, args.k, args.m, args.p, counts, cea_ratio=args.cea_ratio)
+    rows, slope = fem1d.convergence_study(problem, args.k, args.m, args.p, args.meshes, cea_ratio=args.cea_ratio)
     for row in rows:
         row["slope"] = slope
     _emit(rows, args.format, args.out)
@@ -190,18 +217,18 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("basis", help="dump the exact shape functions of one basis")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--n", type=_int_at_least(1), default=1)
+    sp.add_argument("--k", type=_int_at_least(1), default=2)
     _add_common(sp)
     sp.set_defaults(fn=cmd_basis)
 
     sp = sub.add_parser("bounds", help="pointwise and seminorm cap checks")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--n", type=_int_at_least(1), default=1)
+    sp.add_argument("--k", type=_int_at_least(1), default=2)
     sp.add_argument("--r", type=int, default=2, help="max derivative order for the pointwise scan")
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--samples", type=int, default=10000)
+    sp.add_argument("--samples", type=_int_at_least(0), default=10000)
     _add_common(sp)
     sp.set_defaults(fn=cmd_bounds)
 
@@ -235,7 +262,7 @@ def build_parser():
 
     sp = sub.add_parser("hstar-seq", help="critical mesh sizes for growing degree gap")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--qmax", type=int, default=200)
+    sp.add_argument("--qmax", type=_int_at_least(1), default=200)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--p", type=float, default=2.0)
@@ -245,7 +272,7 @@ def build_parser():
 
     sp = sub.add_parser("weakstar", help="pairing error of the laws against the step limit")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--q-list", default="1,2,5,10,20,50,100,200")
+    sp.add_argument("--q-list", type=_int_list, default="1,2,5,10,20,50,100,200")
     sp.add_argument("--bump-a", type=float, default=1.0)
     sp.add_argument("--bump-b", type=float, default=2.0)
     sp.add_argument("--n", type=int, default=1)
@@ -260,7 +287,7 @@ def build_parser():
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--problem", choices=["sine", "cubic"], default="sine")
-    sp.add_argument("--meshes", default="8,16,32,64,128")
+    sp.add_argument("--meshes", type=_int_list, default="8,16,32,64,128")
     sp.add_argument("--cea-ratio", type=float, default=1.0)
     _add_common(sp)
     sp.set_defaults(fn=cmd_converge)
@@ -276,6 +303,8 @@ def main(argv=None):
     except AdmissibilityError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INADMISSIBLE
+    except argparse.ArgumentTypeError as exc:
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .basis import BarycentricPolynomial, build_basis, spatial_derivative
+from .basis import build_basis, chain_rule_weights, tabulate
 from .bounds import ConstantBundle, script_c
 from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import uniform_mesh_1d
@@ -82,7 +81,7 @@ class DiscreteSolution:
         self.k = basis.k
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         self.residual = float(residual)
-        self._polys = None
+        self._field = None
 
     def global_index(self, element, local):
         """Global dof of local node `local` (0..k) of element `element`."""
@@ -94,31 +93,23 @@ class DiscreteSolution:
             return element + 1
         return ne + 1 + element * (k - 1) + (local - 1)
 
-    def element_polynomial(self, element):
-        coeffs = self.coefficients
-        acc = BarycentricPolynomial(2)
-        for local, p in enumerate(self.basis.polynomials):
-            c = float(coeffs[self.global_index(element, local)])
-            if c != 0.0:
-                acc = acc + p * c
-        return acc
-
     def as_field(self):
-        if self._polys is None:
-            self._polys = [self.element_polynomial(e) for e in range(len(self.mesh))]
-        return PiecewisePolynomialField(self._polys)
+        if self._field is None:
+            ne = len(self.mesh)
+            dofs = [[self.global_index(e, a) for a in range(self.basis.size)] for e in range(ne)]
+            self._field = PiecewisePolynomialField(self.basis.polynomials, self.coefficients[dofs])
+        return self._field
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        field = self.as_field()
+        coefficients = self.as_field().coefficients
         verts = np.array([s.vertices[0, 0] for s in self.mesh.simplices] + [self.mesh.simplices[-1].vertices[1, 0]])
         idx = np.clip(np.searchsorted(verts, x, side="right") - 1, 0, len(self.mesh) - 1)
         out = np.empty_like(x)
         for e in np.unique(idx):
             sel = idx == e
-            simplex = self.mesh.simplices[e]
-            lam = simplex.barycentric(x[sel].reshape(-1, 1))
-            out[sel] = field.polynomials[e].eval_points(lam)
+            lam = self.mesh.simplices[e].barycentric(x[sel].reshape(-1, 1))
+            out[sel] = coefficients[e] @ tabulate(self.basis.polynomials, lam, 0)[0]
         return out
 
 
@@ -143,16 +134,14 @@ def assemble_and_solve(problem, mesh, k, rhs_degree=None):
     ndof = ne + 1 + ne * (k - 1)
 
     rule = interval_rule(2 * k)
-    vals = np.array([p.eval_points(rule.points) for p in basis.polynomials])
+    vals = tabulate(basis.polynomials, rule.points, 0)[0]
     ref_unit = uniform_mesh_1d(0.0, 1.0, 1).simplices[0]
-    dvals = np.array(
-        [spatial_derivative(p, ref_unit, (1,)).eval_points(rule.points) for p in basis.polynomials]
-    )
+    dvals = np.tensordot(chain_rule_weights(ref_unit, (1,)), tabulate(basis.polynomials, rule.points, 1), axes=1)
     mass_ref = np.einsum("q,aq,bq->ab", rule.weights, vals, vals)
     stiff_ref = np.einsum("q,aq,bq->ab", rule.weights, dvals, dvals)
 
     load_rule = interval_rule(rhs_degree if rhs_degree is not None else 2 * k + 8)
-    load_vals = np.array([p.eval_points(load_rule.points) for p in basis.polynomials])
+    load_vals = tabulate(basis.polynomials, load_rule.points, 0)[0]
 
     def gdof(e, a):
         if a == 0:
@@ -200,15 +189,17 @@ def assemble_and_solve(problem, mesh, k, rhs_degree=None):
                 if ia <= ib:
                     ab[k + ia - ib, ib] += a_elem[a, b]
 
+    from scipy.linalg import solveh_banded
+
     sol = solveh_banded(ab, rhs, lower=False)
 
-    # Residual relative to the load, via the densified symmetric matrix.
-    full = np.zeros((nfree, nfree))
-    for j in range(nfree):
-        for i in range(max(0, j - k), j + 1):
-            full[i, j] = ab[k + i - j, j]
-            full[j, i] = full[i, j]
-    res = np.linalg.norm(full @ sol - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
+    # Residual relative to the load, with A x taken from the band storage.
+    ax = ab[k] * sol
+    for d in range(1, k + 1):
+        band = ab[k - d, d:]
+        ax[:-d] += band * sol[d:]
+        ax[d:] += band * sol[:-d]
+    res = np.linalg.norm(ax - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
 
     coefficients = np.zeros(ndof)
     for d, i in rank.items():

@@ -1,30 +1,12 @@
-"""Backend selection for the evaluation kernels.
+"""Float evaluation of term-list polynomials at many points.
 
-The compiled Cython module is preferred when it imported cleanly; the numpy
-implementation is the fallback.  Setting FEM_ACCURACY_PURE=1 forces the
-fallback, which is how the benchmark and the backend-agreement tests get at
-both implementations in one process.
+A polynomial is a list of terms, term t being
+coeffs[t] * prod_v points[:, v] ** exps[t, v].  This is the one float
+evaluation routine of the package: shape-function tables are built from it
+once per rule, and the pointwise scans call it on large point blocks.
 """
 
-import os
-
 import numpy as np
-
-from . import _kernels_py
-
-_FORCE_PURE = os.environ.get("FEM_ACCURACY_PURE", "").strip().lower() in {"1", "true", "yes"}
-
-if not _FORCE_PURE:
-    try:
-        from . import _kernels as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
-else:
-    _impl = _kernels_py
-    BACKEND = "python"
 
 
 def _as_point_array(points, nvars):
@@ -36,15 +18,27 @@ def _as_point_array(points, nvars):
     return pts
 
 
+def _eval(pts, exps, coeffs):
+    return (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
+
+
 def eval_terms(points, exps, coeffs):
+    """Evaluate one term-list polynomial at many points.
+
+    points : (npts, nvars) float64, or one point of shape (nvars,)
+    exps   : (nterms, nvars) int64
+    coeffs : (nterms,) float64
+    returns (npts,) float64
+    """
     pts = _as_point_array(points, exps.shape[1])
     if exps.shape[0] == 0:
         return np.zeros(pts.shape[0])
-    return np.asarray(_impl.eval_terms(pts, exps, coeffs))
+    return _eval(pts, exps, coeffs)
 
 
 def max_abs_eval(points, exps, coeffs):
+    """max(|polynomial|) over the given points."""
     pts = _as_point_array(points, exps.shape[1])
     if exps.shape[0] == 0:
         return 0.0
-    return float(_impl.max_abs_eval(pts, exps, coeffs))
+    return float(np.max(np.abs(_eval(pts, exps, coeffs))))

@@ -6,24 +6,18 @@ with exact (fsum) summation so the element order never matters.  For
 integrands that are not polynomial (absolute values with noninteger p,
 analytic error terms) a second rule of higher degree gives a Richardson
 style quadrature error estimate that is reported, never silently dropped.
-
-Parallelism: FEM_ACCURACY_THREADS > 1 maps elements onto a thread pool;
-results are reduced in element order so the value is identical to the
-sequential one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import interpolate, spatial_derivative
+from .basis import chain_rule_weights, interpolate, tabulate
 from .geometry import Simplex, SimplexMesh
 from .quadrature import simplex_rule
 
@@ -129,19 +123,28 @@ class AnalyticField:
 
 
 class PiecewisePolynomialField:
-    """One barycentric polynomial per mesh element."""
+    """Exact polynomials combined per element by an (E, N) coefficient array.
 
-    def __init__(self, polynomials):
+    Element e holds sum_i coefficients[e, i] * polynomials[i].  Without
+    coefficients there is one polynomial per element (identity
+    coefficients).  Derivatives come from a table of the polynomials'
+    barycentric derivatives, built once per (points, order) and kept on the
+    field, contracted per element with its coefficients and the chain-rule
+    weights of its simplex.
+    """
+
+    def __init__(self, polynomials, coefficients=None):
         self.polynomials = list(polynomials)
-        self._deriv_cache = {}
+        if coefficients is None:
+            coefficients = np.eye(len(self.polynomials))
+        self.coefficients = np.asarray(coefficients, dtype=np.float64)
+        self._tables = {}
 
     def deriv_on_element(self, index, simplex, alpha, bary, phys):
-        key = (index, tuple(alpha))
-        d = self._deriv_cache.get(key)
-        if d is None:
-            d = spatial_derivative(self.polynomials[index], simplex, alpha)
-            self._deriv_cache[key] = d
-        return d.eval_points(bary)
+        key = (sum(alpha), bary.shape, bary.tobytes())
+        if key not in self._tables:
+            self._tables[key] = tabulate(self.polynomials, bary, key[0])
+        return chain_rule_weights(simplex, alpha) @ (self.coefficients[index] @ self._tables[key])
 
     def max_degree(self):
         return max((p.degree() for p in self.polynomials), default=0)
@@ -169,14 +172,6 @@ def _elements(domain):
     raise TypeError("domain must be a Simplex or SimplexMesh")
 
 
-def _thread_count():
-    raw = os.environ.get("FEM_ACCURACY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _seminorm_power(field, elements, l, p, degree):
     """Sum over elements of sum_{|alpha|=l} integral |d^alpha field|^p."""
     n = elements[0].n
@@ -184,23 +179,15 @@ def _seminorm_power(field, elements, l, p, degree):
     alphas = derivative_multi_indices(n, l)
     ref_measure = float(rule.weights.sum())
 
-    def element_power(item):
-        index, simplex = item
+    powers = []
+    for index, simplex in enumerate(elements):
         phys = rule.points @ simplex.vertices
         scale = simplex.measure / ref_measure
         parts = []
         for alpha in alphas:
             vals = field.deriv_on_element(index, simplex, alpha, rule.points, phys)
             parts.append(scale * float(rule.weights @ np.abs(vals) ** p))
-        return math.fsum(parts)
-
-    items = list(enumerate(elements))
-    workers = _thread_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            powers = list(pool.map(element_power, items))
-    else:
-        powers = [element_power(item) for item in items]
+        powers.append(math.fsum(parts))
     return math.fsum(powers)
 
 
@@ -272,8 +259,8 @@ def _as_field(obj):
 
 def interpolant_field(fn, mesh, basis):
     """PiecewisePolynomialField of the element-wise Lagrange interpolant of fn."""
-    polys = [interpolate(basis, s, fn).as_polynomial() for s in mesh.simplices]
-    return PiecewisePolynomialField(polys)
+    values = [interpolate(basis, s, fn).values for s in mesh.simplices]
+    return PiecewisePolynomialField(basis.polynomials, values)
 
 
 def interpolation_error(fn, mesh, basis, l, p, degree=None, with_estimate=False):

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .norms import SobolevIndex
 
@@ -237,12 +236,16 @@ class Bump:
         return out if out.ndim else float(out)
 
     def integral(self):
+        from scipy.integrate import quad
+
         val, _ = quad(lambda t: float(self(np.array(t))), self.a, self.b, epsabs=PAIRING_ABS_TOL, limit=200)
         return val
 
 
 def weak_star_pairing(law, bump):
     """Integral of law(h) bump(h) dh over the bump support, h <= 0 excluded."""
+    from scipy.integrate import quad
+
     lo = max(bump.a, 0.0)
     hi = bump.b
     if hi <= lo:
@@ -264,6 +267,8 @@ def weak_star_test(k, q_list, bump, model, n=1, m=0, p=2.0, cea_quotient=None):
     bump integral over (0, infinity) once h_star(q) clears the support.
     Returns a list of records (q, h_star, pairing, target, error).
     """
+    from scipy.integrate import quad
+
     if not hasattr(bump, "a") or not hasattr(bump, "b"):
         raise TypeError("bump must declare its support (use Bump)")
     q_list = sorted(set(int(q) for q in q_list))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,8 @@ class QuadratureRule:
 
 
 def _gauss_01(npts):
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(npts)
     return (x + 1.0) / 2.0, w / 2.0
 
@@ -64,6 +65,8 @@ def triangle_rule(degree):
     """Collapsed tensor rule on the reference triangle, exact to >= degree."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    from scipy.special import roots_jacobi
+
     g = max(1, -(-(degree + 1) // 2))
     xj, wj = roots_jacobi(g, 1.0, 0.0)
     u = (xj + 1.0) / 2.0

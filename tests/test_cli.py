@@ -47,6 +47,34 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "prob --steps 1",
+            "hstar-seq --qmax 0",
+            "basis --k 0",
+            "constant --sigma 0.5",
+            "weakstar --q-list 0",
+            "converge --meshes ,",
+            "prob --hmin nan",
+            "bounds --samples -1",
+        ],
+    )
+    def test_bad_argument_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported by the functions that use it, not at start-up.
+        code = "import sys, fem_accuracy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestBasisCommand:
     def test_quadratic_interval_dump(self, capsys):

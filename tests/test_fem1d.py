@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ class TestSolver:
     def test_residual_reported_and_small(self):
         sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 16), 2)
         assert sol.residual <= RESIDUAL_REL_TOL
+
+    def test_solve_memory_is_not_quadratic(self):
+        # A dense copy of this 3071-unknown system alone would take 72 MB.
+        mesh = uniform_mesh_1d(0.0, 1.0, 1024)
+        assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 2), 3)  # imports the solver
+        tracemalloc.start()
+        try:
+            assemble_and_solve(ModelProblem.sine(), mesh, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_dirichlet_conditions(self):
         sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), 3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from fem_accuracy.basis import BarycentricPolynomial, build_basis
 from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
-from fem_accuracy.geometry import reference_simplex, structured_mesh_2d, uniform_mesh_1d
+from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.norms import (
     AdmissibilityError,
     AnalyticField,
@@ -20,6 +21,8 @@ from fem_accuracy.norms import (
     seminorm_with_estimate,
     sobolev_norm,
 )
+
+from oracles import rational_eval
 
 
 class TestSobolevIndex:
@@ -227,19 +230,39 @@ class TestInterpolationError:
         assert seminorm(zero, mesh, 0, 2.0, degree=8) == 0.0
 
 
-class TestThreading:
-    def test_thread_count_matches_serial_bitwise(self, monkeypatch):
-        mesh = uniform_mesh_1d(0.0, 1.0, 16)
-        fn = SinPiProduct()
-        basis = build_basis(1, 2)
+def _exact_triangle_gradients(vertices):
+    """Barycentric gradients of a triangle with rational vertices, in Fractions."""
+    (x0, y0), (x1, y1), (x2, y2) = vertices
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    return [
+        ((y1 - y2) / det, (x2 - x1) / det),
+        ((y2 - y0) / det, (x0 - x2) / det),
+        ((y0 - y1) / det, (x1 - x0) / det),
+    ]
 
-        monkeypatch.setenv("FEM_ACCURACY_THREADS", "1")
-        serial = interpolation_error(fn, mesh, basis, 0, 2.0)
-        monkeypatch.setenv("FEM_ACCURACY_THREADS", "4")
-        threaded = interpolation_error(fn, mesh, basis, 0, 2.0)
-        assert serial == threaded
 
-    def test_malformed_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("FEM_ACCURACY_THREADS", "many")
-        mesh = uniform_mesh_1d(0.0, 1.0, 2)
-        assert seminorm(SinPiProduct(), mesh, 0, 2.0, degree=8) > 0.0
+class TestTabulatedField:
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_derivatives_match_exact_chain_rule(self, l):
+        # Dual route: table plus float chain rule against Fraction arithmetic.
+        vertices = [(Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 3), Fraction(5, 4))]
+        simplex = Simplex([[float(c) for c in v] for v in vertices])
+        grads = _exact_triangle_gradients(vertices)
+        assert np.allclose(simplex.barycentric_gradients(), np.array(grads, dtype=float), rtol=1e-14, atol=1e-14)
+
+        basis = build_basis(2, 3)
+        coeffs = [Fraction(j - 4, 4) for j in range(basis.size)]
+        field = PiecewisePolynomialField(basis.polynomials, [[float(c) for c in coeffs]])
+        bary = np.array([[0.25, 0.5, 0.25], [0.125, 0.125, 0.75], [0.6, 0.3, 0.1]])
+        for alpha in derivative_multi_indices(2, l):
+            got = field.deriv_on_element(0, simplex, alpha, bary, bary @ simplex.vertices)
+            directions = [j for j, times in enumerate(alpha) for _ in range(times)]
+            for lam, value in zip(bary, got):
+                lam_exact = [Fraction(float(x)) for x in lam]
+                exact = Fraction(0)
+                for seq in itertools.product(range(3), repeat=l):
+                    weight = math.prod((grads[q][j] for q, j in zip(seq, directions)), start=Fraction(1))
+                    orders = [seq.count(v) for v in range(3)]
+                    for c, poly in zip(coeffs, basis.polynomials):
+                        exact += c * weight * rational_eval(poly.lambda_derivative(orders), lam_exact)
+                assert abs(value - float(exact)) <= 1e-12 * max(1.0, abs(float(exact))), (alpha, lam)
