@@ -9,8 +9,9 @@ in the barycentric variables, and evaluation at rational points are all
 exact; floating point enters only when evaluating at float points.  Float
 work goes through one route: `tabulate` evaluates the exact barycentric
 derivatives of a polynomial list at the points of a rule, once, and
-`chain_rule_weights` turns such a table into physical derivatives on any
-simplex through its (float) barycentric gradients.
+`chain_rule_weights` turns such a table into physical derivatives on a
+simplex, or on a whole block of elements at once, through the (float)
+barycentric gradients.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -254,10 +256,16 @@ class PkBasis:
     def size(self):
         return len(self.indices)
 
+    @cached_property
+    def node_array(self):
+        """Barycentric node coordinates as floats, shape (N, n+1)."""
+        lam = np.array(self.nodes, dtype=np.float64)
+        lam.setflags(write=False)
+        return lam
+
     def node_coordinates(self, simplex):
         """Physical coordinates of the basis nodes on a given simplex, (N, n)."""
-        lam = np.array([[float(x) for x in node] for node in self.nodes])
-        return lam @ simplex.vertices
+        return self.node_array @ simplex.vertices
 
     def evaluation_matrix(self):
         """Exact values polynomials[i] at nodes[j]; identity iff unisolvent."""
@@ -315,21 +323,23 @@ def tabulate(polynomials, points, order):
     return np.array(table)
 
 
-def chain_rule_weights(simplex, alpha):
+def chain_rule_weights(cells, alpha):
     """Weights turning a barycentric derivative table into d^alpha in x.
 
-    With the directions (j_1, ..., j_l) of alpha and G the barycentric
-    gradients of the simplex, sequence q of `tabulate` has the weight
-    prod_s G[q_s, j_s]; this is d/dx_j = sum_q G[q, j] d/dlambda_q applied
-    once per unit of alpha[j].  Returns shape ((n+1)^l,).
+    cells is a Simplex or an array of barycentric gradients G of shape
+    (..., n+1, n), for instance one row per element of a block.  With the
+    directions (j_1, ..., j_l) of alpha, sequence q of `tabulate` has the
+    weight prod_s G[q_s, j_s]; this is d/dx_j = sum_q G[q, j] d/dlambda_q
+    applied once per unit of alpha[j].  Returns shape (..., (n+1)^l).
     """
-    if len(alpha) != simplex.n:
-        raise ValueError(f"alpha must have {simplex.n} entries")
-    grads = simplex.barycentric_gradients()
-    weights = np.ones(1)
+    grads = cells.barycentric_gradients() if hasattr(cells, "barycentric_gradients") else np.asarray(cells)
+    lead = grads.shape[:-2]
+    if len(alpha) != grads.shape[-1]:
+        raise ValueError(f"alpha must have {grads.shape[-1]} entries")
+    weights = np.ones(lead + (1,))
     for j, times in enumerate(alpha):
         for _ in range(times):
-            weights = np.multiply.outer(weights, grads[:, j]).ravel()
+            weights = (weights[..., :, None] * grads[..., None, :, j]).reshape(lead + (-1,))
     return weights
 
 
@@ -360,11 +370,19 @@ def interpolate(basis, simplex, f):
     f is called with an (N, n) array of physical points; a callable taking
     n scalars is accepted as a fallback.
     """
-    pts = basis.node_coordinates(simplex)
+    return LocalInterpolant(basis, simplex, sample(f, basis.node_coordinates(simplex)))
+
+
+def sample(f, points):
+    """Values of f at an (M, n) point array, shape (M,).
+
+    f is called once with the whole array; a callable taking n scalars is
+    accepted as a fallback and called point by point.
+    """
     try:
-        vals = np.asarray(f(pts), dtype=np.float64).reshape(-1)
-        if vals.shape != (basis.size,):
+        vals = np.asarray(f(points), dtype=np.float64).reshape(-1)
+        if vals.shape != (len(points),):
             raise TypeError
     except TypeError:
-        vals = np.array([float(f(*row)) for row in pts])
-    return LocalInterpolant(basis, simplex, vals)
+        vals = np.array([float(f(*row)) for row in points])
+    return vals

@@ -29,6 +29,7 @@ from .norms import (
     DifferenceField,
     PiecewisePolynomialField,
     SobolevIndex,
+    element_blocks,
     seminorm,
     seminorm_with_estimate,
 )
@@ -73,30 +74,28 @@ class ModelProblem:
 
 
 class DiscreteSolution:
-    """Galerkin solution: mesh, basis, and global coefficient vector."""
+    """Galerkin solution: mesh, basis, global coefficient vector and solve quality.
 
-    def __init__(self, mesh, basis, coefficients, residual):
+    residual is ||A x - b||_2 / ||b||_2 of the banded solve; backward_error
+    is the normwise ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).
+    """
+
+    def __init__(self, mesh, basis, coefficients, residual, backward_error):
         self.mesh = mesh
         self.basis = basis
         self.k = basis.k
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         self.residual = float(residual)
+        self.backward_error = float(backward_error)
         self._field = None
 
     def global_index(self, element, local):
         """Global dof of local node `local` (0..k) of element `element`."""
-        k = self.k
-        ne = len(self.mesh)
-        if local == 0:
-            return element
-        if local == k:
-            return element + 1
-        return ne + 1 + element * (k - 1) + (local - 1)
+        return int(element_dofs(len(self.mesh), self.k)[element, local])
 
     def as_field(self):
         if self._field is None:
-            ne = len(self.mesh)
-            dofs = [[self.global_index(e, a) for a in range(self.basis.size)] for e in range(ne)]
+            dofs = element_dofs(len(self.mesh), self.k)
             self._field = PiecewisePolynomialField(self.basis.polynomials, self.coefficients[dofs])
         return self._field
 
@@ -113,23 +112,54 @@ class DiscreteSolution:
         return out
 
 
-def _local_dof_positions(basis):
-    # Node with index (k-i, i) sits at relative position i/k.
-    return [float(node[1]) for node in basis.nodes]
+def element_dofs(ne, k):
+    """Global dofs of the k+1 local nodes of every element, shape (ne, k+1)."""
+    elements = np.arange(ne)
+    dofs = np.empty((ne, k + 1), dtype=np.int64)
+    dofs[:, 0] = elements
+    dofs[:, k] = elements + 1
+    dofs[:, 1:k] = ne + 1 + elements[:, None] * (k - 1) + np.arange(k - 1)
+    return dofs
 
 
-def assemble_and_solve(problem, mesh, k, rhs_degree=None):
-    """Assemble and solve the P_k Galerkin system on a 1D mesh.
+def _band_matvec(ab, x):
+    """A x for symmetric A in upper banded storage ab[k + i - j, j] = A[i, j]."""
+    k = ab.shape[0] - 1
+    ax = ab[k] * x
+    for d in range(1, k + 1):
+        band = ab[k - d, d:]
+        ax[:-d] += band * x[d:]
+        ax[d:] += band * x[:-d]
+    return ax
+
+
+def backward_error(ab, x, b):
+    """Normwise backward error ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).
+
+    A is symmetric in upper banded storage; its infinity norm (largest
+    absolute row sum) is taken from the band, so no dense copy is made
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 7.1).
+    """
+    r = np.max(np.abs(_band_matvec(ab, x) - b))
+    a_norm = np.max(_band_matvec(np.abs(ab), np.ones(ab.shape[1])))
+    scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
+    return float(r / scale) if scale > 0 else 0.0
+
+
+def assemble_banded(problem, mesh, basis, rhs_degree=None):
+    """Banded Galerkin system of the free dofs, in position order.
 
     Element stiffness and mass are computed once on the reference interval
     with exactness >= 2k and scaled per element; the load vector uses a
     rule of exactness >= 2k + 8 because f is generally not polynomial.
-    Returns a DiscreteSolution with its relative algebraic residual.
+    Element matrices and loads are built for a block of elements at once
+    and scattered in (element, a, b) order.  Returns (ab, rhs, free):
+    symmetric upper banded storage ab[k + i - j, j] = A[i, j], the load,
+    and the global dof of each unknown.
     """
     if mesh.n != 1:
         raise ValueError("assemble_and_solve is restricted to 1D meshes")
-    basis = build_basis(1, k)
-    nloc = basis.size
+    k = basis.k
     ne = len(mesh)
     ndof = ne + 1 + ne * (k - 1)
 
@@ -143,68 +173,54 @@ def assemble_and_solve(problem, mesh, k, rhs_degree=None):
     load_rule = interval_rule(rhs_degree if rhs_degree is not None else 2 * k + 8)
     load_vals = tabulate(basis.polynomials, load_rule.points, 0)[0]
 
-    def gdof(e, a):
-        if a == 0:
-            return e
-        if a == k:
-            return e + 1
-        return ne + 1 + e * (k - 1) + (a - 1)
-
-    # Positions of every dof, for the band-preserving permutation.
+    # Band-preserving permutation: free dofs ranked by position (local node
+    # a sits at relative position node_array[a, 1]); boundary dofs (the two
+    # end vertices) get rank -1.
+    verts = mesh.element_vertices[:, :, 0]
+    x0, h = verts[:, 0], verts[:, 1] - verts[:, 0]
+    dofs = element_dofs(ne, k)
     positions = np.empty(ndof)
-    rel = _local_dof_positions(basis)
-    for e, simplex in enumerate(mesh.simplices):
-        x0 = simplex.vertices[0, 0]
-        h = simplex.vertices[1, 0] - x0
-        for a in range(nloc):
-            positions[gdof(e, a)] = x0 + rel[a] * h
+    positions[dofs] = x0[:, None] + basis.node_array[:, 1] * h[:, None]
+    free = np.setdiff1d(np.arange(ndof), [0, ne])
+    free = free[np.argsort(positions[free], kind="stable")]
+    nfree = len(free)
+    rank = np.full(ndof, -1)
+    rank[free] = np.arange(nfree)
 
-    boundary = {0, ne}
-    free = [d for d in range(ndof) if d not in boundary]
-    order = sorted(free, key=lambda d: positions[d])
-    rank = {d: i for i, d in enumerate(order)}
-    nfree = len(order)
-
-    # Symmetric banded storage, upper form: ab[k + i - j, j] = A[i, j].
     ab = np.zeros((k + 1, nfree))
     rhs = np.zeros(nfree)
-    for e, simplex in enumerate(mesh.simplices):
-        h = simplex.vertices[1, 0] - simplex.vertices[0, 0]
-        a_elem = stiff_ref / h + mass_ref * h
-        phys = simplex.to_physical(load_rule.points)
-        fvals = problem.f_values(phys)
-        b_elem = h * (load_vals * (load_rule.weights * fvals)).sum(axis=1)
-        gl = [gdof(e, a) for a in range(nloc)]
-        for a in range(nloc):
-            ga = gl[a]
-            if ga in boundary:
-                continue
-            ia = rank[ga]
-            rhs[ia] += b_elem[a]
-            for b in range(nloc):
-                gb = gl[b]
-                if gb in boundary:
-                    continue
-                ib = rank[gb]
-                if ia <= ib:
-                    ab[k + ia - ib, ib] += a_elem[a, b]
+    for lo, hi in element_blocks(ne):
+        hb = h[lo:hi, None]
+        a_elem = stiff_ref / hb[:, :, None] + mass_ref * hb[:, :, None]
+        phys = load_rule.points @ mesh.element_vertices[lo:hi]
+        fvals = problem.f_values(phys.reshape(-1, 1)).reshape(hi - lo, -1)
+        b_elem = hb * (load_vals * (load_rule.weights * fvals)[:, None, :]).sum(axis=2)
+        ia = rank[dofs[lo:hi]]
+        keep = ia >= 0
+        np.add.at(rhs, ia[keep], b_elem[keep])
+        rows, cols = ia[:, :, None], ia[:, None, :]
+        keep = (rows >= 0) & (rows <= cols)
+        keep, rows, cols = np.broadcast_arrays(keep, rows, cols)
+        np.add.at(ab, (k + rows[keep] - cols[keep], cols[keep]), a_elem[keep])
+    return ab, rhs, free
 
+
+def assemble_and_solve(problem, mesh, k, rhs_degree=None):
+    """Assemble and solve the P_k Galerkin system on a 1D mesh.
+
+    Returns a DiscreteSolution with its relative algebraic residual and its
+    normwise backward error, both computed from the band storage.
+    """
     from scipy.linalg import solveh_banded
 
+    basis = build_basis(1, k)
+    ab, rhs, free = assemble_banded(problem, mesh, basis, rhs_degree)
     sol = solveh_banded(ab, rhs, lower=False)
+    res = np.linalg.norm(_band_matvec(ab, sol) - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
 
-    # Residual relative to the load, with A x taken from the band storage.
-    ax = ab[k] * sol
-    for d in range(1, k + 1):
-        band = ab[k - d, d:]
-        ax[:-d] += band * sol[d:]
-        ax[d:] += band * sol[:-d]
-    res = np.linalg.norm(ax - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
-
-    coefficients = np.zeros(ndof)
-    for d, i in rank.items():
-        coefficients[d] = sol[i]
-    return DiscreteSolution(mesh, basis, coefficients, res)
+    coefficients = np.zeros(len(mesh) + 1 + len(mesh) * (k - 1))
+    coefficients[free] = sol
+    return DiscreteSolution(mesh, basis, coefficients, res, backward_error(ab, sol, rhs))
 
 
 def error_field(solution, problem):
@@ -218,7 +234,9 @@ def error_report(solution, problem, m, p, sigma=None, cea_ratio=1.0):
     gradient maximum over elements; sigma defaults to the mesh's own
     regularity) times h^{k+1-m} |u|_{k+1,p}.  The report states where the
     measured error lands inside the bound interval; nothing stronger than
-    measured <= bound is asserted.
+    measured <= bound is asserted.  residual_ok flags a solve whose relative
+    residual exceeds RESIDUAL_REL_TOL; backward_error is the solve's
+    normwise backward error.
     """
     mesh, k = solution.mesh, solution.k
     idx = SobolevIndex(m=m, p=p, n=1)
@@ -257,6 +275,8 @@ def error_report(solution, problem, m, p, sigma=None, cea_ratio=1.0):
         "h": mesh.h,
         "elements": len(mesh),
         "residual": solution.residual,
+        "residual_ok": solution.residual <= RESIDUAL_REL_TOL,
+        "backward_error": solution.backward_error,
         "seminorms": seminorms,
         "error": total,
         "admissible": admissible,

@@ -5,13 +5,16 @@ affine map between physical and barycentric coordinates, the constant
 gradients of the barycentric coordinate functions, its measure, diameter,
 and inscribed-ball diameter.  SimplexMesh is a flat collection of simplices
 with the mesh-wide quantities (h, shape regularity sigma, gradient maximum)
-precomputed.  Everything here is immutable after construction.
+precomputed, plus stacked per-element arrays (vertices, barycentric
+gradients, measures) built on first use for whole-mesh array work.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -195,6 +198,27 @@ class SimplexMesh:
 
     def __iter__(self):
         return iter(self.simplices)
+
+    @staticmethod
+    def _stack(arrays):
+        out = np.array(arrays, dtype=np.float64)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def element_vertices(self):
+        """Vertices of every element, shape (E, n+1, n)."""
+        return self._stack([s.vertices for s in self.simplices])
+
+    @cached_property
+    def element_gradients(self):
+        """Barycentric gradients of every element, shape (E, n+1, n)."""
+        return self._stack([s.barycentric_gradients() for s in self.simplices])
+
+    @cached_property
+    def element_measures(self):
+        """Measure of every element, shape (E,)."""
+        return self._stack([s.measure for s in self.simplices])
 
     def measure(self):
         """Sum of element measures (order-independent accumulation)."""

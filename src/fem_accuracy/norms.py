@@ -1,7 +1,8 @@
 """Sobolev seminorms and norms by element-wise quadrature.
 
-A field supplies derivative values on each element; the engine loops over
-the mesh, applies a reference-simplex rule, and accumulates the p-th powers
+A field supplies derivative values on blocks of elements; the engine walks
+the mesh in fixed-size blocks, applies a reference-simplex rule to every
+element of a block at once, and accumulates the per-element p-th powers
 with exact (fsum) summation so the element order never matters.  For
 integrands that are not polynomial (absolute values with noninteger p,
 analytic error terms) a second rule of higher degree gives a Richardson
@@ -17,12 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import chain_rule_weights, interpolate, tabulate
+from .basis import chain_rule_weights, sample, tabulate
 from .geometry import Simplex, SimplexMesh
 from .quadrature import simplex_rule
 
 # Extra rule degree used for the Richardson quadrature error estimate.
 ESTIMATE_DEGREE_STEP = 4
+
+# Elements evaluated together; bounds the size of the per-block point and
+# value arrays, so memory does not grow with the mesh.
+BLOCK_SIZE = 256
+
+
+def element_blocks(count):
+    """Ranges [lo, hi) covering `count` elements in blocks of BLOCK_SIZE."""
+    return [(lo, min(lo + BLOCK_SIZE, count)) for lo in range(0, count, BLOCK_SIZE)]
 
 
 class AdmissibilityError(ValueError):
@@ -115,8 +125,9 @@ class AnalyticField:
     def __init__(self, fn):
         self.fn = fn
 
-    def deriv_on_element(self, index, simplex, alpha, bary, phys):
-        return self.fn.deriv_values(alpha, phys)
+    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
+        """d^alpha at the block's physical points phys (hi - lo, npts, n), shape (hi - lo, npts)."""
+        return self.fn.deriv_values(alpha, phys.reshape(-1, phys.shape[-1])).reshape(phys.shape[:2])
 
     def max_degree(self):
         return None
@@ -129,8 +140,8 @@ class PiecewisePolynomialField:
     coefficients there is one polynomial per element (identity
     coefficients).  Derivatives come from a table of the polynomials'
     barycentric derivatives, built once per (points, order) and kept on the
-    field, contracted per element with its coefficients and the chain-rule
-    weights of its simplex.
+    field, contracted for a block of elements with their coefficients and
+    the chain-rule weights of their gradients.
     """
 
     def __init__(self, polynomials, coefficients=None):
@@ -140,11 +151,16 @@ class PiecewisePolynomialField:
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         self._tables = {}
 
-    def deriv_on_element(self, index, simplex, alpha, bary, phys):
+    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
+        """d^alpha on elements [lo, hi) at the barycentric points bary, (hi - lo, npts)."""
         key = (sum(alpha), bary.shape, bary.tobytes())
         if key not in self._tables:
             self._tables[key] = tabulate(self.polynomials, bary, key[0])
-        return chain_rule_weights(simplex, alpha) @ (self.coefficients[index] @ self._tables[key])
+        weights = chain_rule_weights(mesh.element_gradients[lo:hi], alpha)
+        # Element by element this is weights @ (coefficients @ table), in
+        # that order: (B, 1, 1, N) @ (S, N, npts), then (B, 1, S) @ (B, S, npts).
+        values = (self.coefficients[lo:hi, None, None, :] @ self._tables[key])[:, :, 0, :]
+        return (weights[:, None, :] @ values)[:, 0, :]
 
     def max_degree(self):
         return max((p.degree() for p in self.polynomials), default=0)
@@ -157,38 +173,35 @@ class DifferenceField:
         self.left = left
         self.right = right
 
-    def deriv_on_element(self, index, simplex, alpha, bary, phys):
-        return self.left.deriv_on_element(index, simplex, alpha, bary, phys) - self.right.deriv_on_element(index, simplex, alpha, bary, phys)
+    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
+        args = (mesh, lo, hi, alpha, bary, phys)
+        return self.left.deriv_block(*args) - self.right.deriv_block(*args)
 
     def max_degree(self):
         return None
 
 
-def _elements(domain):
+def _as_mesh(domain):
     if isinstance(domain, SimplexMesh):
-        return list(domain.simplices)
+        return domain
     if isinstance(domain, Simplex):
-        return [domain]
+        return SimplexMesh([domain])
     raise TypeError("domain must be a Simplex or SimplexMesh")
 
 
-def _seminorm_power(field, elements, l, p, degree):
+def _seminorm_power(field, mesh, l, p, degree):
     """Sum over elements of sum_{|alpha|=l} integral |d^alpha field|^p."""
-    n = elements[0].n
-    rule = simplex_rule(n, degree)
-    alphas = derivative_multi_indices(n, l)
-    ref_measure = float(rule.weights.sum())
+    rule = simplex_rule(mesh.n, degree)
+    alphas = derivative_multi_indices(mesh.n, l)
+    scales = mesh.element_measures / float(rule.weights.sum())
 
-    powers = []
-    for index, simplex in enumerate(elements):
-        phys = rule.points @ simplex.vertices
-        scale = simplex.measure / ref_measure
-        parts = []
+    parts = []
+    for lo, hi in element_blocks(len(mesh)):
+        phys = rule.points @ mesh.element_vertices[lo:hi]
         for alpha in alphas:
-            vals = field.deriv_on_element(index, simplex, alpha, rule.points, phys)
-            parts.append(scale * float(rule.weights @ np.abs(vals) ** p))
-        powers.append(math.fsum(parts))
-    return math.fsum(powers)
+            vals = field.deriv_block(mesh, lo, hi, alpha, rule.points, phys)
+            parts.append(scales[lo:hi] * (np.abs(vals) ** p @ rule.weights))
+    return math.fsum(np.concatenate(parts))
 
 
 def _default_degree(field, l, p):
@@ -216,30 +229,30 @@ def seminorm(field_or_fn, domain, l, p, degree=None):
     float
     """
     field = _as_field(field_or_fn)
-    elements = _elements(domain)
+    mesh = _as_mesh(domain)
     if degree is None:
         degree = _default_degree(field, l, p)
-    return _seminorm_power(field, elements, l, p, degree) ** (1.0 / p)
+    return _seminorm_power(field, mesh, l, p, degree) ** (1.0 / p)
 
 
 def seminorm_with_estimate(field_or_fn, domain, l, p, degree=None):
     """Seminorm plus a two-rule quadrature error estimate."""
     field = _as_field(field_or_fn)
-    elements = _elements(domain)
+    mesh = _as_mesh(domain)
     if degree is None:
         degree = _default_degree(field, l, p)
-    coarse = _seminorm_power(field, elements, l, p, degree) ** (1.0 / p)
-    fine = _seminorm_power(field, elements, l, p, degree + ESTIMATE_DEGREE_STEP) ** (1.0 / p)
+    coarse = _seminorm_power(field, mesh, l, p, degree) ** (1.0 / p)
+    fine = _seminorm_power(field, mesh, l, p, degree + ESTIMATE_DEGREE_STEP) ** (1.0 / p)
     return fine, abs(fine - coarse)
 
 
 def sobolev_norm(field_or_fn, domain, m, p, degree=None):
     """Full W^{m,p} norm: p-th root of the summed seminorm powers."""
     field = _as_field(field_or_fn)
-    elements = _elements(domain)
+    mesh = _as_mesh(domain)
     if degree is None:
         degree = max(_default_degree(field, l, p) for l in range(m + 1))
-    powers = [_seminorm_power(field, elements, l, p, degree) for l in range(m + 1)]
+    powers = [_seminorm_power(field, mesh, l, p, degree) for l in range(m + 1)]
     return math.fsum(powers) ** (1.0 / p)
 
 
@@ -250,7 +263,7 @@ def norm_record(field_or_fn, domain, l, p, degree=None):
 
 
 def _as_field(obj):
-    if hasattr(obj, "deriv_on_element"):
+    if hasattr(obj, "deriv_block"):
         return obj
     if hasattr(obj, "deriv_values"):
         return AnalyticField(obj)
@@ -258,8 +271,12 @@ def _as_field(obj):
 
 
 def interpolant_field(fn, mesh, basis):
-    """PiecewisePolynomialField of the element-wise Lagrange interpolant of fn."""
-    values = [interpolate(basis, s, fn).values for s in mesh.simplices]
+    """PiecewisePolynomialField of the element-wise Lagrange interpolant of fn.
+
+    The nodes of all elements are mapped at once and fn is sampled in one call.
+    """
+    nodes = basis.node_array @ mesh.element_vertices
+    values = sample(fn, nodes.reshape(-1, mesh.n)).reshape(len(mesh), basis.size)
     return PiecewisePolynomialField(basis.polynomials, values)
 
 

@@ -109,8 +109,8 @@ class AccuracyLaw:
     kind: str = "nonlinear"
 
     def __post_init__(self):
-        if self.h_star <= 0 or self.exponent < 1:
-            raise ValueError("need h_star > 0 and exponent >= 1")
+        if not (math.isfinite(self.h_star) and self.h_star > 0) or self.exponent < 1:
+            raise ValueError("need a finite h_star > 0 and exponent >= 1")
         if self.kind not in ("nonlinear", "step"):
             raise ValueError("kind must be 'nonlinear' or 'step'")
 
@@ -122,6 +122,8 @@ class AccuracyLaw:
         h = np.asarray(h, dtype=np.float64)
         scalar = h.ndim == 0
         h = np.atleast_1d(h)
+        if np.any(np.isnan(h)):
+            raise ValueError("mesh size must not be NaN")
         if np.any(h < 0):
             raise ValueError("mesh size must be nonnegative")
         out = np.empty_like(h)

@@ -15,7 +15,7 @@ from fem_accuracy.basis import (
     multi_indices,
     tabulate,
 )
-from fem_accuracy.geometry import Simplex, reference_simplex
+from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d
 
 from oracles import rational_eval
 
@@ -164,6 +164,13 @@ class TestBasisConstruction:
         pts = basis.node_coordinates(Simplex([[0.0], [1.0]]))
         assert np.allclose(pts.ravel(), [0.0, 0.5, 1.0], atol=1e-15)
 
+    def test_float_nodes_built_once(self):
+        basis = build_basis(2, 3)
+        nodes = basis.node_array
+        assert nodes is basis.node_array
+        assert not nodes.flags.writeable
+        assert nodes.tolist() == [[float(x) for x in node] for node in basis.nodes]
+
     def test_size_cap_and_validation(self):
         with pytest.raises(ValueError):
             build_basis(0, 2)
@@ -211,6 +218,15 @@ class TestSpatialDerivative:
             tabulate([BarycentricPolynomial.variable(2, 0)], s.barycentric(np.array([[0.2, 0.3]])), 1)
         with pytest.raises(ValueError):
             chain_rule_weights(s, (1,))
+
+    @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
+    def test_block_weights_match_per_simplex(self, alpha):
+        # One call on stacked gradients gives each simplex's own weights.
+        mesh = structured_mesh_2d(2)
+        block = chain_rule_weights(mesh.element_gradients, alpha)
+        assert block.shape == (len(mesh), 3 ** sum(alpha))
+        for row, simplex in zip(block, mesh.simplices):
+            assert np.array_equal(row, chain_rule_weights(simplex, alpha))
 
 
 class TestInterpolation:

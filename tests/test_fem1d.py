@@ -4,15 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fem_accuracy.basis import build_basis
 from fem_accuracy.fem1d import (
     RESIDUAL_REL_TOL,
     ModelProblem,
     assemble_and_solve,
+    assemble_banded,
+    backward_error,
     convergence_study,
     empirical_crossover,
     error_report,
 )
-from fem_accuracy.geometry import structured_mesh_2d, uniform_mesh_1d
+from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
+from fem_accuracy.norms import BLOCK_SIZE
 
 from oracles import loglog_slope
 
@@ -46,6 +50,16 @@ class TestSolver:
         want = xs - xs**3
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_reproduces_cubic_on_graded_mesh_over_blocks(self):
+        # 300 elements of different lengths span two assembly blocks; any
+        # offset slip between blocks spoils the exact reproduction.
+        nodes = np.linspace(0.0, 1.0, 301) ** 2
+        mesh = SimplexMesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])], 1.0)
+        assert len(mesh) > BLOCK_SIZE
+        sol = assemble_and_solve(ModelProblem.cubic(), mesh, 3)
+        xs = np.linspace(0.0, 1.0, 101)
+        assert np.max(np.abs(sol(xs) - (xs - xs**3))) < 1e-11
+
     def test_reproduces_quadratic_exactly(self):
         prob = ModelProblem.quadratic()
         sol = assemble_and_solve(prob, uniform_mesh_1d(0.0, 1.0, 3), 2)
@@ -67,6 +81,38 @@ class TestSolver:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_backward_error_matches_dense_route(self):
+        # Dual route: the band expanded to a dense matrix, norms by numpy.
+        mesh = uniform_mesh_1d(0.0, 1.0, 64)
+        ab, rhs, free = assemble_banded(ModelProblem.sine(), mesh, build_basis(1, 3))
+        k, nfree = ab.shape[0] - 1, ab.shape[1]
+        dense = np.zeros((nfree, nfree))
+        for d in range(k + 1):
+            idx = np.arange(nfree - d)
+            dense[idx, idx + d] = ab[k - d, d:]
+            dense[idx + d, idx] = ab[k - d, d:]
+
+        def dense_backward_error(x):
+            r = np.linalg.norm(dense @ x - rhs, np.inf)
+            return r / (np.linalg.norm(dense, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf))
+
+        x = np.random.default_rng(3).standard_normal(nfree)
+        assert backward_error(ab, x, rhs) == pytest.approx(dense_backward_error(x), rel=1e-12)
+
+        sol = assemble_and_solve(ModelProblem.sine(), mesh, 3)
+        assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-14)
+        assert sol.backward_error < 1e-15
+        assert sol.backward_error == pytest.approx(dense_backward_error(sol.coefficients[free]), abs=1e-16)
+
+    @pytest.mark.parametrize("ne,ok", [(256, True), (1024, False)])
+    def test_residual_above_tolerance_is_flagged(self, ne, ok):
+        # The P3 residual grows with the mesh: 1.8e-11 at 256, 3.0e-10 at 1024 elements.
+        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, ne), 3)
+        rep = error_report(sol, ModelProblem.sine(), 0, 2.0)
+        assert rep["residual_ok"] is ok
+        assert rep["residual_ok"] == (rep["residual"] <= RESIDUAL_REL_TOL)
+        assert rep["backward_error"] == sol.backward_error < 1e-15
 
     def test_dirichlet_conditions(self):
         sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), 3)
@@ -114,6 +160,7 @@ class TestErrorReport:
         assert rep["h"] == pytest.approx(1.0 / 16.0, rel=1e-14)
         assert rep["elements"] == 16
         assert rep["residual"] <= RESIDUAL_REL_TOL
+        assert rep["residual_ok"] is True
         assert [s["l"] for s in rep["seminorms"]] == [0, 1]
         assert rep["admissible"] is True
         assert rep["error"] <= rep["bound"]

@@ -128,6 +128,17 @@ class TestMesh:
         with pytest.raises(ValueError):
             uniform_mesh_1d(1.0, 0.0, 4)
 
+    def test_element_arrays_stack_simplices_on_first_use(self):
+        mesh = structured_mesh_2d(3)
+        assert not {"element_vertices", "element_gradients", "element_measures"} & set(vars(mesh))
+        assert mesh.element_vertices.shape == mesh.element_gradients.shape == (18, 3, 2)
+        for e, s in enumerate(mesh.simplices):
+            assert np.array_equal(mesh.element_vertices[e], s.vertices)
+            assert np.array_equal(mesh.element_gradients[e], s.barycentric_gradients())
+            assert mesh.element_measures[e] == s.measure
+        assert mesh.element_gradients is mesh.element_gradients
+        assert not mesh.element_measures.flags.writeable
+
     @pytest.mark.parametrize("per_side", [1, 2, 4])
     def test_structured_2d(self, per_side):
         mesh = structured_mesh_2d(per_side)

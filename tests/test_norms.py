@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 
 from fem_accuracy.basis import BarycentricPolynomial, build_basis
 from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
-from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d, uniform_mesh_1d
+from fem_accuracy.geometry import Simplex, SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.norms import (
+    BLOCK_SIZE,
     AdmissibilityError,
     AnalyticField,
     DifferenceField,
@@ -152,10 +154,10 @@ class TestSeminormValues:
 class ConstantOneField:
     """Constant-one field on any mesh, for measure checks."""
 
-    def deriv_on_element(self, index, simplex, alpha, bary, phys):
+    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
         if sum(alpha) == 0:
-            return np.ones(bary.shape[0])
-        return np.zeros(bary.shape[0])
+            return np.ones((hi - lo, bary.shape[0]))
+        return np.zeros((hi - lo, bary.shape[0]))
 
     def max_degree(self):
         return 0
@@ -255,7 +257,7 @@ class TestTabulatedField:
         field = PiecewisePolynomialField(basis.polynomials, [[float(c) for c in coeffs]])
         bary = np.array([[0.25, 0.5, 0.25], [0.125, 0.125, 0.75], [0.6, 0.3, 0.1]])
         for alpha in derivative_multi_indices(2, l):
-            got = field.deriv_on_element(0, simplex, alpha, bary, bary @ simplex.vertices)
+            got = field.deriv_block(SimplexMesh([simplex]), 0, 1, alpha, bary, (bary @ simplex.vertices)[None])[0]
             directions = [j for j, times in enumerate(alpha) for _ in range(times)]
             for lam, value in zip(bary, got):
                 lam_exact = [Fraction(float(x)) for x in lam]
@@ -266,3 +268,68 @@ class TestTabulatedField:
                     for c, poly in zip(coeffs, basis.polynomials):
                         exact += c * weight * rational_eval(poly.lambda_derivative(orders), lam_exact)
                 assert abs(value - float(exact)) <= 1e-12 * max(1.0, abs(float(exact))), (alpha, lam)
+
+
+class CountingSinPi(SinPiProduct):
+    """sin(pi x) sin(pi y) that counts its deriv_values calls."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.calls = 0
+
+    def deriv_values(self, alpha, x):
+        self.calls += 1
+        return super().deriv_values(alpha, x)
+
+
+def jittered_mesh_2d(per_side, seed):
+    """structured_mesh_2d with interior vertices moved, so every element differs."""
+    payload = json.loads(structured_mesh_2d(per_side).to_json())
+    verts = np.array(payload["vertices"])
+    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[interior] += np.random.default_rng(seed).uniform(-0.2, 0.2, (interior.sum(), 2)) / per_side
+    return SimplexMesh([Simplex(verts[idx]) for idx in payload["simplices"]], 1.0)
+
+
+class TestBlockedEvaluation:
+    # 288 triangles: one full block of BLOCK_SIZE and a partial one.
+    mesh = jittered_mesh_2d(12, seed=11)
+
+    def test_mesh_spans_more_than_one_block(self):
+        assert BLOCK_SIZE < len(self.mesh) < 2 * BLOCK_SIZE
+        assert self.mesh.check_cover()
+
+    def test_mesh_seminorm_is_sum_of_simplex_seminorms(self):
+        # Dual route: each element on its own as a one-simplex domain, so a
+        # wrong offset into the coefficients, gradients, vertices or measures
+        # of a later block shows.
+        basis = build_basis(2, 3)
+        coeffs = np.random.default_rng(5).uniform(-1.0, 1.0, (len(self.mesh), basis.size))
+        whole = PiecewisePolynomialField(basis.polynomials, coeffs)
+        singles = [PiecewisePolynomialField(basis.polynomials, coeffs[e : e + 1]) for e in range(len(self.mesh))]
+        fn = SinPiProduct(2)
+        for l in (0, 1, 2):
+            for p in (2.0, 3.0):
+                got = seminorm(whole, self.mesh, l, p, degree=10) ** p
+                parts = math.fsum(seminorm(f, s, l, p, degree=10) ** p for f, s in zip(singles, self.mesh.simplices))
+                assert got == pytest.approx(parts, rel=1e-13), (l, p)
+                got = seminorm(fn, self.mesh, l, p, degree=10) ** p
+                parts = math.fsum(seminorm(fn, s, l, p, degree=10) ** p for s in self.mesh.simplices)
+                assert got == pytest.approx(parts, rel=1e-13), (l, p)
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_analytic_calls_per_block_not_per_element(self, l):
+        blocks = math.ceil(len(self.mesh) / BLOCK_SIZE)
+        directions = len(derivative_multi_indices(2, l))
+        fn = CountingSinPi()
+        seminorm(fn, self.mesh, l, 2.0, degree=8)
+        assert fn.calls <= blocks * directions
+        fn.calls = 0
+        seminorm_with_estimate(fn, self.mesh, l, 2.0, degree=8)
+        assert fn.calls <= 2 * blocks * directions
+
+    def test_interpolant_samples_once(self):
+        fn = CountingSinPi()
+        interpolation_error(fn, self.mesh, build_basis(2, 2), 1, 2.0)
+        blocks = math.ceil(len(self.mesh) / BLOCK_SIZE)
+        assert fn.calls <= 1 + blocks * len(derivative_multi_indices(2, 1))

@@ -137,6 +137,20 @@ class TestAccuracyLaw:
         with pytest.raises(ValueError):
             AccuracyLaw(h_star=1.0, exponent=1)(-0.5)
 
+    @pytest.mark.parametrize("kind", ["nonlinear", "step"])
+    def test_nan_mesh_size_rejected(self, kind):
+        law = AccuracyLaw(h_star=0.1, exponent=2, kind=kind)
+        with pytest.raises(ValueError, match="NaN"):
+            law(np.array([np.nan, 0.05]))
+        with pytest.raises(ValueError, match="NaN"):
+            law(math.nan)
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "step"])
+    @pytest.mark.parametrize("h_star", [math.nan, math.inf])
+    def test_nonfinite_h_star_rejected(self, kind, h_star):
+        with pytest.raises(ValueError):
+            AccuracyLaw(h_star=h_star, exponent=2, kind=kind)
+
     def test_from_pair(self):
         pair = ElementPair(1, 2, 20.0, 9.0)
         law = AccuracyLaw.from_pair(pair)
