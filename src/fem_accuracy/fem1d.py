@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import build_basis, chain_rule_weights, tabulate
+from .basis import build_basis, tabulate
 from .bounds import ConstantBundle, script_c
 from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import uniform_mesh_1d
@@ -101,15 +101,12 @@ class DiscreteSolution:
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        coefficients = self.as_field().coefficients
-        verts = np.array([s.vertices[0, 0] for s in self.mesh.simplices] + [self.mesh.simplices[-1].vertices[1, 0]])
-        idx = np.clip(np.searchsorted(verts, x, side="right") - 1, 0, len(self.mesh) - 1)
-        out = np.empty_like(x)
-        for e in np.unique(idx):
-            sel = idx == e
-            lam = self.mesh.simplices[e].barycentric(x[sel].reshape(-1, 1))
-            out[sel] = coefficients[e] @ tabulate(self.basis.polynomials, lam, 0)[0]
-        return out
+        verts = self.mesh.element_vertices[:, :, 0]
+        x0, h = verts[:, 0], verts[:, 1] - verts[:, 0]
+        idx = np.clip(np.searchsorted(x0, x, side="right") - 1, 0, len(self.mesh) - 1)
+        t = (x - x0[idx]) / h[idx]
+        table = tabulate(self.basis.polynomials, np.stack([1.0 - t, t], axis=1), 0)[0]
+        return np.einsum("pa,ap->p", self.as_field().coefficients[idx], table)
 
 
 def element_dofs(ne, k):
@@ -165,8 +162,9 @@ def assemble_banded(problem, mesh, basis, rhs_degree=None):
 
     rule = interval_rule(2 * k)
     vals = tabulate(basis.polynomials, rule.points, 0)[0]
-    ref_unit = uniform_mesh_1d(0.0, 1.0, 1).simplices[0]
-    dvals = np.tensordot(chain_rule_weights(ref_unit, (1,)), tabulate(basis.polynomials, rule.points, 1), axes=1)
+    # On the reference interval lambda_1 = x = 1 - lambda_0, so d/dx = d/dlambda_1 - d/dlambda_0.
+    dlam = tabulate(basis.polynomials, rule.points, 1)
+    dvals = dlam[1] - dlam[0]
     mass_ref = np.einsum("q,aq,bq->ab", rule.weights, vals, vals)
     stiff_ref = np.einsum("q,aq,bq->ab", rule.weights, dvals, dvals)
 

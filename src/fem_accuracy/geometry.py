@@ -1,12 +1,10 @@
 """Simplex geometry and structured meshes.
 
-A Simplex is n+1 affinely independent vertices in R^n.  It owns the exact
-affine map between physical and barycentric coordinates, the constant
-gradients of the barycentric coordinate functions, its measure, diameter,
-and inscribed-ball diameter.  SimplexMesh is a flat collection of simplices
-with the mesh-wide quantities (h, shape regularity sigma, gradient maximum)
-precomputed, plus stacked per-element arrays (vertices, barycentric
-gradients, measures) built on first use for whole-mesh array work.
+simplex_geometry computes the geometry of a stack of simplices, an (E, n+1, n)
+vertex array, with batched array operations.  A SimplexMesh is a vertex table
+with an (E, n+1) connectivity whose per-element arrays and h, sigma and
+gradient maximum it builds on first use; it builds a Simplex object only for
+an element asked for by index.  A Simplex is held as a one-element mesh.
 Everything here is immutable after construction.
 """
 
@@ -14,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -26,8 +25,45 @@ class DegenerateSimplexError(ValueError):
     """Raised when the requested simplex has (numerically) zero volume."""
 
 
+def simplex_geometry(vertices):
+    """Geometry of a stack of simplices, vertices of shape (E, n+1, n).
+
+    Returns read-only (inverse, measures, diameters, inscribed).  Row q of
+    inverse[e], shape (n+1, n+1), gives lambda_q(x) = inverse[e, q] . (1, x),
+    so its columns 1..n are the barycentric gradients.  The others have shape
+    (E,): n-volume, diameter h_K and inscribed-ball diameter rho_K.
+    Raises DegenerateSimplexError naming the first element whose vertices are
+    affinely dependent within VOLUME_REL_TOL.
+    """
+    count, n = len(vertices), vertices.shape[2]
+    measures = np.abs(np.linalg.det(vertices[:, 1:] - vertices[:, :1])) / math.factorial(n)
+    diff = vertices[:, :, None, :] - vertices[:, None, :, :]
+    diameters = np.sqrt((diff * diff).sum(axis=3)).max(axis=(1, 2))
+    degenerate = np.flatnonzero(measures <= VOLUME_REL_TOL * diameters**n / math.factorial(n))
+    if degenerate.size:
+        e = degenerate[0]
+        raise DegenerateSimplexError(
+            f"degenerate {n}-simplex at element {e}: volume {measures[e]:.3e} with diameter {diameters[e]:.3e}"
+        )
+    inverse = np.linalg.inv(np.concatenate([np.ones((count, 1, n + 1)), vertices.transpose(0, 2, 1)], axis=1))
+
+    # Facet q omits vertex q; its (n-1)-measure is the root of the Gram
+    # determinant of its edges (one for the point facets of an interval).
+    facets = np.empty((count, n + 1))
+    for q in range(n + 1):
+        edges = np.delete(vertices, q, axis=1)
+        edges = edges[:, 1:] - edges[:, :1]
+        gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
+        facets[:, q] = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(n - 1)
+    # fsum: the facet sum is correctly rounded, whatever the facet order.
+    inscribed = 2.0 * n * measures / np.array([math.fsum(f) for f in facets.tolist()])
+    for a in (inverse, measures, diameters, inscribed):
+        a.setflags(write=False)
+    return inverse, measures, diameters, inscribed
+
+
 class Simplex:
-    """An n-simplex given by its n+1 vertices.
+    """An n-simplex given by its n+1 vertices, held as the one-element mesh `mesh`.
 
     Parameters
     ----------
@@ -46,44 +82,10 @@ class Simplex:
             v = v.reshape(-1, 1)
         if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
             raise ValueError(f"expected (n+1, n) vertex array, got shape {v.shape}")
-        n = v.shape[1]
-
-        edges = v[1:] - v[0]
-        volume = abs(float(np.linalg.det(edges))) / math.factorial(n)
-        diff = v[:, None, :] - v[None, :, :]
-        diameter = float(np.sqrt((diff * diff).sum(axis=2)).max())
-        if volume <= VOLUME_REL_TOL * diameter**n / math.factorial(n):
-            raise DegenerateSimplexError(
-                f"degenerate {n}-simplex: volume {volume:.3e} with diameter {diameter:.3e}"
-            )
-
-        # Rows of A^{-1} give lambda_q(x) = A^{-1}[q] . (1, x); the constant
-        # part sits in column 0 and the gradient in the remaining columns.
-        aug = np.empty((n + 1, n + 1))
-        aug[0, :] = 1.0
-        aug[1:, :] = v.T
-        inv = np.linalg.inv(aug)
-
-        v.setflags(write=False)
-        inv.setflags(write=False)
-        grads = inv[:, 1:].copy()
-        grads.setflags(write=False)
-
-        self._vertices = v
-        self._n = n
-        self._measure = volume
-        self._diameter = diameter
-        self._inv = inv
-        self._grads = grads
-        self._rho = None
-
-    @property
-    def vertices(self):
-        return self._vertices
-
-    @property
-    def n(self):
-        return self._n
+        self.n = v.shape[1]
+        self.mesh = SimplexMesh(vertices=v, connectivity=np.arange(self.n + 1)[None])
+        self._inv, measure, _, rho = (a[0] for a in self.mesh._geometry)  # a degenerate simplex fails here
+        self.vertices, self._measure, self._rho = self.mesh.element_vertices[0], float(measure), float(rho)
 
     @property
     def measure(self):
@@ -93,7 +95,7 @@ class Simplex:
     @property
     def diameter(self):
         """Largest pairwise vertex distance h_K."""
-        return self._diameter
+        return self.mesh.h
 
     def barycentric(self, x):
         """Barycentric coordinates of physical points.
@@ -111,16 +113,15 @@ class Simplex:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         pts = x.reshape(1, -1) if single else x
-        if pts.shape[1] != self._n:
-            raise ValueError(f"points have dimension {pts.shape[1]}, simplex has {self._n}")
-        ones = np.ones((pts.shape[0], 1))
-        lam = np.hstack([ones, pts]) @ self._inv.T
+        if pts.shape[1] != self.n:
+            raise ValueError(f"points have dimension {pts.shape[1]}, simplex has {self.n}")
+        lam = np.hstack([np.ones((pts.shape[0], 1)), pts]) @ self._inv.T
         return lam[0] if single else lam
 
     def to_physical(self, lam):
         """Physical coordinates of barycentric points (inverse of barycentric)."""
         lam = np.asarray(lam, dtype=np.float64)
-        return lam @ self._vertices
+        return lam @ self.vertices
 
     def barycentric_gradients(self):
         """Constant gradients of the barycentric coordinates.
@@ -130,38 +131,32 @@ class Simplex:
         ndarray, shape (n+1, n)
             Row q holds grad lambda_q; the rows sum to the zero vector.
         """
-        return self._grads
+        return self.mesh.element_gradients[0]
 
     @property
     def gradient_max(self):
         """Largest absolute entry of the barycentric gradient matrix."""
-        return float(np.abs(self._grads).max())
-
-    def facet_measures(self):
-        """(n-1)-measures of the n+1 facets (facet q omits vertex q).
-
-        A facet of a 1-simplex is a single point and counts as measure one,
-        which makes the inscribed-diameter formula uniform across n.
-        """
-        out = []
-        for q in range(self._n + 1):
-            pts = np.delete(self._vertices, q, axis=0)
-            edges = pts[1:] - pts[0]
-            gram = edges @ edges.T
-            out.append(math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(self._n - 1))
-        return out
+        return self.mesh.gradient_max
 
     def inscribed_diameter(self):
         """Diameter rho of the largest inscribed ball (2 * inradius)."""
-        if self._rho is None:
-            self._rho = 2.0 * self._n * self._measure / math.fsum(self.facet_measures())
         return self._rho
 
-    def to_dict(self):
-        return {"n": self._n, "vertices": self._vertices.tolist()}
-
     def __repr__(self):
-        return f"Simplex(n={self._n}, measure={self._measure:.6g})"
+        return f"Simplex(n={self.n}, measure={self._measure:.6g})"
+
+
+class _SimplexSequence(Sequence):
+    """Read-only view of a mesh's elements that builds a Simplex per access."""
+
+    def __init__(self, mesh):
+        self._mesh = mesh
+
+    def __len__(self):
+        return len(self._mesh)
+
+    def __getitem__(self, index):
+        return Simplex(self._mesh.element_vertices[index])
 
 
 class SimplexMesh:
@@ -169,60 +164,83 @@ class SimplexMesh:
 
     Parameters
     ----------
-    simplices : sequence of Simplex
+    simplices : sequence of Simplex, optional
     domain_measure : float, optional
         Known measure of the covered domain, used by check_cover.
-    vertices, connectivity : optional
-        Shared vertex table and per-element vertex indices; kept only for
-        serialization.
+    vertices, connectivity : array_like, optional
+        Instead of simplices, a (P, n) vertex table and (E, n+1) element
+        vertex indices, which to_json writes back.  A degenerate element
+        raises DegenerateSimplexError at the first use of the geometry.
     """
 
-    def __init__(self, simplices, domain_measure=None, vertices=None, connectivity=None):
-        simplices = tuple(simplices)
-        if not simplices:
-            raise ValueError("mesh needs at least one simplex")
-        n = simplices[0].n
-        if any(s.n != n for s in simplices):
-            raise ValueError("mixed-dimension mesh")
-        self.simplices = simplices
-        self.n = n
-        self.h = max(s.diameter for s in simplices)
-        self.sigma = max(s.diameter / s.inscribed_diameter() for s in simplices)
-        self.gradient_max = max(s.gradient_max for s in simplices)
+    def __init__(self, simplices=None, domain_measure=None, vertices=None, connectivity=None):
+        if simplices is not None:
+            simplices = tuple(simplices)
+            if not simplices:
+                raise ValueError("mesh needs at least one simplex")
+            n = simplices[0].n
+            if any(s.n != n for s in simplices):
+                raise ValueError("mixed-dimension mesh")
+            points = np.concatenate([s.vertices for s in simplices])
+            cells = np.arange(len(points)).reshape(len(simplices), n + 1)
+        else:
+            points, cells = np.array(vertices, dtype=np.float64), np.array(connectivity)
+            if points.ndim != 2 or cells.ndim != 2 or cells.shape[1] != points.shape[1] + 1 or not cells.size:
+                raise ValueError(f"need (P, n) vertices and (E, n+1) connectivity, got {points.shape}, {cells.shape}")
+            if not np.issubdtype(cells.dtype, np.integer) or cells.min() < 0 or cells.max() >= len(points):
+                raise ValueError("connectivity must hold indices into the vertex table")
+        self.n = points.shape[1]
         self.domain_measure = domain_measure
-        self._vertices = None if vertices is None else np.asarray(vertices, dtype=np.float64)
-        self._connectivity = None if connectivity is None else [list(c) for c in connectivity]
+        points.setflags(write=False)
+        self._points, self._cells, self._has_table = points, cells, simplices is None
 
     def __len__(self):
-        return len(self.simplices)
+        return len(self._cells)
 
-    def __iter__(self):
-        return iter(self.simplices)
-
-    @staticmethod
-    def _stack(arrays):
-        out = np.array(arrays, dtype=np.float64)
-        out.setflags(write=False)
-        return out
+    @property
+    def simplices(self):
+        """The elements as Simplex objects, each built when it is accessed."""
+        return _SimplexSequence(self)
 
     @cached_property
     def element_vertices(self):
         """Vertices of every element, shape (E, n+1, n)."""
-        return self._stack([s.vertices for s in self.simplices])
+        out = self._points[self._cells]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _geometry(self):
+        return simplex_geometry(self.element_vertices)
 
     @cached_property
     def element_gradients(self):
         """Barycentric gradients of every element, shape (E, n+1, n)."""
-        return self._stack([s.barycentric_gradients() for s in self.simplices])
+        return self._geometry[0][:, :, 1:]
 
     @cached_property
     def element_measures(self):
         """Measure of every element, shape (E,)."""
-        return self._stack([s.measure for s in self.simplices])
+        return self._geometry[1]
+
+    @cached_property
+    def h(self):
+        """Mesh size: the largest element diameter."""
+        return float(self._geometry[2].max())
+
+    @cached_property
+    def sigma(self):
+        """Shape regularity: the largest diameter over inscribed diameter."""
+        return float((self._geometry[2] / self._geometry[3]).max())
+
+    @cached_property
+    def gradient_max(self):
+        """Largest absolute barycentric gradient entry over all elements."""
+        return float(np.abs(self.element_gradients).max())
 
     def measure(self):
         """Sum of element measures (order-independent accumulation)."""
-        return math.fsum(s.measure for s in self.simplices)
+        return math.fsum(self.element_measures)
 
     def check_cover(self, tol=1e-12):
         """True when the element measures add up to the stated domain measure."""
@@ -232,37 +250,27 @@ class SimplexMesh:
 
     def to_json(self, indent=None):
         """Serialize to JSON with a shared vertex table when available."""
-        payload = {
-            "n": self.n,
-            "h": self.h,
-            "sigma": self.sigma,
-            "domain_measure": self.domain_measure,
-        }
-        if self._vertices is not None and self._connectivity is not None:
-            payload["vertices"] = self._vertices.tolist()
-            payload["simplices"] = self._connectivity
+        payload = {"n": self.n, "h": self.h, "sigma": self.sigma, "domain_measure": self.domain_measure}
+        if self._has_table:
+            payload["vertices"] = self._points.tolist()
+            payload["simplices"] = self._cells.tolist()
         else:
-            payload["elements"] = [s.to_dict() for s in self.simplices]
+            payload["elements"] = [{"n": self.n, "vertices": v.tolist()} for v in self.element_vertices]
         return json.dumps(payload, indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text)
         if "vertices" in payload:
-            verts = np.asarray(payload["vertices"], dtype=np.float64)
-            conn = payload["simplices"]
-            simplices = [Simplex(verts[idx]) for idx in conn]
-            return cls(simplices, payload.get("domain_measure"), verts, conn)
-        simplices = [Simplex(e["vertices"]) for e in payload["elements"]]
-        return cls(simplices, payload.get("domain_measure"))
+            mesh = cls(None, payload.get("domain_measure"), payload["vertices"], payload["simplices"])
+            mesh._geometry  # computed now, so a degenerate element fails at load
+            return mesh
+        return cls([Simplex(e["vertices"]) for e in payload["elements"]], payload.get("domain_measure"))
 
 
 def reference_simplex(n):
     """Unit reference simplex: [0,1] for n=1, the right triangle for n=2, etc."""
-    verts = np.zeros((n + 1, n))
-    for i in range(n):
-        verts[i + 1, i] = 1.0
-    return Simplex(verts)
+    return Simplex(np.vstack([np.zeros((1, n)), np.eye(n)]))
 
 
 def uniform_mesh_1d(a, b, count):
@@ -271,28 +279,22 @@ def uniform_mesh_1d(a, b, count):
         raise ValueError("count must be positive")
     if not b > a:
         raise ValueError("need b > a")
-    nodes = np.linspace(a, b, count + 1)
-    verts = nodes.reshape(-1, 1)
-    conn = [[i, i + 1] for i in range(count)]
-    simplices = [Simplex(verts[idx]) for idx in conn]
-    return SimplexMesh(simplices, domain_measure=b - a, vertices=verts, connectivity=conn)
+    verts = np.linspace(a, b, count + 1).reshape(-1, 1)
+    return SimplexMesh(domain_measure=b - a, vertices=verts, connectivity=np.arange(count)[:, None] + np.arange(2))
 
 
 def structured_mesh_2d(per_side):
-    """Unit square split into per_side^2 cells of two right triangles each."""
+    """Unit square split into per_side^2 cells of two right triangles each.
+
+    Vertex j * (per_side + 1) + i sits at (x_i, y_j); cell (i, j), taken row
+    by row, gives (i, j), (i+1, j), (i, j+1) and (i+1, j), (i+1, j+1), (i, j+1).
+    """
     if per_side < 1:
         raise ValueError("per_side must be positive")
     m = per_side
     xs = np.linspace(0.0, 1.0, m + 1)
-    verts = np.array([[x, y] for y in xs for x in xs])
-
-    def vid(i, j):
-        return j * (m + 1) + i
-
-    conn = []
-    for j in range(m):
-        for i in range(m):
-            conn.append([vid(i, j), vid(i + 1, j), vid(i, j + 1)])
-            conn.append([vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    simplices = [Simplex(verts[idx]) for idx in conn]
-    return SimplexMesh(simplices, domain_measure=1.0, vertices=verts, connectivity=conn)
+    j, i = np.divmod(np.arange(m * m), m)
+    c = j * (m + 1) + i
+    verts = np.stack([np.tile(xs, m + 1), np.repeat(xs, m + 1)], axis=1)
+    conn = np.stack([c, c + 1, c + m + 1, c + 1, c + m + 2, c + m + 1], axis=1).reshape(-1, 3)
+    return SimplexMesh(domain_measure=1.0, vertices=verts, connectivity=conn)

@@ -185,7 +185,7 @@ def _as_mesh(domain):
     if isinstance(domain, SimplexMesh):
         return domain
     if isinstance(domain, Simplex):
-        return SimplexMesh([domain])
+        return domain.mesh
     raise TypeError("domain must be a Simplex or SimplexMesh")
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fem_accuracy.fem1d import (
 from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.norms import BLOCK_SIZE
 
-from oracles import loglog_slope
+from oracles import loglog_slope, rational_eval
 
 
 class TestModelProblem:
@@ -59,6 +60,25 @@ class TestSolver:
         sol = assemble_and_solve(ModelProblem.cubic(), mesh, 3)
         xs = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(sol(xs) - (xs - xs**3))) < 1e-11
+
+    def test_point_values_match_exact_per_element_route(self):
+        # Graded P3 solution evaluated at every node (element boundaries and
+        # both end points) and at points inside elements; the reference
+        # locates each point by its own element and evaluates the element's
+        # polynomial at exact rational barycentric coordinates.
+        nodes = np.linspace(0.0, 1.0, 301) ** 2
+        mesh = SimplexMesh(vertices=nodes.reshape(-1, 1), connectivity=np.arange(300)[:, None] + np.arange(2))
+        sol = assemble_and_solve(ModelProblem.sine(), mesh, 3)
+        coefficients = sol.as_field().coefficients
+        xs = np.concatenate([nodes, np.random.default_rng(2).uniform(0.0, 1.0, 300)])
+        expected = []
+        for x in xs:
+            e = min(int(np.sum(nodes[1:-1] <= x)), 299)
+            a, b = Fraction(nodes[e]), Fraction(nodes[e + 1])
+            t = (Fraction(x) - a) / (b - a)
+            value = sum(Fraction(c) * rational_eval(poly, (1 - t, t)) for c, poly in zip(coefficients[e], sol.basis.polynomials))
+            expected.append(float(value))
+        assert np.max(np.abs(sol(xs) - np.array(expected))) <= 1e-15
 
     def test_reproduces_quadratic_exactly(self):
         prob = ModelProblem.quadratic()

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, strategies as st
 
+from fem_accuracy.basis import build_basis
+from fem_accuracy.fem1d import ModelProblem, convergence_study
+from fem_accuracy.functions import SinPiProduct
 from fem_accuracy.geometry import (
     DegenerateSimplexError,
     Simplex,
@@ -13,6 +16,7 @@ from fem_accuracy.geometry import (
     structured_mesh_2d,
     uniform_mesh_1d,
 )
+from fem_accuracy.norms import BLOCK_SIZE, interpolation_error
 
 COORD_TOL = 1e-12
 
@@ -177,3 +181,132 @@ class TestMesh:
     def test_mixed_dimension_rejected(self):
         with pytest.raises(ValueError):
             SimplexMesh([Simplex([[0.0], [1.0]]), reference_simplex(2)])
+
+    def test_json_payload_of_one_cell(self):
+        assert structured_mesh_2d(1).to_json() == (
+            '{"domain_measure": 1.0, "h": 1.4142135623730951, "n": 2, "sigma": 2.4142135623730954, '
+            '"simplices": [[0, 1, 2], [1, 3, 2]], "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}'
+        )
+
+    def test_degenerate_table_element_named(self):
+        mesh = SimplexMesh(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], connectivity=[[0, 1, 2], [0, 1, 3]])
+        with pytest.raises(DegenerateSimplexError, match="element 1"):
+            mesh.h
+
+    def test_degenerate_table_rejected_at_load(self):
+        text = json.dumps({"n": 1, "domain_measure": 1.0, "vertices": [[0.0], [0.5], [0.5], [1.0]], "simplices": [[0, 1], [1, 2], [2, 3]]})
+        with pytest.raises(DegenerateSimplexError, match="element 1"):
+            SimplexMesh.from_json(text)
+
+    @pytest.mark.parametrize(
+        "connectivity",
+        [[[0, 1], [1, 2]], [[0, 1, 2], [1, 2]], [[0, 1, 2], [1, 2, 3]], [[0, 1, 2], [-1, 1, 2]], []],
+        ids=["interval-in-plane", "ragged", "missing-vertex", "negative-index", "empty"],
+    )
+    def test_bad_table_rejected(self, connectivity):
+        with pytest.raises(ValueError):
+            SimplexMesh(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], connectivity=connectivity)
+
+
+def jittered_table_2d(per_side, seed):
+    """Vertex table and connectivity of structured_mesh_2d with interior vertices moved."""
+    payload = json.loads(structured_mesh_2d(per_side).to_json())
+    verts = np.array(payload["vertices"])
+    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[interior] += np.random.default_rng(seed).uniform(-0.2, 0.2, (interior.sum(), 2)) / per_side
+    return verts, payload["simplices"]
+
+
+def graded_table_1d(count):
+    nodes = np.linspace(0.0, 1.0, count + 1) ** 2
+    return nodes.reshape(-1, 1), [[e, e + 1] for e in range(count)]
+
+
+def kuhn_table_3d(seed):
+    """The six tetrahedra of the Kuhn split of a unit cube with moved corners."""
+    corners = np.array([[x, y, z] for z in (0.0, 1.0) for y in (0.0, 1.0) for x in (0.0, 1.0)])
+    corners += np.random.default_rng(seed).uniform(-0.1, 0.1, corners.shape)
+    tets = [[0, 1, 3, 7], [0, 1, 5, 7], [0, 2, 3, 7], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 6, 7]]
+    return corners, tets
+
+
+def loop_geometry(v):
+    """One simplex at a time, as the per-element code computed it: measure,
+    diameter, barycentric gradients and inscribed diameter."""
+    n = v.shape[1]
+    measure = abs(float(np.linalg.det(v[1:] - v[0]))) / math.factorial(n)
+    diff = v[:, None, :] - v[None, :, :]
+    diameter = float(np.sqrt((diff * diff).sum(axis=2)).max())
+    aug = np.empty((n + 1, n + 1))
+    aug[0, :] = 1.0
+    aug[1:, :] = v.T
+    facets = []
+    for q in range(n + 1):
+        pts = np.delete(v, q, axis=0)
+        edges = pts[1:] - pts[0]
+        facets.append(math.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0)) / math.factorial(n - 1))
+    return measure, diameter, np.linalg.inv(aug)[:, 1:], 2.0 * n * measure / math.fsum(facets)
+
+
+class TestBatchedGeometry:
+    @pytest.mark.parametrize(
+        "table",
+        [jittered_table_2d(12, seed=3), graded_table_1d(300), kuhn_table_3d(seed=4)],
+        ids=["jittered-2d", "graded-1d", "kuhn-3d"],
+    )
+    def test_matches_per_simplex_bitwise(self, table):
+        verts, conn = table
+        mesh = SimplexMesh(vertices=verts, connectivity=conn)
+        singles = [Simplex(verts[idx]) for idx in conn]
+        if mesh.n == 2:
+            assert BLOCK_SIZE < len(mesh) < 2 * BLOCK_SIZE
+        for e, s in enumerate(singles):
+            measure, diameter, gradients, inscribed = loop_geometry(np.array(verts)[conn[e]])
+            assert (s.measure, s.diameter, s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert np.array_equal(s.barycentric_gradients(), gradients)
+            assert np.array_equal(mesh.element_vertices[e], s.vertices)
+            assert np.array_equal(mesh.element_gradients[e], s.barycentric_gradients())
+            assert mesh.element_measures[e] == s.measure
+        assert mesh.h == max(s.diameter for s in singles)
+        assert mesh.sigma == max(s.diameter / s.inscribed_diameter() for s in singles)
+        assert mesh.gradient_max == max(s.gradient_max for s in singles)
+        stacked = SimplexMesh(singles)
+        assert np.array_equal(stacked.element_gradients, mesh.element_gradients)
+        assert (stacked.h, stacked.sigma, stacked.gradient_max) == (mesh.h, mesh.sigma, mesh.gradient_max)
+
+    @staticmethod
+    def count_simplices(monkeypatch):
+        built = []
+        init = Simplex.__init__
+
+        def counting(self, vertices):
+            built.append(1)
+            init(self, vertices)
+
+        monkeypatch.setattr(Simplex, "__init__", counting)
+        return built
+
+    def test_studies_build_no_simplex(self, monkeypatch):
+        built = self.count_simplices(monkeypatch)
+        convergence_study(ModelProblem.sine(), 3, 1, 2.0, [32 * 2**i for i in range(7)])
+        interpolation_error(SinPiProduct(2), structured_mesh_2d(24), build_basis(2, 3), 1, 2.0)
+        assert built == []
+        reference_simplex(1)
+        assert built == [1]
+
+    def test_simplices_built_on_access(self, monkeypatch):
+        mesh = structured_mesh_2d(4)
+        built = self.count_simplices(monkeypatch)
+        assert hasattr(mesh, "simplices")
+        assert len(mesh) == len(mesh.simplices) == 32
+        assert built == []
+        s = mesh.simplices[5]
+        assert built == [1]
+        ref = Simplex(mesh.element_vertices[5])
+        assert np.array_equal(s.vertices, ref.vertices)
+        assert np.array_equal(s.barycentric_gradients(), ref.barycentric_gradients())
+        assert (s.measure, s.diameter, s.inscribed_diameter()) == (ref.measure, ref.diameter, ref.inscribed_diameter())
+        assert np.array_equal(mesh.simplices[-1].vertices, mesh.element_vertices[31])
+        assert sum(1 for _ in mesh.simplices) == 32
+        with pytest.raises(IndexError):
+            mesh.simplices[32]
