@@ -36,7 +36,7 @@ from .fem1d import (
     empirical_crossover,
     error_report,
 )
-from .functions import Exp1D, FiniteDifferenceFunction, Polynomial1D, SinPiProduct
+from .functions import Exp1D, Polynomial1D, SinPiProduct
 from .geometry import (
     DegenerateSimplexError,
     Simplex,

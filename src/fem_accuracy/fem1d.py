@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -203,6 +204,11 @@ def assemble_banded(problem, mesh, basis, rhs_degree=None):
     return ab, rhs, free
 
 
+@cache
+def _interval_basis(k):
+    return build_basis(1, k)
+
+
 def assemble_and_solve(problem, mesh, k, rhs_degree=None):
     """Assemble and solve the P_k Galerkin system on a 1D mesh.
 
@@ -211,7 +217,7 @@ def assemble_and_solve(problem, mesh, k, rhs_degree=None):
     """
     from scipy.linalg import solveh_banded
 
-    basis = build_basis(1, k)
+    basis = _interval_basis(k)
     ab, rhs, free = assemble_banded(problem, mesh, basis, rhs_degree)
     sol = solveh_banded(ab, rhs, lower=False)
     res = np.linalg.norm(_band_matvec(ab, sol) - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)

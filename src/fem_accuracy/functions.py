@@ -1,9 +1,7 @@
 """Analytic test functions with derivatives of every order.
 
 The norm engine needs partial derivatives of the exact solution at
-arbitrary points; the classes here supply them in closed form.  Callables
-without closed-form derivatives can be wrapped in FiniteDifferenceFunction
-at reduced accuracy.
+arbitrary points; the classes here supply them in closed form.
 """
 
 from __future__ import annotations
@@ -95,33 +93,3 @@ class Exp1D(AnalyticFunction):
         (r,) = alpha
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))[:, 0]
         return self.a**r * np.exp(self.a * x)
-
-
-class FiniteDifferenceFunction(AnalyticFunction):
-    """Central-difference derivatives for a plain callable.
-
-    Step is cbrt(eps) scaled per differentiation, so only low orders are
-    usable; intended for quick experiments, not for the bound checks.
-    """
-
-    def __init__(self, f, n=1, step=None):
-        self.f = f
-        self.n = n
-        self.step = float(step) if step is not None else float(np.cbrt(np.finfo(float).eps))
-
-    def deriv_values(self, alpha, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-
-        def rec(order, pts):
-            for i, r in enumerate(order):
-                if r > 0:
-                    lo = order[:i] + (r - 1,) + order[i + 1 :]
-                    hp = pts.copy()
-                    hp[:, i] += self.step
-                    hm = pts.copy()
-                    hm[:, i] -= self.step
-                    return (rec(lo, hp) - rec(lo, hm)) / (2.0 * self.step)
-            vals = np.asarray(self.f(pts), dtype=np.float64)
-            return vals.reshape(pts.shape[0])
-
-        return rec(tuple(alpha), x)

@@ -7,8 +7,10 @@ tests themselves.
 
 1. Exact unisolvence and partition of unity across (n, k) grids.
 2. Pointwise caps on shape functions and barycentric derivatives.
-3. Seminorm caps on the reference interval and triangle.
-4. Interpolation error bound and orders for the sine solution.
+3. Seminorm caps on the reference interval and triangle (and, beside it,
+   on the reference tetrahedron).
+4. Interpolation error bound and orders for the sine solution (and, beside
+   it, interpolation orders on Kuhn-split cube meshes).
 5. Galerkin convergence orders and error-below-bound on the full grid.
 6. Probability-law shape: exact half at the crossing, monotonicity,
    limits, scaling invariance.
@@ -17,6 +19,7 @@ tests themselves.
 9. Byte-identical CLI output across repeated seeded runs.
 """
 
+import itertools
 import math
 import shutil
 import subprocess
@@ -37,7 +40,7 @@ from fem_accuracy.bounds import (
 )
 from fem_accuracy.fem1d import ModelProblem, assemble_and_solve, error_report
 from fem_accuracy.functions import SinPiProduct
-from fem_accuracy.geometry import reference_simplex, uniform_mesh_1d
+from fem_accuracy.geometry import SimplexMesh, reference_simplex, uniform_mesh_1d
 from fem_accuracy.norms import interpolation_error, seminorm
 from fem_accuracy.probability import (
     AccuracyLaw,
@@ -48,6 +51,11 @@ from fem_accuracy.probability import (
     h_star_sequence,
     weak_star_test,
 )
+
+from oracles import polynomial_integral
+
+# Tolerance on an observed convergence order, as in criterion 4.
+ORDER_TOL = 0.15
 
 
 def _report(num, title, elapsed, detail):
@@ -114,6 +122,32 @@ def test_criterion_3_seminorm_caps():
     _report(3, "seminorm caps", elapsed, f"{asserted} admissible combinations within the cap")
 
 
+def test_criterion_3_seminorm_caps_on_the_tetrahedron():
+    ref = reference_simplex(3)
+    asserted = 0
+    flagged = []
+    for k in (1, 2, 3):
+        basis = build_basis(3, k)
+        for l in (0, 1):
+            for p in (1.5, 2.0, 3.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    chk = seminorm_bound_check(basis, ref, l, p)
+                if chk.params["admissible"]:
+                    assert chk.passed, chk.to_record()
+                    asserted += 1
+                else:
+                    flagged.append((k, l, p))
+        # Second route for the L^2 row: the exact rational integral of each
+        # shape function squared over the reference tetrahedron.
+        squares = [polynomial_integral(poly * poly, 3) for poly in basis.polynomials]
+        chk = seminorm_bound_check(basis, ref, 0, 2.0)
+        assert chk.measured == pytest.approx(math.sqrt(max(squares)), rel=1e-12, abs=0)
+    # k + 1 > l + 3/p fails for these five.
+    assert flagged == [(1, 0, 1.5), (1, 1, 1.5), (1, 1, 2.0), (1, 1, 3.0), (2, 1, 1.5)]
+    assert asserted == 13
+
+
 def test_criterion_4_interpolation_bound_and_orders():
     start = time.perf_counter()
     fn = SinPiProduct()
@@ -146,6 +180,35 @@ def test_criterion_4_interpolation_bound_and_orders():
     elapsed = time.perf_counter() - start
     detail = ", ".join(f"k={k} l={l}: {s:.2f}" for (k, l), s in slopes.items())
     _report(4, "interpolation bound", elapsed, detail)
+
+
+def kuhn_cube_mesh(per_side):
+    """The unit cube in per_side^3 cells, each split into the six Kuhn tetrahedra."""
+    ticks = np.arange(per_side + 1) / per_side
+    z, y, x = np.meshgrid(ticks, ticks, ticks, indexing="ij")
+    vertices = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    stride = np.array([1, per_side + 1, (per_side + 1) ** 2])
+    cells = np.stack(np.meshgrid(*[np.arange(per_side)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    corner = cells @ stride
+    # One tetrahedron per order of the three unit steps from a cell's corner.
+    tets = [
+        np.column_stack([corner, corner[:, None] + np.cumsum(stride[list(axes)])])
+        for axes in itertools.permutations(range(3))
+    ]
+    return SimplexMesh(vertices=vertices, connectivity=np.concatenate(tets))
+
+
+def test_criterion_4_interpolation_orders_on_tetrahedra():
+    fn = SinPiProduct(3)
+    coarse, fine = kuhn_cube_mesh(4), kuhn_cube_mesh(8)
+    assert len(fine) == 6 * 8**3
+    assert math.fsum(fine.element_measures) == pytest.approx(1.0, rel=1e-14)
+    for k in (1, 2):
+        basis = build_basis(3, k)
+        for l in (0, 1):
+            ratio = interpolation_error(fn, coarse, basis, l, 2.0) / interpolation_error(fn, fine, basis, l, 2.0)
+            # The mesh size halves, so the observed order is log2 of the ratio.
+            assert abs(math.log2(ratio) - (k + 1 - l)) <= ORDER_TOL, (k, l, math.log2(ratio))
 
 
 def test_criterion_5_galerkin_convergence_grid():

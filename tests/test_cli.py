@@ -75,6 +75,29 @@ class TestParser:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_subcommands_load_only_the_scipy_they_need(self):
+        # bounds and weakstar need no scipy at all; converge needs the banded
+        # solve of scipy.linalg, but neither scipy.special nor scipy.integrate.
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from fem_accuracy.cli import main\n"
+            "loaded = {}\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv.split()) == 0, argv\n"
+            "    loaded[argv] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps(loaded))\n"
+        )
+        scipy_free = ["bounds --n 1 --k 3 --r 2", "bounds --n 2 --k 4 --r 2", "weakstar --q-list 1,5,20"]
+        argv = scipy_free + ["converge --k 1 --meshes 4,8"]
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+        loaded = json.loads(out.stdout)
+        for cmd in scipy_free:
+            assert loaded[cmd] == [], cmd
+        converge = loaded["converge --k 1 --meshes 4,8"]
+        assert "scipy.linalg" in converge
+        assert not [m for m in converge if m.startswith(("scipy.special", "scipy.integrate"))]
+
 
 class TestBasisCommand:
     def test_quadratic_interval_dump(self, capsys):

@@ -156,6 +156,16 @@ class TestSolver:
         assert sol.global_index(0, 1) == 4
         assert sol.global_index(2, 1) == 6
 
+    def test_basis_built_once_per_degree(self, monkeypatch):
+        from fem_accuracy import fem1d
+
+        calls = []
+        monkeypatch.setattr(fem1d, "build_basis", lambda n, k: calls.append((n, k)) or build_basis(n, k))
+        fem1d._interval_basis.cache_clear()
+        solutions = [assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, ne), 2) for ne in (4, 8, 16)]
+        assert calls == [(1, 2)]
+        assert solutions[0].basis is solutions[2].basis
+
     def test_rejects_2d_mesh(self):
         with pytest.raises(ValueError):
             assemble_and_solve(ModelProblem.sine(), structured_mesh_2d(2), 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fem_accuracy.bounds import ConstantBundle, script_c
 from fem_accuracy.functions import SinPiProduct
 from fem_accuracy.norms import AdmissibilityError
 from fem_accuracy.probability import (
+    PAIRING_ABS_TOL,
     AccuracyLaw,
     Bump,
     ElementPair,
@@ -250,7 +252,7 @@ class TestBump:
         assert left == pytest.approx(right, rel=1e-14)
 
     def test_integral_dual_route(self):
-        # Adaptive quadrature against a fixed high-order Gauss rule.
+        # The Gauss panel rule against a single 120-point Gauss rule.
         bump = Bump(-1.0, 1.0)
         nodes, weights = np.polynomial.legendre.leggauss(120)
         gauss = float(weights @ bump(nodes))
@@ -293,6 +295,43 @@ class TestWeakStarPairing:
         bump = Bump(0.5, 2.0)
         law = AccuracyLaw(h_star=1.0, exponent=1)
         assert weak_star_pairing(law, bump) < bump.integral()
+
+
+class TestPairingAgainstAdaptiveQuadrature:
+    """scipy.integrate.quad, split at h_star, as the second route for the Gauss panels."""
+
+    @staticmethod
+    def _quad(fn, lo, hi, points=None):
+        from scipy.integrate import quad
+
+        value, _ = quad(fn, lo, hi, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)
+        return value
+
+    @pytest.mark.parametrize("q", [1, 20, 1000])
+    @pytest.mark.parametrize("h_star", [1.01, 1.5, 1.99])
+    @pytest.mark.parametrize("kind", ["nonlinear", "step"])
+    def test_pairing_matches_quad(self, kind, h_star, q):
+        bump = Bump(1.0, 2.0)
+        law = AccuracyLaw(h_star=h_star, exponent=q, kind=kind)
+        want = self._quad(lambda h: law(h) * bump(h), 1.0, 2.0, points=[h_star])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = weak_star_pairing(law, bump)
+        assert abs(got - want) <= PAIRING_ABS_TOL
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.5, 2.0), (-1.0, 3.0)])
+    def test_bump_mass_and_target_match_quad(self, a, b):
+        bump = Bump(a, b)
+        assert abs(bump.integral() - self._quad(bump, a, b)) <= PAIRING_ABS_TOL
+        target = weak_star_test(1, [1], bump, SinPiSeminormModel())[0]["target"]
+        assert abs(target - self._quad(bump, max(a, 0.0), b)) <= PAIRING_ABS_TOL
+
+    def test_unresolved_pairing_warns(self):
+        # A decay layer of width 1e-4 at h_star, between the end spacings of
+        # the 80- and 160-point rules: they disagree, and the pairing says so.
+        law = AccuracyLaw(h_star=1.0, exponent=10**4)
+        with pytest.warns(RuntimeWarning, match="differ by"):
+            weak_star_pairing(law, Bump(0.0, 2.0))
 
 
 class TestWeakStarTest:

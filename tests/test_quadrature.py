@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -94,9 +95,10 @@ class TestDispatch:
         assert simplex_rule(1, 3).n == 1
         assert simplex_rule(2, 3).n == 2
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(NotImplementedError):
-            simplex_rule(3, 2)
+    @pytest.mark.parametrize("n,degree", [(0, 2), (-1, 2), (1, -1), (3, -2)])
+    def test_invalid_arguments_rejected(self, n, degree):
+        with pytest.raises(ValueError):
+            simplex_rule(n, degree)
 
     def test_nonpolynomial_convergence(self):
         # Increasing-degree rules must converge to the analytic value of a
@@ -108,3 +110,73 @@ class TestDispatch:
             errs.append(abs(rule.integrate_reference(vals) - 2.0 / np.pi))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-12
+
+
+def _monomials(n, degree):
+    """Exponent tuples over the n+1 barycentric coordinates of total degree <= degree."""
+    return [e for e in itertools.product(range(degree + 1), repeat=n + 1) if sum(e) <= degree]
+
+
+class TestSimplexRule:
+    @pytest.mark.parametrize(
+        "n,degree", [(1, 0), (1, 9), (1, 20), (2, 1), (2, 6), (2, 11), (3, 0), (3, 4), (3, 7), (4, 2), (4, 5)]
+    )
+    def test_exact_on_every_monomial(self, n, degree):
+        # Second route: the factorial-ratio formula of the oracle, in rationals.
+        rule = simplex_rule(n, degree)
+        assert rule.n == n and rule.exactness_degree >= degree
+        assert rule.points.shape == (rule.size, n + 1)
+        for exps in _monomials(n, rule.exactness_degree):
+            got = rule.integrate_reference(_monomial_values(rule, exps))
+            assert got == pytest.approx(float(monomial_integral(exps, n)), rel=1e-12, abs=0), exps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_points_inside_and_weights_positive(self, n):
+        rule = simplex_rule(n, 9)
+        assert np.all(rule.points >= 0.0)
+        assert np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-15)
+        assert np.all(rule.weights > 0.0)
+        assert math.fsum(rule.weights) == pytest.approx(1.0 / math.factorial(n), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("g", range(1, 21))
+    def test_interval_rule_matches_scipy_legendre(self, g):
+        from scipy.special import roots_legendre
+
+        x, w = roots_legendre(g)
+        rule = simplex_rule(1, 2 * g - 1)
+        np.testing.assert_allclose(rule.points[:, 1], (x + 1.0) / 2.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rule.points[:, 0], (1.0 - x) / 2.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rule.weights, w / 2.0, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("g", range(1, 21))
+    def test_triangle_rule_matches_scipy_collapsed_product(self, g):
+        # The collapsed Legendre x Jacobi(1, 0) product built from scipy's roots.
+        from scipy.special import roots_jacobi, roots_legendre
+
+        xj, wj = roots_jacobi(g, 1.0, 0.0)
+        xl, wl = roots_legendre(g)
+        u, v = np.meshgrid((xj + 1.0) / 2.0, (xl + 1.0) / 2.0, indexing="ij")
+        x, y = u.ravel(), (v * (1.0 - u)).ravel()
+        rule = simplex_rule(2, 2 * g - 1)
+        np.testing.assert_allclose(rule.points[:, 1:], np.column_stack([x, y]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rule.points[:, 0], 1.0 - x - y, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rule.weights, np.outer(wj / 4.0, wl / 2.0).ravel(), rtol=1e-12, atol=0)
+
+    def test_legendre_factor_symmetric(self):
+        # Mirrored nodes and equal weights, as scipy's symmetrised roots give;
+        # the nodes differ from their mirror images by one rounding at most.
+        for degree in (3, 8, 15):
+            rule = interval_rule(degree)
+            np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
+            np.testing.assert_allclose(rule.points[:, 0], rule.points[::-1, 1], rtol=0, atol=2.0**-53)
+
+    def test_cached_and_read_only(self):
+        rule = simplex_rule(3, 5)
+        assert simplex_rule(3, 5) is rule
+        assert simplex_rule(3, 4) is rule  # same number of points per factor
+        assert interval_rule(6) is simplex_rule(1, 6)
+        assert triangle_rule(6) is simplex_rule(2, 6)
+        with pytest.raises(ValueError):
+            rule.points[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.5
