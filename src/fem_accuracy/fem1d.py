@@ -1,16 +1,12 @@
 """Continuous P_k Galerkin solver for -u'' + u = f on an interval.
 
-Desk-scale validation problem: homogeneous Dirichlet conditions, a
-manufactured exact solution, element matrices from reference-element
-quadrature (they scale exactly with the element length in 1D), and a
-symmetric banded direct solve.  The global degree-of-freedom convention is
-vertices first (left to right), then the k-1 interior nodes of each
-element; the solver permutes to position order internally so the matrix
-stays banded with half-bandwidth k.
-
-Error reports measure W^{m,p} seminorms of u - u_h by quadrature, estimate
-convergence orders from log-log slopes, and compare against the explicit
-bound script_C(k) h^{k+1-m} |u|_{k+1,p}.
+Homogeneous Dirichlet conditions and a manufactured exact solution.  Element
+matrices come from reference-interval quadrature (in 1D they scale exactly
+with the element length).  Global dofs are the vertices left to right, then
+the k-1 interior nodes of each element.  The solve is numpy only: static
+condensation of the interior nodes, then cyclic reduction of the tridiagonal
+vertex system.  Error reports measure W^{m,p} seminorms of u - u_h, estimate
+orders from log-log slopes and compare with script_C(k) h^{k+1-m} |u|_{k+1,p}.
 """
 
 from __future__ import annotations
@@ -25,15 +21,7 @@ from .basis import build_basis, tabulate
 from .bounds import ConstantBundle, script_c
 from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import uniform_mesh_1d
-from .norms import (
-    AnalyticField,
-    DifferenceField,
-    PiecewisePolynomialField,
-    SobolevIndex,
-    element_blocks,
-    seminorm,
-    seminorm_with_estimate,
-)
+from .norms import AnalyticField, DifferenceField, PiecewisePolynomialField, SobolevIndex, seminorm, seminorm_with_estimate
 from .quadrature import interval_rule
 
 # Residual threshold for a solve to count as converged.
@@ -77,7 +65,7 @@ class ModelProblem:
 class DiscreteSolution:
     """Galerkin solution: mesh, basis, global coefficient vector and solve quality.
 
-    residual is ||A x - b||_2 / ||b||_2 of the banded solve; backward_error
+    residual is ||A x - b||_2 / ||b||_2 of the uncondensed system; backward_error
     is the normwise ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).
     """
 
@@ -120,47 +108,11 @@ def element_dofs(ne, k):
     return dofs
 
 
-def _band_matvec(ab, x):
-    """A x for symmetric A in upper banded storage ab[k + i - j, j] = A[i, j]."""
-    k = ab.shape[0] - 1
-    ax = ab[k] * x
-    for d in range(1, k + 1):
-        band = ab[k - d, d:]
-        ax[:-d] += band * x[d:]
-        ax[d:] += band * x[:-d]
-    return ax
-
-
-def backward_error(ab, x, b):
-    """Normwise backward error ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).
-
-    A is symmetric in upper banded storage; its infinity norm (largest
-    absolute row sum) is taken from the band, so no dense copy is made
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 7.1).
-    """
-    r = np.max(np.abs(_band_matvec(ab, x) - b))
-    a_norm = np.max(_band_matvec(np.abs(ab), np.ones(ab.shape[1])))
-    scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
-    return float(r / scale) if scale > 0 else 0.0
-
-
-def assemble_banded(problem, mesh, basis, rhs_degree=None):
-    """Banded Galerkin system of the free dofs, in position order.
-
-    Element stiffness and mass are computed once on the reference interval
-    with exactness >= 2k and scaled per element; the load vector uses a
-    rule of exactness >= 2k + 8 because f is generally not polynomial.
-    Element matrices and loads are built for a block of elements at once
-    and scattered in (element, a, b) order.  Returns (ab, rhs, free):
-    symmetric upper banded storage ab[k + i - j, j] = A[i, j], the load,
-    and the global dof of each unknown.
-    """
-    if mesh.n != 1:
-        raise ValueError("assemble_and_solve is restricted to 1D meshes")
+def element_system(problem, mesh, basis, rhs_degree=None):
+    """Element matrices a (ne, k+1, k+1) and loads b (ne, k+1): reference stiffness
+    and mass (exactness 2k) scaled by the element length; the load rule has
+    exactness 2k + 8 because f is generally not polynomial."""
     k = basis.k
-    ne = len(mesh)
-    ndof = ne + 1 + ne * (k - 1)
-
     rule = interval_rule(2 * k)
     vals = tabulate(basis.polynomials, rule.points, 0)[0]
     # On the reference interval lambda_1 = x = 1 - lambda_0, so d/dx = d/dlambda_1 - d/dlambda_0.
@@ -168,40 +120,91 @@ def assemble_banded(problem, mesh, basis, rhs_degree=None):
     dvals = dlam[1] - dlam[0]
     mass_ref = np.einsum("q,aq,bq->ab", rule.weights, vals, vals)
     stiff_ref = np.einsum("q,aq,bq->ab", rule.weights, dvals, dvals)
-
     load_rule = interval_rule(rhs_degree if rhs_degree is not None else 2 * k + 8)
     load_vals = tabulate(basis.polynomials, load_rule.points, 0)[0]
+    verts = mesh.element_vertices
+    h = (verts[:, 1, 0] - verts[:, 0, 0])[:, None]
+    fvals = problem.f_values((load_rule.points @ verts).reshape(-1, 1)).reshape(len(h), -1)
+    b = h * (load_vals * (load_rule.weights * fvals)[:, None, :]).sum(axis=2)
+    return stiff_ref / h[:, :, None] + mass_ref * h[:, :, None], b
 
-    # Band-preserving permutation: free dofs ranked by position (local node
-    # a sits at relative position node_array[a, 1]); boundary dofs (the two
-    # end vertices) get rank -1.
-    verts = mesh.element_vertices[:, :, 0]
-    x0, h = verts[:, 0], verts[:, 1] - verts[:, 0]
-    dofs = element_dofs(ne, k)
-    positions = np.empty(ndof)
-    positions[dofs] = x0[:, None] + basis.node_array[:, 1] * h[:, None]
-    free = np.setdiff1d(np.arange(ndof), [0, ne])
-    free = free[np.argsort(positions[free], kind="stable")]
-    nfree = len(free)
-    rank = np.full(ndof, -1)
-    rank[free] = np.arange(nfree)
 
-    ab = np.zeros((k + 1, nfree))
-    rhs = np.zeros(nfree)
-    for lo, hi in element_blocks(ne):
-        hb = h[lo:hi, None]
-        a_elem = stiff_ref / hb[:, :, None] + mass_ref * hb[:, :, None]
-        phys = load_rule.points @ mesh.element_vertices[lo:hi]
-        fvals = problem.f_values(phys.reshape(-1, 1)).reshape(hi - lo, -1)
-        b_elem = hb * (load_vals * (load_rule.weights * fvals)[:, None, :]).sum(axis=2)
-        ia = rank[dofs[lo:hi]]
-        keep = ia >= 0
-        np.add.at(rhs, ia[keep], b_elem[keep])
-        rows, cols = ia[:, :, None], ia[:, None, :]
-        keep = (rows >= 0) & (rows <= cols)
-        keep, rows, cols = np.broadcast_arrays(keep, rows, cols)
-        np.add.at(ab, (k + rows[keep] - cols[keep], cols[keep]), a_elem[keep])
-    return ab, rhs, free
+def _lower_solve(low, y):
+    """Solve low z = y for a stack of lower triangular low, y of shape (E, m, c)."""
+    z = np.zeros_like(y)
+    for i in range(low.shape[1]):
+        z[:, i] = (y[:, i] - np.einsum("ej,ejc->ec", low[:, i, :i], z[:, :i])) / low[:, i, i, None]
+    return z
+
+
+def cyclic_reduction(diag, off, rhs):
+    """Solve the symmetric tridiagonal system (diagonal diag, off-diagonal off) by
+    odd-even cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7(4),
+    1970) padded to 2^m - 1 unknowns: m array steps.  The eliminated diagonals are
+    LDL^T pivots of the permuted matrix; one that is not positive raises LinAlgError."""
+    n = len(diag)
+    size = 2 ** n.bit_length() - 1
+    d, r, e = np.ones(size), np.zeros(size), np.zeros(size + 1)
+    d[:n], r[:n], e[1:n] = diag, rhs, off  # e[i] couples unknowns i - 1 and i
+    levels = []
+    while len(d) > 1 and np.all(d[0::2] > 0):
+        levels.append((d, r, e))
+        left, right = e[1:-1:2] / d[0:-1:2], e[2::2] / d[2::2]
+        d = d[1::2] - left * e[1:-1:2] - right * e[2::2]
+        r = r[1::2] - left * r[0:-1:2] - right * r[2::2]
+        e = np.concatenate([[0.0], -right[:-1] * e[3:-1:2], [0.0]])
+    if not np.all(d[0::2] > 0):
+        raise np.linalg.LinAlgError("tridiagonal system is not positive definite")
+    x = r / d
+    for d, r, e in reversed(levels):
+        known = np.concatenate([[0.0], x, [0.0]])
+        x = np.empty(len(d))
+        x[1::2] = known[1:-1]
+        x[0::2] = (r[0::2] - e[0::2] * known[:-1] - e[1::2] * known[1:]) / d[0::2]
+    return x[:n]
+
+
+def solve_condensed(a, b):
+    """Global coefficients of the element systems (a, b) with zero end values.
+
+    Each element's interior unknowns are eliminated with a batched Cholesky
+    factor L of its interior block (LinAlgError if not positive definite); the
+    2x2 Schur complements form the tridiagonal vertex system of cyclic_reduction,
+    and the interior values follow by back-substitution with L."""
+    ne, k = a.shape[0], a.shape[1] - 1
+    ends, inner = [0, k], slice(1, k)
+    chol = np.linalg.cholesky(a[:, inner, inner])
+    y = _lower_solve(chol, np.concatenate([a[:, inner][:, :, ends], b[:, inner, None]], axis=2))
+    yv, yb = y[:, :, :2], y[:, :, 2:]
+    schur = a[:, ends][:, :, ends] - np.einsum("eiv,eiw->evw", yv, yv)
+    load = b[:, ends] - np.einsum("eiv,eic->ev", yv, yb)
+    pairs = element_dofs(ne, 1).ravel()
+    diag = np.bincount(pairs, np.diagonal(schur, axis1=1, axis2=2).ravel(), ne + 1)
+    rhs = np.bincount(pairs, load.ravel(), ne + 1)
+    xv = np.concatenate([[0.0], cyclic_reduction(diag[1:ne], schur[1:-1, 0, 1], rhs[1:ne]), [0.0]])
+    # L^T x = z is solved as the lower triangular system of both reversed.
+    xi = _lower_solve(chol.transpose(0, 2, 1)[:, ::-1, ::-1], (yb - yv @ xv[pairs].reshape(ne, 2, 1))[:, ::-1])
+    return np.concatenate([xv, xi[:, ::-1].ravel()])
+
+
+def solve_quality(a, b, x):
+    """Residual ||A x - b||_2 / ||b||_2 and normwise backward error ||A x - b||_inf /
+    (||A||_inf ||x||_inf + ||b||_inf) (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 7.1) of the uncondensed system on the free dofs, applied
+    element by element.  Values of x at the two end vertices are ignored."""
+    dofs = element_dofs(a.shape[0], a.shape[1] - 1)
+    free = ~np.isin(np.arange(len(x)), [0, a.shape[0]])
+    x = np.where(free, x, 0.0)
+
+    def assembled(values):
+        return np.bincount(dofs.ravel(), values.ravel(), len(x))[free]
+
+    rhs = assembled(b)
+    r = assembled(np.einsum("eab,eb->ea", a, x[dofs])) - rhs
+    a_norm = np.max(assembled(np.abs(a) @ free[dofs, None]), initial=0.0)
+    residual = np.linalg.norm(r) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
+    scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(rhs), initial=0.0)
+    return residual, (float(np.max(np.abs(r), initial=0.0) / scale) if scale > 0 else 0.0)
 
 
 @cache
@@ -213,18 +216,14 @@ def assemble_and_solve(problem, mesh, k, rhs_degree=None):
     """Assemble and solve the P_k Galerkin system on a 1D mesh.
 
     Returns a DiscreteSolution with its relative algebraic residual and its
-    normwise backward error, both computed from the band storage.
+    normwise backward error, both taken on the uncondensed system.
     """
-    from scipy.linalg import solveh_banded
-
+    if mesh.n != 1:
+        raise ValueError("assemble_and_solve is restricted to 1D meshes")
     basis = _interval_basis(k)
-    ab, rhs, free = assemble_banded(problem, mesh, basis, rhs_degree)
-    sol = solveh_banded(ab, rhs, lower=False)
-    res = np.linalg.norm(_band_matvec(ab, sol) - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
-
-    coefficients = np.zeros(len(mesh) + 1 + len(mesh) * (k - 1))
-    coefficients[free] = sol
-    return DiscreteSolution(mesh, basis, coefficients, res, backward_error(ab, sol, rhs))
+    a, b = element_system(problem, mesh, basis, rhs_degree)
+    coefficients = solve_condensed(a, b)
+    return DiscreteSolution(mesh, basis, coefficients, *solve_quality(a, b, coefficients))
 
 
 def error_field(solution, problem):

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +13,68 @@ from fem_accuracy.fem1d import (
     RESIDUAL_REL_TOL,
     ModelProblem,
     assemble_and_solve,
-    assemble_banded,
-    backward_error,
     convergence_study,
+    cyclic_reduction,
+    element_dofs,
+    element_system,
     empirical_crossover,
     error_report,
+    solve_condensed,
+    solve_quality,
 )
 from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.norms import BLOCK_SIZE
 
 from oracles import loglog_slope, rational_eval
+
+
+def graded_mesh():
+    """300 elements of lengths growing from 1.1e-5 to 6.6e-3, more than one BLOCK_SIZE."""
+    nodes = np.linspace(0.0, 1.0, 301) ** 2
+    return SimplexMesh(vertices=nodes.reshape(-1, 1), connectivity=np.arange(300)[:, None] + np.arange(2))
+
+
+def dense_free_system(a, b):
+    """The uncondensed system on the free dofs, assembled densely from the element matrices.
+
+    Returns (matrix, load, free): free holds the global dof of each unknown,
+    all dofs but the two end vertices, in global order.
+    """
+    ne, k = a.shape[0], a.shape[1] - 1
+    dofs = element_dofs(ne, k)
+    ndof = ne * k + 1
+    matrix, load = np.zeros((ndof, ndof)), np.zeros(ndof)
+    for e in range(ne):
+        matrix[np.ix_(dofs[e], dofs[e])] += a[e]
+        load[dofs[e]] += b[e]
+    free = np.setdiff1d(np.arange(ndof), [0, ne])
+    return matrix[np.ix_(free, free)], load[free], free
+
+
+def dense_quality(matrix, load, x):
+    """Relative residual and normwise backward error of x, norms by numpy."""
+    r = matrix @ x - load
+    scale = np.linalg.norm(matrix, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(load, np.inf)
+    return np.linalg.norm(r) / np.linalg.norm(load), np.linalg.norm(r, np.inf) / scale
+
+
+def position_band(a, b):
+    """Upper band storage ab[k + i - j, j] = A[i, j] of the free system in position order.
+
+    Local node c of element e sits at position e k + c, so the matrix has
+    half-bandwidth k.  Returns (ab, load, dof) with dof the global dof of
+    each unknown.
+    """
+    ne, k = a.shape[0], a.shape[1] - 1
+    matrix, load, free = dense_free_system(a, b)
+    position = np.empty(ne * k + 1)
+    position[element_dofs(ne, k)] = np.arange(ne)[:, None] * k + np.arange(k + 1)
+    order = np.argsort(position[free])
+    matrix = matrix[np.ix_(order, order)]
+    ab = np.zeros((k + 1, len(order)))
+    for d in range(k + 1):
+        ab[k - d, d:] = np.diagonal(matrix, d)
+    return ab, load[order], free[order]
 
 
 class TestModelProblem:
@@ -86,6 +141,18 @@ class TestSolver:
         xs = np.linspace(0.0, 1.0, 23)
         assert np.max(np.abs(sol(xs) - (xs - xs**2))) < 1e-12
 
+    @pytest.mark.parametrize("ne", [1, 2])
+    def test_p1_on_one_or_two_elements(self, ne):
+        # No unknown and one unknown: the vertex system is empty or 1 x 1.
+        mesh = uniform_mesh_1d(0.0, 1.0, ne)
+        sol = assemble_and_solve(ModelProblem.sine(), mesh, 1)
+        a, b = element_system(ModelProblem.sine(), mesh, build_basis(1, 1))
+        dense, rhs, free = dense_free_system(a, b)
+        assert len(free) == ne - 1
+        assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-15, atol=0)
+        assert sol.coefficients[0] == sol.coefficients[ne] == 0.0
+        assert sol.residual < 1e-15 and sol.backward_error < 1e-15
+
     def test_residual_reported_and_small(self):
         sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 16), 2)
         assert sol.residual <= RESIDUAL_REL_TOL
@@ -93,7 +160,7 @@ class TestSolver:
     def test_solve_memory_is_not_quadratic(self):
         # A dense copy of this 3071-unknown system alone would take 72 MB.
         mesh = uniform_mesh_1d(0.0, 1.0, 1024)
-        assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 2), 3)  # imports the solver
+        assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 2), 3)  # fills the rule and basis caches
         tracemalloc.start()
         try:
             assemble_and_solve(ModelProblem.sine(), mesh, 3)
@@ -103,31 +170,56 @@ class TestSolver:
         assert peak < 8 * 2**20
 
     def test_backward_error_matches_dense_route(self):
-        # Dual route: the band expanded to a dense matrix, norms by numpy.
+        # Dual route: the uncondensed system assembled densely here, norms by numpy.
         mesh = uniform_mesh_1d(0.0, 1.0, 64)
-        ab, rhs, free = assemble_banded(ModelProblem.sine(), mesh, build_basis(1, 3))
-        k, nfree = ab.shape[0] - 1, ab.shape[1]
-        dense = np.zeros((nfree, nfree))
-        for d in range(k + 1):
-            idx = np.arange(nfree - d)
-            dense[idx, idx + d] = ab[k - d, d:]
-            dense[idx + d, idx] = ab[k - d, d:]
-
-        def dense_backward_error(x):
-            r = np.linalg.norm(dense @ x - rhs, np.inf)
-            return r / (np.linalg.norm(dense, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf))
-
-        x = np.random.default_rng(3).standard_normal(nfree)
-        assert backward_error(ab, x, rhs) == pytest.approx(dense_backward_error(x), rel=1e-12)
+        a, b = element_system(ModelProblem.sine(), mesh, build_basis(1, 3))
+        dense, rhs, free = dense_free_system(a, b)
+        x = np.random.default_rng(3).standard_normal(len(free) + 2)
+        quality = solve_quality(a, b, x)
+        assert quality == pytest.approx(dense_quality(dense, rhs, x[free]), rel=1e-12)
+        # The two end values are not unknowns, so they do not enter.
+        x[[0, 64]] = 1e3
+        assert solve_quality(a, b, x) == quality
+        # On the graded mesh the largest row sum is next to an end vertex.
+        ga, gb = element_system(ModelProblem.sine(), graded_mesh(), build_basis(1, 3))
+        gdense, grhs, gfree = dense_free_system(ga, gb)
+        gx = np.random.default_rng(4).standard_normal(len(gfree) + 2)
+        assert solve_quality(ga, gb, gx) == pytest.approx(dense_quality(gdense, grhs, gx[gfree]), rel=1e-12)
 
         sol = assemble_and_solve(ModelProblem.sine(), mesh, 3)
+        residual, backward = dense_quality(dense, rhs, sol.coefficients[free])
         assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-14)
         assert sol.backward_error < 1e-15
-        assert sol.backward_error == pytest.approx(dense_backward_error(sol.coefficients[free]), abs=1e-16)
+        assert sol.backward_error == pytest.approx(backward, abs=1e-16)
+        assert sol.residual == pytest.approx(residual, abs=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_matches_banded_cholesky(self, k, graded):
+        # Second route: scipy's banded Cholesky on the position-ordered band
+        # built here from the same element matrices.  Both solves are
+        # backward stable, so they agree to eps times the condition number.
+        from scipy.linalg import eigvals_banded, solveh_banded
+
+        mesh = graded_mesh() if graded else uniform_mesh_1d(0.0, 1.0, 64)
+        a, b = element_system(ModelProblem.sine(), mesh, build_basis(1, k))
+        ab, load, dof = position_band(a, b)
+        want = solveh_banded(ab, load)
+        eigs = eigvals_banded(ab)
+        cond = eigs.max() / eigs.min()
+        sol = assemble_and_solve(ModelProblem.sine(), mesh, k)
+        assert np.array_equal(solve_condensed(a, b), sol.coefficients)
+        assert sol.coefficients[0] == sol.coefficients[len(mesh)] == 0.0
+        assert np.max(np.abs(sol.coefficients[dof] - want)) <= np.finfo(float).eps * cond * np.max(np.abs(want))
+        assert sol.backward_error < 1e-15
+        # The graded mesh's condition number is large for its diagonal scaling
+        # alone; a dense solve of the same system bounds the difference tighter.
+        dense, rhs, free = dense_free_system(a, b)
+        assert np.max(np.abs(sol.coefficients[free] - np.linalg.solve(dense, rhs))) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("ne,ok", [(256, True), (1024, False)])
     def test_residual_above_tolerance_is_flagged(self, ne, ok):
-        # The P3 residual grows with the mesh: 1.8e-11 at 256, 3.0e-10 at 1024 elements.
+        # The P3 residual grows with the mesh: 2.5e-11 at 256, 4.3e-10 at 1024 elements.
         sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, ne), 3)
         rep = error_report(sol, ModelProblem.sine(), 0, 2.0)
         assert rep["residual_ok"] is ok
@@ -167,8 +259,20 @@ class TestSolver:
         assert solutions[0].basis is solutions[2].basis
 
     def test_rejects_2d_mesh(self):
-        with pytest.raises(ValueError):
+        # Refused up front, before any arithmetic on the 2D vertex table.
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="restricted to 1D meshes"):
+            warnings.simplefilter("error")
             assemble_and_solve(ModelProblem.sine(), structured_mesh_2d(2), 1)
+
+    def test_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from fem_accuracy.fem1d import ModelProblem, convergence_study\n"
+            "convergence_study(ModelProblem.sine(), 3, 1, 2.0, (32, 64))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_pointwise_accuracy_improves_with_degree(self):
         mesh = uniform_mesh_1d(0.0, 1.0, 8)
@@ -179,6 +283,40 @@ class TestSolver:
             sol = assemble_and_solve(ModelProblem.sine(), mesh, k)
             errs.append(np.max(np.abs(sol(xs) - exact)))
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestLinearAlgebra:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 1023])
+    def test_cyclic_reduction_matches_dense_solve(self, n):
+        # Sizes around the padding to 2^m - 1 unknowns.
+        rng = np.random.default_rng(n)
+        diag, off, rhs = 2.5 + rng.random(n), rng.uniform(-1.0, 1.0, max(n - 1, 0)), rng.standard_normal(n)
+        x = cyclic_reduction(diag, off, rhs)
+        assert x.shape == (n,)
+        if n:
+            want = np.linalg.solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs)
+            assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "diag,off",
+        [
+            ([-1.0, 3.0, 3.0], [0.5, 0.5]),  # a negative pivot on the first level
+            ([2.0, 2.0, 2.0], [1.9, 1.9]),  # the reduced pivot is negative
+            ([1.0, 1.0], [1.0]),  # singular: the reduced pivot is zero
+            ([4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, -4.0], [1.0] * 7),  # the last unknown, after padding
+        ],
+    )
+    def test_cyclic_reduction_rejects_indefinite(self, diag, off):
+        with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
+            warnings.simplefilter("error")
+            cyclic_reduction(np.array(diag), np.array(off), np.ones(len(diag)))
+
+    def test_indefinite_interior_block_rejected(self):
+        a, b = element_system(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), build_basis(1, 3))
+        solve_condensed(a, b)
+        a[5, 1:3, 1:3] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_condensed(a, b)
 
 
 class TestErrorReport:
