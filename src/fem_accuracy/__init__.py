@@ -9,12 +9,10 @@ numerically.
 
 from .basis import (
     BarycentricPolynomial,
-    LocalInterpolant,
     PkBasis,
     auxiliary_factor,
     build_basis,
     chain_rule_weights,
-    interpolate,
     multi_indices,
     tabulate,
 )

@@ -8,10 +8,11 @@ term list with exact rational coefficients.  Construction, differentiation
 in the barycentric variables, and evaluation at rational points are all
 exact; floating point enters only when evaluating at float points.  Float
 work goes through one route: `tabulate` evaluates the exact barycentric
-derivatives of a polynomial list at the points of a rule, once, and
-`chain_rule_weights` turns such a table into physical derivatives on a
-simplex, or on a whole block of elements at once, through the (float)
-barycentric gradients.
+derivatives of a polynomial list at float points, `PkBasis.table` keeps the
+table of a basis read-only per quadrature rule and order, so every element
+and field of the basis shares it, and `chain_rule_weights` turns a table into
+physical derivatives on a simplex, or on a whole block of elements at once,
+through the (float) barycentric gradients.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
+from .quadrature import simplex_rule
 
 # Refuse bases whose size would be absurd to materialize.
 MAX_BASIS_SIZE = 200_000
@@ -244,6 +246,7 @@ class PkBasis:
     indices : list of multi-index tuples, descending lex order.
     nodes : list of barycentric node coordinates as Fraction tuples.
     polynomials : list of BarycentricPolynomial with Fraction coefficients.
+    tables : the read-only derivative tables of `table` at the cached rules.
     """
 
     n: int
@@ -251,6 +254,7 @@ class PkBasis:
     indices: list = field(repr=False)
     nodes: list = field(repr=False)
     polynomials: list = field(repr=False)
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self):
@@ -262,6 +266,20 @@ class PkBasis:
         lam = np.array(self.nodes, dtype=np.float64)
         lam.setflags(write=False)
         return lam
+
+    def table(self, rule, order):
+        """tabulate(polynomials, rule.points, order), read-only.  For a cached rule
+        of simplex_rule it is built once and kept in `tables`, under (n,
+        exactness degree, order); any other rule is tabulated on every call."""
+        key = (rule.n, rule.exactness_degree, order)
+        shared = rule is simplex_rule(rule.n, rule.exactness_degree)
+        table = self.tables.get(key) if shared else None
+        if table is None:
+            table = tabulate(self.polynomials, rule.points, order)
+            table.setflags(write=False)
+            if shared:
+                self.tables[key] = table
+        return table
 
     def node_coordinates(self, simplex):
         """Physical coordinates of the basis nodes on a given simplex, (N, n)."""
@@ -341,36 +359,6 @@ def chain_rule_weights(cells, alpha):
         for _ in range(times):
             weights = (weights[..., :, None] * grads[..., None, :, j]).reshape(lead + (-1,))
     return weights
-
-
-class LocalInterpolant:
-    """Lagrange interpolant of a function on one simplex.
-
-    Holds the basis, the simplex, and the nodal values, which are the
-    coefficients of the interpolant in the exact shape functions.
-    """
-
-    def __init__(self, basis, simplex, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (basis.size,):
-            raise ValueError(f"expected {basis.size} nodal values, got {values.shape}")
-        self.basis = basis
-        self.simplex = simplex
-        self.values = values
-
-    def __call__(self, x):
-        lam = self.simplex.barycentric(x)
-        vals = self.values @ tabulate(self.basis.polynomials, np.atleast_2d(lam), 0)[0]
-        return float(vals[0]) if lam.ndim == 1 else vals
-
-
-def interpolate(basis, simplex, f):
-    """LocalInterpolant of f, sampling f at the mapped basis nodes.
-
-    f is called with an (N, n) array of physical points; a callable taking
-    n scalars is accepted as a fallback.
-    """
-    return LocalInterpolant(basis, simplex, sample(f, basis.node_coordinates(simplex)))
 
 
 def sample(f, points):

@@ -1,11 +1,11 @@
 """Continuous P_k Galerkin solver for -u'' + u = f on an interval.
 
 Homogeneous Dirichlet conditions and a manufactured exact solution.  Element
-matrices come from reference-interval quadrature (in 1D they scale exactly
-with the element length).  Global dofs are the vertices left to right, then
-the k-1 interior nodes of each element.  The solve is numpy only: static
-condensation of the interior nodes, then cyclic reduction of the tridiagonal
-vertex system.  Error reports measure W^{m,p} seminorms of u - u_h, estimate
+matrices scale reference-interval tables, built once per degree and load
+rule, by the element length (exact in 1D).  Global dofs are the vertices left
+to right, then the k-1 interior nodes of each element.  The solve is numpy
+only: static condensation of the interior nodes, then cyclic reduction of the
+tridiagonal vertex system.  Error reports measure W^{m,p} seminorms of u - u_h, estimate
 orders from log-log slopes and compare with script_C(k) h^{k+1-m} |u|_{k+1,p}.
 """
 
@@ -79,13 +79,16 @@ class DiscreteSolution:
         self._field = None
 
     def global_index(self, element, local):
-        """Global dof of local node `local` (0..k) of element `element`."""
-        return int(element_dofs(len(self.mesh), self.k)[element, local])
+        """Global dof of local node `local` (0..k) of element `element`, as in element_dofs."""
+        ne, k = len(self.mesh), self.k
+        if not (0 <= element < ne and 0 <= local <= k):
+            raise IndexError(f"no local node {local} of element {element} ({ne} elements, degree {k})")
+        return element + local // k if local in (0, k) else ne + element * (k - 1) + local
 
     def as_field(self):
         if self._field is None:
             dofs = element_dofs(len(self.mesh), self.k)
-            self._field = PiecewisePolynomialField(self.basis.polynomials, self.coefficients[dofs])
+            self._field = PiecewisePolynomialField(self.basis, self.coefficients[dofs])
         return self._field
 
     def __call__(self, x):
@@ -108,20 +111,23 @@ def element_dofs(ne, k):
     return dofs
 
 
+@cache
+def _reference_system(k, load_degree):
+    """Reference mass and stiffness (exactness 2k), the load rule and its value table."""
+    basis, rule, load_rule = _interval_basis(k), interval_rule(2 * k), interval_rule(load_degree)
+    vals, dlam = basis.table(rule, 0), basis.table(rule, 1)
+    # On the reference interval lambda_1 = x = 1 - lambda_0, so d/dx = d/dlambda_1 - d/dlambda_0.
+    mass, stiff = (np.einsum("q,aq,bq->ab", rule.weights, v, v) for v in (vals[0], dlam[1] - dlam[0]))
+    return mass, stiff, load_rule, basis.table(load_rule, 0)[0]
+
+
 def element_system(problem, mesh, basis, rhs_degree=None):
     """Element matrices a (ne, k+1, k+1) and loads b (ne, k+1): reference stiffness
     and mass (exactness 2k) scaled by the element length; the load rule has
-    exactness 2k + 8 because f is generally not polynomial."""
-    k = basis.k
-    rule = interval_rule(2 * k)
-    vals = tabulate(basis.polynomials, rule.points, 0)[0]
-    # On the reference interval lambda_1 = x = 1 - lambda_0, so d/dx = d/dlambda_1 - d/dlambda_0.
-    dlam = tabulate(basis.polynomials, rule.points, 1)
-    dvals = dlam[1] - dlam[0]
-    mass_ref = np.einsum("q,aq,bq->ab", rule.weights, vals, vals)
-    stiff_ref = np.einsum("q,aq,bq->ab", rule.weights, dvals, dvals)
-    load_rule = interval_rule(rhs_degree if rhs_degree is not None else 2 * k + 8)
-    load_vals = tabulate(basis.polynomials, load_rule.points, 0)[0]
+    exactness 2k + 8 because f is generally not polynomial.  Reference tables
+    are built once per (basis.k, load degree)."""
+    load_degree = rhs_degree if rhs_degree is not None else 2 * basis.k + 8
+    mass_ref, stiff_ref, load_rule, load_vals = _reference_system(basis.k, load_degree)
     verts = mesh.element_vertices
     h = (verts[:, 1, 0] - verts[:, 0, 0])[:, None]
     fvals = problem.f_values((load_rule.points @ verts).reshape(-1, 1)).reshape(len(h), -1)
@@ -193,7 +199,8 @@ def solve_quality(a, b, x):
     Algorithms, sec. 7.1) of the uncondensed system on the free dofs, applied
     element by element.  Values of x at the two end vertices are ignored."""
     dofs = element_dofs(a.shape[0], a.shape[1] - 1)
-    free = ~np.isin(np.arange(len(x)), [0, a.shape[0]])
+    free = np.ones(len(x), dtype=bool)
+    free[[0, a.shape[0]]] = False
     x = np.where(free, x, 0.0)
 
     def assembled(values):

@@ -1,10 +1,11 @@
 """Simplex geometry and structured meshes.
 
 simplex_geometry computes the geometry of a stack of simplices, an (E, n+1, n)
-vertex array, with batched array operations.  A SimplexMesh is a vertex table
-with an (E, n+1) connectivity whose per-element arrays and h, sigma and
-gradient maximum it builds on first use; it builds a Simplex object only for
-an element asked for by index.  A Simplex is held as a one-element mesh.
+vertex array, with batched array operations (math.fsum only for facet sums
+not exact in floats).  A SimplexMesh is a vertex table with an (E, n+1)
+connectivity whose per-element arrays and h, sigma and gradient maximum it
+builds on first use; it builds a Simplex object only for an element asked
+for by index.  A Simplex is held as a one-element mesh.
 Everything here is immutable after construction.
 """
 
@@ -55,8 +56,17 @@ def simplex_geometry(vertices):
         edges = edges[:, 1:] - edges[:, :1]
         gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
         facets[:, q] = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(n - 1)
-    # fsum: the facet sum is correctly rounded, whatever the facet order.
-    inscribed = 2.0 * n * measures / np.array([math.fsum(f) for f in facets.tolist()])
+    # Summed left to right, a row whose TwoSum errors (Knuth) all vanish is exact
+    # (the unit facets of an interval always are); fsum rounds the others.
+    sums, exact = facets[:, 0].copy(), np.ones(count, dtype=bool)
+    for column in facets.T[1:]:
+        s = sums + column
+        b = s - sums
+        exact &= (sums - (s - b)) + (column - b) == 0.0
+        sums = s
+    inexact = np.flatnonzero(~exact)
+    sums[inexact] = [math.fsum(f) for f in facets[inexact].tolist()]
+    inscribed = 2.0 * n * measures / sums
     for a in (inverse, measures, diameters, inscribed):
         a.setflags(write=False)
     return inverse, measures, diameters, inscribed

@@ -1,9 +1,9 @@
 """Sobolev seminorms and norms by element-wise quadrature.
 
 A field supplies derivative values on blocks of elements; the engine walks
-the mesh in fixed-size blocks, applies a reference-simplex rule to every
-element of a block at once, and accumulates the per-element p-th powers
-with exact (fsum) summation so the element order never matters.  For
+the mesh in blocks of at most BLOCK_POINTS rule points, applies a rule to
+every element of a block at once, and accumulates the per-element p-th
+powers with exact (fsum) summation so the element order never matters.  For
 integrands that are not polynomial (absolute values with noninteger p,
 analytic error terms) a second rule of higher degree gives a Richardson
 style quadrature error estimate that is reported, never silently dropped.
@@ -18,21 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import chain_rule_weights, sample, tabulate
+from .basis import chain_rule_weights, sample
 from .geometry import Simplex, SimplexMesh
 from .quadrature import simplex_rule
 
 # Extra rule degree used for the Richardson quadrature error estimate.
 ESTIMATE_DEGREE_STEP = 4
 
-# Elements evaluated together; bounds the size of the per-block point and
+# Rule points evaluated together; bounds the size of the per-block point and
 # value arrays, so memory does not grow with the mesh.
-BLOCK_SIZE = 256
+BLOCK_POINTS = 16_384
 
 
-def element_blocks(count):
-    """Ranges [lo, hi) covering `count` elements in blocks of BLOCK_SIZE."""
-    return [(lo, min(lo + BLOCK_SIZE, count)) for lo in range(0, count, BLOCK_SIZE)]
+def element_blocks(count, points):
+    """Ranges [lo, hi) covering `count` elements of `points` rule points each."""
+    size = max(1, BLOCK_POINTS // points)
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 class AdmissibilityError(ValueError):
@@ -125,7 +126,7 @@ class AnalyticField:
     def __init__(self, fn):
         self.fn = fn
 
-    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
+    def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
         """d^alpha at the block's physical points phys (hi - lo, npts, n), shape (hi - lo, npts)."""
         return self.fn.deriv_values(alpha, phys.reshape(-1, phys.shape[-1])).reshape(phys.shape[:2])
 
@@ -134,36 +135,30 @@ class AnalyticField:
 
 
 class PiecewisePolynomialField:
-    """Exact polynomials combined per element by an (E, N) coefficient array.
+    """The shape functions of a PkBasis combined per element by an (E, N) coefficient array.
 
-    Element e holds sum_i coefficients[e, i] * polynomials[i].  Without
-    coefficients there is one polynomial per element (identity
-    coefficients).  Derivatives come from a table of the polynomials'
-    barycentric derivatives, built once per (points, order) and kept on the
-    field, contracted for a block of elements with their coefficients and
-    the chain-rule weights of their gradients.
+    Element e holds sum_i coefficients[e, i] * basis.polynomials[i].  A block
+    contracts the basis's shared table at the rule (PkBasis.table) with its
+    elements' coefficients and the chain-rule weights of their gradients.
     """
 
-    def __init__(self, polynomials, coefficients=None):
-        self.polynomials = list(polynomials)
-        if coefficients is None:
-            coefficients = np.eye(len(self.polynomials))
+    def __init__(self, basis, coefficients):
+        self.basis = basis
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
-        self._tables = {}
+        if self.coefficients.ndim != 2 or self.coefficients.shape[1] != basis.size:
+            raise ValueError(f"expected (E, {basis.size}) coefficients, got {self.coefficients.shape}")
 
-    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
-        """d^alpha on elements [lo, hi) at the barycentric points bary, (hi - lo, npts)."""
-        key = (sum(alpha), bary.shape, bary.tobytes())
-        if key not in self._tables:
-            self._tables[key] = tabulate(self.polynomials, bary, key[0])
+    def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
+        """d^alpha on elements [lo, hi) at the points of the quadrature rule, (hi - lo, npts)."""
+        table = self.basis.table(rule, sum(alpha))
         weights = chain_rule_weights(mesh.element_gradients[lo:hi], alpha)
         # Element by element this is weights @ (coefficients @ table), in
         # that order: (B, 1, 1, N) @ (S, N, npts), then (B, 1, S) @ (B, S, npts).
-        values = (self.coefficients[lo:hi, None, None, :] @ self._tables[key])[:, :, 0, :]
+        values = (self.coefficients[lo:hi, None, None, :] @ table)[:, :, 0, :]
         return (weights[:, None, :] @ values)[:, 0, :]
 
     def max_degree(self):
-        return max((p.degree() for p in self.polynomials), default=0)
+        return self.basis.k
 
 
 class DifferenceField:
@@ -173,8 +168,8 @@ class DifferenceField:
         self.left = left
         self.right = right
 
-    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
-        args = (mesh, lo, hi, alpha, bary, phys)
+    def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
+        args = (mesh, lo, hi, alpha, rule, phys)
         return self.left.deriv_block(*args) - self.right.deriv_block(*args)
 
     def max_degree(self):
@@ -196,10 +191,10 @@ def _seminorm_power(field, mesh, l, p, degree):
     scales = mesh.element_measures / float(rule.weights.sum())
 
     parts = []
-    for lo, hi in element_blocks(len(mesh)):
+    for lo, hi in element_blocks(len(mesh), rule.size):
         phys = rule.points @ mesh.element_vertices[lo:hi]
         for alpha in alphas:
-            vals = field.deriv_block(mesh, lo, hi, alpha, rule.points, phys)
+            vals = field.deriv_block(mesh, lo, hi, alpha, rule, phys)
             parts.append(scales[lo:hi] * (np.abs(vals) ** p @ rule.weights))
     return math.fsum(np.concatenate(parts))
 
@@ -277,7 +272,7 @@ def interpolant_field(fn, mesh, basis):
     """
     nodes = basis.node_array @ mesh.element_vertices
     values = sample(fn, nodes.reshape(-1, mesh.n)).reshape(len(mesh), basis.size)
-    return PiecewisePolynomialField(basis.polynomials, values)
+    return PiecewisePolynomialField(basis, values)
 
 
 def interpolation_error(fn, mesh, basis, l, p, degree=None, with_estimate=False):

@@ -7,15 +7,14 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fem_accuracy.basis import (
     BarycentricPolynomial,
-    LocalInterpolant,
     auxiliary_factor,
     build_basis,
     chain_rule_weights,
-    interpolate,
     multi_indices,
     tabulate,
 )
 from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d
+from fem_accuracy.norms import PiecewisePolynomialField, interpolant_field
 
 from oracles import rational_eval
 
@@ -229,33 +228,39 @@ class TestSpatialDerivative:
             assert np.array_equal(row, chain_rule_weights(simplex, alpha))
 
 
+def one_element_values(field, simplex, x):
+    """Values at physical points x, (npts, n), of a field on the one-element mesh of simplex."""
+    return field.coefficients[0] @ tabulate(field.basis.polynomials, np.atleast_2d(simplex.barycentric(x)), 0)[0]
+
+
 class TestInterpolation:
     def test_reproduces_polynomial_of_matching_degree(self):
         s = Simplex([[0.0], [1.0]])
         basis = build_basis(1, 2)
-        interp = interpolate(basis, s, lambda pts: pts[:, 0] ** 2)
-        for x in np.linspace(0.0, 1.0, 11):
-            assert interp(np.array([x])) == pytest.approx(x**2, abs=1e-13)
+        interp = interpolant_field(lambda pts: pts[:, 0] ** 2, s.mesh, basis)
+        xs = np.linspace(0.0, 1.0, 11)
+        assert np.max(np.abs(one_element_values(interp, s, xs[:, None]) - xs**2)) <= 1e-13
 
     def test_scalar_callable_fallback(self):
         s = reference_simplex(2)
         basis = build_basis(2, 1)
-        interp = interpolate(basis, s, lambda x, y: 2.0 * x - y + 1.0)
+        interp = interpolant_field(lambda x, y: 2.0 * x - y + 1.0, s.mesh, basis)
         pt = np.array([0.3, 0.4])
-        assert interp(pt) == pytest.approx(2.0 * 0.3 - 0.4 + 1.0, abs=1e-13)
+        assert one_element_values(interp, s, pt)[0] == pytest.approx(2.0 * 0.3 - 0.4 + 1.0, abs=1e-13)
 
     def test_nodal_values_reproduced(self):
         s = Simplex([[1.0], [2.0]])
         basis = build_basis(1, 3)
         values = np.array([3.0, -1.0, 0.5, 2.0])
-        interp = LocalInterpolant(basis, s, values)
-        for node_val, node in zip(values, basis.node_coordinates(s)):
-            assert interp(node) == pytest.approx(node_val, abs=1e-12)
+        interp = PiecewisePolynomialField(basis, values[None])
+        assert np.allclose(one_element_values(interp, s, basis.node_coordinates(s)), values, rtol=0.0, atol=1e-12)
 
     def test_value_count_validation(self):
         basis = build_basis(1, 1)
         with pytest.raises(ValueError):
-            LocalInterpolant(basis, reference_simplex(1), [1.0, 2.0, 3.0])
+            PiecewisePolynomialField(basis, [[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError):
+            PiecewisePolynomialField(basis, [1.0, 2.0])
 
 
 @seed(20240818)

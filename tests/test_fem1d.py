@@ -23,15 +23,16 @@ from fem_accuracy.fem1d import (
     solve_quality,
 )
 from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
-from fem_accuracy.norms import BLOCK_SIZE
+from fem_accuracy.norms import element_blocks
+from fem_accuracy.quadrature import interval_rule
 
 from oracles import loglog_slope, rational_eval
 
 
-def graded_mesh():
-    """300 elements of lengths growing from 1.1e-5 to 6.6e-3, more than one BLOCK_SIZE."""
-    nodes = np.linspace(0.0, 1.0, 301) ** 2
-    return SimplexMesh(vertices=nodes.reshape(-1, 1), connectivity=np.arange(300)[:, None] + np.arange(2))
+def graded_mesh(count=300):
+    """Elements between the squares of a uniform grid: 300 have lengths from 1.1e-5 to 6.6e-3."""
+    nodes = np.linspace(0.0, 1.0, count + 1) ** 2
+    return SimplexMesh(vertices=nodes.reshape(-1, 1), connectivity=np.arange(count)[:, None] + np.arange(2))
 
 
 def dense_free_system(a, b):
@@ -107,14 +108,22 @@ class TestSolver:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_reproduces_cubic_on_graded_mesh_over_blocks(self):
-        # 300 elements of different lengths span two assembly blocks; any
-        # offset slip between blocks spoils the exact reproduction.
+        # The exact solution lies in P_3: on 300 elements of different
+        # lengths the point values are exact to rounding.
+        prob = ModelProblem.cubic()
         nodes = np.linspace(0.0, 1.0, 301) ** 2
         mesh = SimplexMesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])], 1.0)
-        assert len(mesh) > BLOCK_SIZE
-        sol = assemble_and_solve(ModelProblem.cubic(), mesh, 3)
+        sol = assemble_and_solve(prob, mesh, 3)
         xs = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(sol(xs) - (xs - xs**3))) < 1e-11
+        # 2500 elements fill one block of the error rule (degree 2k + 6, 7
+        # points) and end in a partial one; an offset slip between blocks
+        # would leave an O(1) error in the measured W^{1,2} norm (4.4e-10,
+        # the round-off floor of elements down to 1.6e-7).
+        mesh = graded_mesh(2500)
+        blocks = element_blocks(len(mesh), interval_rule(2 * 3 + 6).size)
+        assert len(blocks) == 2 and 0 < blocks[1][1] - blocks[1][0] < blocks[0][1] - blocks[0][0]
+        assert error_report(assemble_and_solve(prob, mesh, 3), prob, 1, 2.0)["error"] < 1e-8
 
     def test_point_values_match_exact_per_element_route(self):
         # Graded P3 solution evaluated at every node (element boundaries and

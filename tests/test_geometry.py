@@ -8,15 +8,18 @@ from hypothesis import given, seed, strategies as st
 from fem_accuracy.basis import build_basis
 from fem_accuracy.fem1d import ModelProblem, convergence_study
 from fem_accuracy.functions import SinPiProduct
+from fem_accuracy import geometry
 from fem_accuracy.geometry import (
     DegenerateSimplexError,
     Simplex,
     SimplexMesh,
     reference_simplex,
+    simplex_geometry,
     structured_mesh_2d,
     uniform_mesh_1d,
 )
-from fem_accuracy.norms import BLOCK_SIZE, interpolation_error
+from fem_accuracy.norms import element_blocks, interpolation_error
+from fem_accuracy.quadrature import simplex_rule
 
 COORD_TOL = 1e-12
 
@@ -240,18 +243,74 @@ def loop_geometry(v):
     aug = np.empty((n + 1, n + 1))
     aug[0, :] = 1.0
     aug[1:, :] = v.T
+    return measure, diameter, np.linalg.inv(aug)[:, 1:], 2.0 * n * measure / math.fsum(loop_facets(v))
+
+
+def loop_facets(v):
+    """Facet measures of one simplex, facet q omitting vertex q."""
+    n = v.shape[1]
     facets = []
     for q in range(n + 1):
         pts = np.delete(v, q, axis=0)
         edges = pts[1:] - pts[0]
         facets.append(math.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0)) / math.factorial(n - 1))
-    return measure, diameter, np.linalg.inv(aug)[:, 1:], 2.0 * n * measure / math.fsum(facets)
+    return facets
+
+
+def awkward_table(n, seed, count=300):
+    """Random n-simplices, slivers (one vertex near the centroid of the others)
+    and needles (n vertices in a tiny cluster, one far), each scaled by a
+    factor between 1e-6 and 1e6 and shifted as far."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 1.0, (count, n + 1, n))
+    third = count // 3
+    v[third : 2 * third, n] = v[third : 2 * third, :n].mean(axis=1) + 1e-4 * rng.uniform(-1.0, 1.0, (third, n))
+    v[2 * third :, 1:n] = v[2 * third :, :1] + 1e-4 * rng.uniform(-1.0, 1.0, (count - 2 * third, n - 1, n))
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, (count, 1, 1))
+    v = (v + rng.uniform(-1.0, 1.0, (count, 1, n))) * scale
+    return v.reshape(-1, n), np.arange(count * (n + 1)).reshape(count, n + 1)
+
+
+class TestFacetSums:
+    @staticmethod
+    def count_fsum(monkeypatch):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(geometry.math, "fsum", lambda values: calls.append(1) or fsum(values))
+        return calls
+
+    @pytest.mark.parametrize(
+        "table",
+        [awkward_table(2, seed=1), awkward_table(3, seed=2), jittered_table_2d(12, seed=3)],
+        ids=["awkward-2d", "awkward-3d", "jittered-2d"],
+    )
+    def test_inscribed_diameters_match_fsum_route_bitwise(self, table, monkeypatch):
+        verts, conn = table
+        vertices = np.asarray(verts)[np.asarray(conn)]
+        loops = [loop_geometry(v) for v in vertices]
+        # The plain left-to-right facet sum is not correctly rounded on some
+        # rows, so a route without the exactness test would fail here.
+        facets = [loop_facets(v) for v in vertices]
+        assert any(sum(f) != math.fsum(f) for f in facets)
+        calls = self.count_fsum(monkeypatch)
+        inscribed = simplex_geometry(vertices)[3]
+        assert 0 < len(calls) <= len(vertices)
+        assert inscribed.tolist() == [loop[3] for loop in loops]
+        mesh = SimplexMesh(vertices=verts, connectivity=conn)
+        assert mesh.sigma == max(loop[1] / loop[3] for loop in loops)
+
+    def test_intervals_never_take_the_fsum_route(self, monkeypatch):
+        verts, conn = graded_table_1d(300)
+        calls = self.count_fsum(monkeypatch)
+        inscribed = simplex_geometry(np.asarray(verts)[np.asarray(conn)])[3]
+        assert calls == []
+        assert inscribed.tolist() == [loop_geometry(np.asarray(verts)[c])[3] for c in conn]
 
 
 class TestBatchedGeometry:
     @pytest.mark.parametrize(
         "table",
-        [jittered_table_2d(12, seed=3), graded_table_1d(300), kuhn_table_3d(seed=4)],
+        [jittered_table_2d(17, seed=3), graded_table_1d(300), kuhn_table_3d(seed=4)],
         ids=["jittered-2d", "graded-1d", "kuhn-3d"],
     )
     def test_matches_per_simplex_bitwise(self, table):
@@ -259,7 +318,10 @@ class TestBatchedGeometry:
         mesh = SimplexMesh(vertices=verts, connectivity=conn)
         singles = [Simplex(verts[idx]) for idx in conn]
         if mesh.n == 2:
-            assert BLOCK_SIZE < len(mesh) < 2 * BLOCK_SIZE
+            # 578 triangles: a degree-10 seminorm (36 rule points) walks them
+            # in one full block and a partial one.
+            blocks = element_blocks(len(mesh), simplex_rule(2, 10).size)
+            assert len(blocks) == 2 and 0 < blocks[1][1] - blocks[1][0] < blocks[0][1] - blocks[0][0]
         for e, s in enumerate(singles):
             measure, diameter, gradients, inscribed = loop_geometry(np.array(verts)[conn[e]])
             assert (s.measure, s.diameter, s.inscribed_diameter()) == (measure, diameter, inscribed)

@@ -6,17 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fem_accuracy.basis import BarycentricPolynomial, build_basis
+from fem_accuracy import basis as basis_module, fem1d
+from fem_accuracy.basis import build_basis
+from fem_accuracy.bounds import seminorm_bound_check
 from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
+from fem_accuracy.quadrature import QuadratureRule, simplex_rule
 from fem_accuracy.norms import (
-    BLOCK_SIZE,
+    BLOCK_POINTS,
     AdmissibilityError,
     AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
     SobolevIndex,
     derivative_multi_indices,
+    element_blocks,
     interpolation_error,
     norm_record,
     seminorm,
@@ -120,19 +124,15 @@ class TestSeminormValues:
 
     def test_single_simplex_domain(self):
         tri = reference_simplex(2)
-        field = PiecewisePolynomialField([BarycentricPolynomial.constant(3, Fraction(2))])
+        # The P1 shape functions sum to one, so all nodal values 2 give the constant 2.
+        field = PiecewisePolynomialField(build_basis(2, 1), [[2.0, 2.0, 2.0]])
         assert seminorm(field, tri, 0, 2.0) == pytest.approx(2.0 * math.sqrt(0.5), rel=1e-13)
 
     def test_piecewise_gradient(self):
-        # Field equal to x on each element of a 1D mesh has |.|_{1,p} = 1.
+        # Field equal to x on each element of a 1D mesh has |.|_{1,p} = 1:
+        # its P1 coefficients are the element's vertex coordinates.
         mesh = uniform_mesh_1d(0.0, 1.0, 5)
-        polys = []
-        for s in mesh.simplices:
-            a, b = float(s.vertices[0, 0]), float(s.vertices[1, 0])
-            lam0 = BarycentricPolynomial.variable(2, 0)
-            lam1 = BarycentricPolynomial.variable(2, 1)
-            polys.append(lam0 * a + lam1 * b)
-        field = PiecewisePolynomialField(polys)
+        field = PiecewisePolynomialField(build_basis(1, 1), mesh.element_vertices[:, :, 0])
         assert seminorm(field, mesh, 1, 2.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_mesh_additivity(self):
@@ -154,10 +154,10 @@ class TestSeminormValues:
 class ConstantOneField:
     """Constant-one field on any mesh, for measure checks."""
 
-    def deriv_block(self, mesh, lo, hi, alpha, bary, phys):
+    def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
         if sum(alpha) == 0:
-            return np.ones((hi - lo, bary.shape[0]))
-        return np.zeros((hi - lo, bary.shape[0]))
+            return np.ones((hi - lo, rule.size))
+        return np.zeros((hi - lo, rule.size))
 
     def max_degree(self):
         return 0
@@ -254,10 +254,11 @@ class TestTabulatedField:
 
         basis = build_basis(2, 3)
         coeffs = [Fraction(j - 4, 4) for j in range(basis.size)]
-        field = PiecewisePolynomialField(basis.polynomials, [[float(c) for c in coeffs]])
+        field = PiecewisePolynomialField(basis, [[float(c) for c in coeffs]])
         bary = np.array([[0.25, 0.5, 0.25], [0.125, 0.125, 0.75], [0.6, 0.3, 0.1]])
+        points = QuadratureRule(n=2, points=bary, weights=np.full(3, 1.0 / 6.0), exactness_degree=0)
         for alpha in derivative_multi_indices(2, l):
-            got = field.deriv_block(SimplexMesh([simplex]), 0, 1, alpha, bary, (bary @ simplex.vertices)[None])[0]
+            got = field.deriv_block(SimplexMesh([simplex]), 0, 1, alpha, points, (bary @ simplex.vertices)[None])[0]
             directions = [j for j, times in enumerate(alpha) for _ in range(times)]
             for lam, value in zip(bary, got):
                 lam_exact = [Fraction(float(x)) for x in lam]
@@ -291,12 +292,26 @@ def jittered_mesh_2d(per_side, seed):
     return SimplexMesh([Simplex(verts[idx]) for idx in payload["simplices"]], 1.0)
 
 
+def blocks_at(mesh, degree):
+    """The element blocks of a seminorm of the given rule degree on mesh."""
+    return element_blocks(len(mesh), simplex_rule(mesh.n, degree).size)
+
+
+def assert_spans_blocks(mesh, degree):
+    """The mesh fills at least one block of the degree's rule and ends in a partial one."""
+    blocks = blocks_at(mesh, degree)
+    sizes = [hi - lo for lo, hi in blocks]
+    assert len(blocks) >= 2 and 0 < sizes[-1] < sizes[0], sizes
+
+
 class TestBlockedEvaluation:
-    # 288 triangles: one full block of BLOCK_SIZE and a partial one.
-    mesh = jittered_mesh_2d(12, seed=11)
+    # 578 triangles: at rule degrees 10 and 14 (36 and 64 points) they fill
+    # full blocks and end in a partial one.
+    mesh = jittered_mesh_2d(17, seed=11)
 
     def test_mesh_spans_more_than_one_block(self):
-        assert BLOCK_SIZE < len(self.mesh) < 2 * BLOCK_SIZE
+        for degree in (10, 14):
+            assert_spans_blocks(self.mesh, degree)
         assert self.mesh.check_cover()
 
     def test_mesh_seminorm_is_sum_of_simplex_seminorms(self):
@@ -305,8 +320,8 @@ class TestBlockedEvaluation:
         # of a later block shows.
         basis = build_basis(2, 3)
         coeffs = np.random.default_rng(5).uniform(-1.0, 1.0, (len(self.mesh), basis.size))
-        whole = PiecewisePolynomialField(basis.polynomials, coeffs)
-        singles = [PiecewisePolynomialField(basis.polynomials, coeffs[e : e + 1]) for e in range(len(self.mesh))]
+        whole = PiecewisePolynomialField(basis, coeffs)
+        singles = [PiecewisePolynomialField(basis, coeffs[e : e + 1]) for e in range(len(self.mesh))]
         fn = SinPiProduct(2)
         for l in (0, 1, 2):
             for p in (2.0, 3.0):
@@ -319,17 +334,87 @@ class TestBlockedEvaluation:
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_analytic_calls_per_block_not_per_element(self, l):
-        blocks = math.ceil(len(self.mesh) / BLOCK_SIZE)
         directions = len(derivative_multi_indices(2, l))
         fn = CountingSinPi()
-        seminorm(fn, self.mesh, l, 2.0, degree=8)
-        assert fn.calls <= blocks * directions
+        seminorm(fn, self.mesh, l, 2.0, degree=10)
+        assert fn.calls <= len(blocks_at(self.mesh, 10)) * directions
         fn.calls = 0
-        seminorm_with_estimate(fn, self.mesh, l, 2.0, degree=8)
-        assert fn.calls <= 2 * blocks * directions
+        seminorm_with_estimate(fn, self.mesh, l, 2.0, degree=10)
+        assert fn.calls <= (len(blocks_at(self.mesh, 10)) + len(blocks_at(self.mesh, 14))) * directions
 
     def test_interpolant_samples_once(self):
+        # interpolation_error's default rule degree is 2k + 6 = 10.
         fn = CountingSinPi()
         interpolation_error(fn, self.mesh, build_basis(2, 2), 1, 2.0)
-        blocks = math.ceil(len(self.mesh) / BLOCK_SIZE)
-        assert fn.calls <= 1 + blocks * len(derivative_multi_indices(2, 1))
+        assert fn.calls <= 1 + len(blocks_at(self.mesh, 10)) * len(derivative_multi_indices(2, 1))
+
+    def test_blocks_cover_the_mesh_within_the_point_budget(self):
+        for count, points in [(1, 1), (5, 20_000), (578, 36), (2048, 7), (2048, 9), (4608, 81)]:
+            blocks = element_blocks(count, points)
+            assert blocks[0][0] == 0 and blocks[-1][1] == count
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            # Within the budget (one element at least), and no block but the
+            # last could take one more element.
+            assert all(hi - lo == 1 or (hi - lo) * points <= BLOCK_POINTS for lo, hi in blocks)
+            assert all((hi - lo + 1) * points > BLOCK_POINTS for lo, hi in blocks[:-1])
+
+
+class TestSharedTables:
+    @staticmethod
+    def count_tabulate(monkeypatch):
+        """Every tabulate call as (polynomial objects, points, order)."""
+        built = []
+        tabulate = basis_module.tabulate
+
+        def counting(polynomials, points, order):
+            built.append((tuple(map(id, polynomials)), points.tobytes(), order))
+            return tabulate(polynomials, points, order)
+
+        monkeypatch.setattr(basis_module, "tabulate", counting)
+        return built
+
+    def test_each_rule_table_built_once(self, monkeypatch):
+        fem1d._interval_basis.cache_clear()
+        fem1d._reference_system.cache_clear()
+        built = self.count_tabulate(monkeypatch)
+        fem1d.convergence_study(fem1d.ModelProblem.sine(), 3, 1, 2.0, (32, 64, 128, 256))
+        # Assembly: orders 0 and 1 at degree 2k and order 0 at the load
+        # degree 2k + 8; errors: orders 0 and 1 at degrees 2k + 6 and 2k + 10.
+        assert len(built) == 7
+        basis, mesh = build_basis(2, 2), structured_mesh_2d(6)
+        for _ in range(2):
+            interpolation_error(SinPiProduct(2), mesh, basis, 1, 2.0)
+        assert len(built) == 8
+        seminorm_bound_check(build_basis(2, 3), reference_simplex(2), 1, 2.0)
+        assert len(built) == 9
+        assert len(set(built)) == len(built)
+
+    def test_tables_are_read_only(self):
+        basis = build_basis(2, 2)
+        rule = simplex_rule(2, 4)
+        table = basis.table(rule, 1)
+        assert basis.table(rule, 1) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+        sol = fem1d.assemble_and_solve(fem1d.ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), 2)
+        fem1d.error_report(sol, fem1d.ModelProblem.sine(), 1, 2.0)
+        assert sol.basis.tables and not any(t.flags.writeable for t in sol.basis.tables.values())
+
+    def test_only_cached_rules_are_kept(self):
+        basis = build_basis(2, 2)
+        rule = simplex_rule(2, 4)
+        copy = QuadratureRule(2, rule.points.copy(), rule.weights, rule.exactness_degree)
+        table = basis.table(copy, 0)
+        assert not basis.tables and not table.flags.writeable
+        assert np.array_equal(table, basis.table(rule, 0))
+        assert list(basis.tables) == [(2, rule.exactness_degree, 0)]
+
+    def test_point_evaluation_adds_no_table(self):
+        sol = fem1d.assemble_and_solve(fem1d.ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 16), 3)
+        fem1d.error_report(sol, fem1d.ModelProblem.sine(), 0, 2.0)
+        before = dict(sol.basis.tables)
+        values = sol(np.random.default_rng(1).uniform(0.0, 1.0, 300))
+        assert values.shape == (300,)
+        assert sol.basis.tables.keys() == before.keys()
+        assert all(sol.basis.tables[key] is table for key, table in before.items())
