@@ -15,7 +15,7 @@ class AnalyticFunction:
     """Scalar function on R^n with closed-form partial derivatives.
 
     Subclasses implement deriv_values(alpha, x) for an (npts, n) point
-    array; __call__ evaluates the function itself.
+    array, read through _points(x); __call__ evaluates the function itself.
     """
 
     n = 1
@@ -23,10 +23,15 @@ class AnalyticFunction:
     def deriv_values(self, alpha, x):
         raise NotImplementedError
 
-    def __call__(self, x):
+    def _points(self, x):
+        """x as (npts, n); a 1-D x is npts points when n = 1 and one point otherwise."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1 and self.n == 1:
-            x = x.reshape(-1, 1)
+        x = x.reshape(-1, 1) if x.ndim == 1 and self.n == 1 else np.atleast_2d(x)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"expected points of dimension {self.n}, got shape {x.shape}")
+        return x
+
+    def __call__(self, x):
         return self.deriv_values((0,) * self.n, x)
 
 
@@ -41,7 +46,7 @@ class SinPiProduct(AnalyticFunction):
         self.n = n
 
     def deriv_values(self, alpha, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = self._points(x)
         out = np.ones(x.shape[0])
         for i, r in enumerate(alpha):
             out = out * np.sin(np.pi * x[:, i] + r * np.pi / 2.0)
@@ -73,7 +78,7 @@ class Polynomial1D(AnalyticFunction):
 
     def deriv_values(self, alpha, x):
         (r,) = alpha
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))[:, 0]
+        x = self._points(x)[:, 0]
         out = np.zeros_like(x)
         for j, c in enumerate(self.coefficients):
             if j >= r and c != 0.0:
@@ -91,5 +96,5 @@ class Exp1D(AnalyticFunction):
 
     def deriv_values(self, alpha, x):
         (r,) = alpha
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))[:, 0]
+        x = self._points(x)[:, 0]
         return self.a**r * np.exp(self.a * x)

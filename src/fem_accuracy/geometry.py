@@ -2,7 +2,8 @@
 
 simplex_geometry computes the geometry of a stack of simplices, an (E, n+1, n)
 vertex array, with batched array operations (math.fsum only for facet sums
-not exact in floats).  A SimplexMesh is a vertex table with an (E, n+1)
+not exact in floats); intervals take a closed form in their signed length,
+with no linear algebra call.  A SimplexMesh is a vertex table with an (E, n+1)
 connectivity whose per-element arrays and h, sigma and gradient maximum it
 builds on first use; it builds a Simplex object only for an element asked
 for by index.  A Simplex is held as a one-element mesh.
@@ -32,41 +33,52 @@ def simplex_geometry(vertices):
     Returns read-only (inverse, measures, diameters, inscribed).  Row q of
     inverse[e], shape (n+1, n+1), gives lambda_q(x) = inverse[e, q] . (1, x),
     so its columns 1..n are the barycentric gradients.  The others have shape
-    (E,): n-volume, diameter h_K and inscribed-ball diameter rho_K.
+    (E,): n-volume, diameter h_K and inscribed-ball diameter rho_K.  For an
+    interval [x0, x1] of signed length L = x1 - x0 all three are |L| and the
+    rows of inverse are (x1/L, -1/L) and (-x0/L, 1/L).
     Raises DegenerateSimplexError naming the first element whose vertices are
     affinely dependent within VOLUME_REL_TOL.
     """
     count, n = len(vertices), vertices.shape[2]
-    measures = np.abs(np.linalg.det(vertices[:, 1:] - vertices[:, :1])) / math.factorial(n)
-    diff = vertices[:, :, None, :] - vertices[:, None, :, :]
-    diameters = np.sqrt((diff * diff).sum(axis=3)).max(axis=(1, 2))
+    if n == 1:
+        x0, x1 = vertices[:, 0, 0], vertices[:, 1, 0]
+        length = x1 - x0
+        measures = diameters = np.abs(length)
+    else:
+        measures = np.abs(np.linalg.det(vertices[:, 1:] - vertices[:, :1])) / math.factorial(n)
+        diff = vertices[:, :, None, :] - vertices[:, None, :, :]
+        diameters = np.sqrt((diff * diff).sum(axis=3)).max(axis=(1, 2))
     degenerate = np.flatnonzero(measures <= VOLUME_REL_TOL * diameters**n / math.factorial(n))
     if degenerate.size:
         e = degenerate[0]
         raise DegenerateSimplexError(
             f"degenerate {n}-simplex at element {e}: volume {measures[e]:.3e} with diameter {diameters[e]:.3e}"
         )
-    inverse = np.linalg.inv(np.concatenate([np.ones((count, 1, n + 1)), vertices.transpose(0, 2, 1)], axis=1))
-
-    # Facet q omits vertex q; its (n-1)-measure is the root of the Gram
-    # determinant of its edges (one for the point facets of an interval).
-    facets = np.empty((count, n + 1))
-    for q in range(n + 1):
-        edges = np.delete(vertices, q, axis=1)
-        edges = edges[:, 1:] - edges[:, :1]
-        gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
-        facets[:, q] = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(n - 1)
-    # Summed left to right, a row whose TwoSum errors (Knuth) all vanish is exact
-    # (the unit facets of an interval always are); fsum rounds the others.
-    sums, exact = facets[:, 0].copy(), np.ones(count, dtype=bool)
-    for column in facets.T[1:]:
-        s = sums + column
-        b = s - sums
-        exact &= (sums - (s - b)) + (column - b) == 0.0
-        sums = s
-    inexact = np.flatnonzero(~exact)
-    sums[inexact] = [math.fsum(f) for f in facets[inexact].tolist()]
-    inscribed = 2.0 * n * measures / sums
+    if n == 1:
+        ones = np.ones(count)
+        inverse = np.stack([x1, -ones, -x0, ones], axis=1).reshape(count, 2, 2) / length[:, None, None]
+        inscribed = measures
+    else:
+        inverse = np.linalg.inv(np.concatenate([np.ones((count, 1, n + 1)), vertices.transpose(0, 2, 1)], axis=1))
+        # Facet q omits vertex q; its (n-1)-measure is the root of the Gram
+        # determinant of its edges.
+        facets = np.empty((count, n + 1))
+        for q in range(n + 1):
+            edges = np.delete(vertices, q, axis=1)
+            edges = edges[:, 1:] - edges[:, :1]
+            gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
+            facets[:, q] = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(n - 1)
+        # Summed left to right, a row whose TwoSum errors (Knuth) all vanish is
+        # exact; fsum rounds the others.
+        sums, exact = facets[:, 0].copy(), np.ones(count, dtype=bool)
+        for column in facets.T[1:]:
+            s = sums + column
+            b = s - sums
+            exact &= (sums - (s - b)) + (column - b) == 0.0
+            sums = s
+        inexact = np.flatnonzero(~exact)
+        sums[inexact] = [math.fsum(f) for f in facets[inexact].tolist()]
+        inscribed = 2.0 * n * measures / sums
     for a in (inverse, measures, diameters, inscribed):
         a.setflags(write=False)
     return inverse, measures, diameters, inscribed
@@ -250,7 +262,7 @@ class SimplexMesh:
 
     def measure(self):
         """Sum of element measures (order-independent accumulation)."""
-        return math.fsum(self.element_measures)
+        return math.fsum(self.element_measures.tolist())
 
     def check_cover(self, tol=1e-12):
         """True when the element measures add up to the stated domain measure."""

@@ -48,3 +48,15 @@ def rational_eval(poly, lam):
 def loglog_slope(hs, errors):
     """Least-squares slope of log(error) against log(h)."""
     return float(np.polyfit(np.log(np.asarray(hs, float)), np.log(np.asarray(errors, float)), 1)[0])
+
+
+def interval_geometry(x0, x1):
+    """Geometry of the interval [x0, x1] from its exact signed length, rounded once.
+
+    Returns (measure, diameter, barycentric gradients, inscribed diameter)
+    like a per-simplex loop: the first, second and last are |L|, and the
+    gradients of lambda_0, lambda_1 are -1/L and 1/L, each rounded once.
+    """
+    length = Fraction(float(Fraction(x1) - Fraction(x0)))
+    size = float(abs(length))
+    return size, size, np.array([[float(-1 / length)], [float(1 / length)]]), size

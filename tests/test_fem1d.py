@@ -22,6 +22,7 @@ from fem_accuracy.fem1d import (
     solve_condensed,
     solve_quality,
 )
+from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.norms import element_blocks
 from fem_accuracy.quadrature import interval_rule
@@ -89,6 +90,26 @@ class TestModelProblem:
         prob = ModelProblem.cubic()
         x = np.array([[0.5]])
         assert prob.f_values(x)[0] == pytest.approx(3.375, rel=1e-13)
+
+    def test_one_dimensional_point_arrays(self):
+        x = np.array([0.1, 0.2, 0.3])
+        for prob in (ModelProblem.sine(), ModelProblem.cubic()):
+            assert prob.f_values(x).tolist() == prob.f_values(x[:, None]).tolist() == [prob.f_values([[t]])[0] for t in x]
+        for fn in (SinPiProduct(1), Polynomial1D([1.0, -2.0, 0.5]), Exp1D(0.7)):
+            assert fn.deriv_values((1,), x).tolist() == fn.deriv_values((1,), x[:, None]).tolist()
+            assert fn(x).shape == (3,)
+        assert SinPiProduct(2).deriv_values((0, 1), [0.5, 0.25]).shape == (1,)
+
+    def test_coordinate_count_checked(self):
+        with pytest.raises(ValueError, match="dimension 2"):
+            SinPiProduct(2).deriv_values((0, 0), [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="dimension 2"):
+            SinPiProduct(2).deriv_values((0, 0), np.zeros((4, 3)))
+        for fn in (SinPiProduct(1), Polynomial1D([0.0, 1.0]), Exp1D()):
+            with pytest.raises(ValueError, match="dimension 1"):
+                fn.deriv_values((0,), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            ModelProblem.sine().f_values(np.zeros((2, 2, 1)))
 
     def test_boundary_values_vanish(self):
         for prob in (ModelProblem.sine(), ModelProblem.cubic(), ModelProblem.quadratic()):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from fem_accuracy.geometry import (
 )
 from fem_accuracy.norms import element_blocks, interpolation_error
 from fem_accuracy.quadrature import simplex_rule
+
+from oracles import interval_geometry
 
 COORD_TOL = 1e-12
 
@@ -304,7 +307,7 @@ class TestFacetSums:
         calls = self.count_fsum(monkeypatch)
         inscribed = simplex_geometry(np.asarray(verts)[np.asarray(conn)])[3]
         assert calls == []
-        assert inscribed.tolist() == [loop_geometry(np.asarray(verts)[c])[3] for c in conn]
+        assert inscribed.tolist() == [interval_geometry(*np.asarray(verts)[c, 0])[3] for c in conn]
 
 
 class TestBatchedGeometry:
@@ -322,8 +325,11 @@ class TestBatchedGeometry:
             # in one full block and a partial one.
             blocks = element_blocks(len(mesh), simplex_rule(2, 10).size)
             assert len(blocks) == 2 and 0 < blocks[1][1] - blocks[1][0] < blocks[0][1] - blocks[0][0]
+        # Intervals against their exact length rounded once (the det of a
+        # per-simplex loop can be an ulp off it), other simplices against the loop.
+        oracle = (lambda v: interval_geometry(*v[:, 0])) if mesh.n == 1 else loop_geometry
         for e, s in enumerate(singles):
-            measure, diameter, gradients, inscribed = loop_geometry(np.array(verts)[conn[e]])
+            measure, diameter, gradients, inscribed = oracle(np.array(verts)[conn[e]])
             assert (s.measure, s.diameter, s.inscribed_diameter()) == (measure, diameter, inscribed)
             assert np.array_equal(s.barycentric_gradients(), gradients)
             assert np.array_equal(mesh.element_vertices[e], s.vertices)
@@ -372,3 +378,47 @@ class TestBatchedGeometry:
         assert sum(1 for _ in mesh.simplices) == 32
         with pytest.raises(IndexError):
             mesh.simplices[32]
+
+
+class TestIntervalGeometry:
+    @staticmethod
+    def count_linalg(monkeypatch):
+        calls = []
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+        return calls
+
+    def test_calls_no_linear_algebra(self, monkeypatch):
+        verts, conn = graded_table_1d(300)
+        calls = self.count_linalg(monkeypatch)
+        mesh = SimplexMesh(vertices=verts, connectivity=conn, domain_measure=1.0)
+        assert mesh.sigma == 1.0 and mesh.gradient_max > 0.0 and mesh.check_cover()
+        assert np.allclose(Simplex([[0.25], [1.0]]).barycentric([0.625]), [0.5, 0.5], atol=1e-15)
+        assert calls == []
+        # The counter sees the general route.
+        assert structured_mesh_2d(1).sigma > 1.0
+        assert "inv" in calls and "det" in calls
+
+    def test_reversed_intervals(self):
+        verts, conn = graded_table_1d(300)
+        mesh = SimplexMesh(vertices=verts, connectivity=[c[::-1] for c in conn])
+        for e, (c, s) in enumerate(zip(conn, mesh.simplices)):
+            measure, diameter, gradients, inscribed = interval_geometry(verts[c[1], 0], verts[c[0], 0])
+            assert (s.measure, s.diameter, s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert mesh.element_measures[e] == measure
+            assert np.array_equal(mesh.element_gradients[e], gradients)
+        assert mesh.element_gradients[0, 0, 0] > 0.0 > mesh.element_gradients[0, 1, 0]
+        assert mesh.sigma == 1.0
+        s = Simplex([[1.0], [0.25]])
+        assert (s.measure, s.diameter, s.inscribed_diameter()) == (0.75, 0.75, 0.75)
+        assert np.allclose(s.barycentric([[1.0], [0.25], [0.4375]]), [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]], atol=1e-15)
+
+    def test_zero_length_interval_named(self):
+        mesh = SimplexMesh(vertices=[[0.0], [0.5], [0.5], [1.0]], connectivity=[[0, 1], [1, 2], [2, 3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSimplexError) as exc:
+                mesh.h
+        assert str(exc.value) == "degenerate 1-simplex at element 1: volume 0.000e+00 with diameter 0.000e+00"

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fem_accuracy import basis as basis_module, fem1d
-from fem_accuracy.basis import build_basis
+from fem_accuracy import basis as basis_module, fem1d, norms
+from fem_accuracy.basis import build_basis, chain_rule_weights
 from fem_accuracy.bounds import seminorm_bound_check
 from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
@@ -74,6 +74,19 @@ class TestSobolevIndex:
     def test_require_passes_when_admissible(self):
         SobolevIndex(1, 2.0, 1).require(1)
         SobolevIndex(1, 2.0, 2).require(2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_admissible_iff_require_passes(self, n, p):
+        for m in range(4):
+            for k in range(1, 7):
+                idx = SobolevIndex(m, p, n)
+                try:
+                    idx.require(k)
+                    passed = True
+                except AdmissibilityError:
+                    passed = False
+                assert idx.admissible(k) is passed, (m, k)
 
     def test_seminorm_conditions_per_order(self):
         # n/p = 1: order l is covered iff k > l.
@@ -357,6 +370,75 @@ class TestBlockedEvaluation:
             # last could take one more element.
             assert all(hi - lo == 1 or (hi - lo) * points <= BLOCK_POINTS for lo, hi in blocks)
             assert all((hi - lo + 1) * points > BLOCK_POINTS for lo, hi in blocks[:-1])
+
+
+def contraction_loop(field, mesh, alpha, rule):
+    """Element by element, weights @ (coefficients @ table), and the same with
+    absolute values: the magnitude that bounds the rounding error."""
+    table = field.basis.table(rule, sum(alpha))
+    weights = chain_rule_weights(mesh.element_gradients, alpha)
+    values = np.array([w @ (c @ table) for w, c in zip(weights, field.coefficients)])
+    magnitude = np.array([np.abs(w) @ (np.abs(c) @ np.abs(table)) for w, c in zip(weights, field.coefficients)])
+    # Each of two routes summing N products, then S terms, is within
+    # gamma_{N+S} * magnitude of the exact value (Higham, ASNA, 3.1).
+    return values, (len(table) + field.basis.size) * np.finfo(float).eps * magnitude
+
+
+def block_values(field, mesh, alpha, rule, blocks):
+    return np.concatenate([field.deriv_block(mesh, lo, hi, alpha, rule, None) for lo, hi in blocks])
+
+
+class TestRowContraction:
+    # A graded 1D mesh and a jittered 2D one, so every element's weights differ.
+    meshes = {
+        1: SimplexMesh(vertices=(np.linspace(0.0, 1.0, 38) ** 2)[:, None], connectivity=[[e, e + 1] for e in range(37)]),
+        2: jittered_mesh_2d(5, seed=2),
+    }
+
+    @staticmethod
+    def field(mesh, k):
+        basis = build_basis(mesh.n, k)
+        return PiecewisePolynomialField(basis, np.random.default_rng(k).uniform(-1.0, 1.0, (len(mesh), basis.size)))
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (1, 6), (2, 1), (2, 3), (2, 5)])
+    def test_matches_per_element_loop(self, n, k):
+        mesh = self.meshes[n]
+        field = self.field(mesh, k)
+        for degree in (2 * k + 6, 2 * k + 10):
+            rule = simplex_rule(n, degree)
+            for l in (0, 1, 2):
+                for alpha in derivative_multi_indices(n, l):
+                    expected, tol = contraction_loop(field, mesh, alpha, rule)
+                    for blocks in ([(0, len(mesh))], [(e, e + 1) for e in range(len(mesh))]):
+                        got = block_values(field, mesh, alpha, rule, blocks)
+                        assert np.all(np.abs(got - expected) <= tol), (degree, alpha, len(blocks))
+
+    # The bases of the 1D Galerkin study and the 2D interpolation workload,
+    # at their rule degrees 2k + 6 and 2k + 10.  (With OpenBLAS, larger bases,
+    # from N = 16 coefficients on, can round a row differently by block size.)
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    def test_block_split_is_bitwise(self, n, k):
+        mesh = self.meshes[n]
+        field = self.field(mesh, k)
+        for degree in (2 * k + 6, 2 * k + 10):
+            rule = simplex_rule(n, degree)
+            for l in (0, 1, 2):
+                for alpha in derivative_multi_indices(n, l):
+                    whole = block_values(field, mesh, alpha, rule, [(0, len(mesh))])
+                    for size in (2, 3, 4, 5, 8, 9):
+                        blocks = element_blocks(len(mesh), size * rule.size)
+                        if blocks[-1][1] - blocks[-1][0] == 1:
+                            blocks = blocks[:-2] + [(blocks[-2][0], len(mesh))]
+                        assert np.array_equal(block_values(field, mesh, alpha, rule, blocks), whole), (degree, alpha, size)
+
+    def test_seminorm_does_not_depend_on_block_points(self, monkeypatch):
+        mesh = uniform_mesh_1d(0.0, 1.0, 300)
+        err = DifferenceField(AnalyticField(SinPiProduct()), self.field(mesh, 3))
+        rule = simplex_rule(1, 12)
+        whole = [seminorm(err, mesh, l, 3.0, degree=12) for l in (0, 1, 2)]
+        assert element_blocks(len(mesh), rule.size) == [(0, len(mesh))]
+        monkeypatch.setattr(norms, "BLOCK_POINTS", 7 * rule.size)
+        assert [seminorm(err, mesh, l, 3.0, degree=12) for l in (0, 1, 2)] == whole
 
 
 class TestSharedTables:
