@@ -7,8 +7,10 @@ factors built from the node spacing 1/k, expanded here into an explicit
 term list with exact rational coefficients.  Construction, differentiation
 in the barycentric variables, and evaluation at rational points are all
 exact; floating point enters only when evaluating at float points.  Float
-work goes through one route: `tabulate` evaluates the exact barycentric
-derivatives of a polynomial list at float points, `PkBasis.table` keeps the
+work goes through one route: `coefficient_matrix` turns a polynomial list
+into one float coefficient matrix over its distinct monomials, `tabulate`
+evaluates the exact barycentric derivatives of a list at float points with
+one `kernels.eval_terms` call per derivative order, `PkBasis.table` keeps the
 table of a basis read-only per quadrature rule and order, so every element
 and field of the basis shares it, and `chain_rule_weights` turns a table into
 physical derivatives on a simplex, or on a whole block of elements at once,
@@ -55,7 +57,7 @@ class BarycentricPolynomial:
     type works.  Instances are treated as immutable.
     """
 
-    __slots__ = ("nvars", "terms", "_arrays")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -67,7 +69,6 @@ class BarycentricPolynomial:
                 continue
             clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
-        self._arrays = None
 
     @classmethod
     def constant(cls, nvars, value):
@@ -158,26 +159,6 @@ class BarycentricPolynomial:
                     term = term * x**p
             total = total + term
         return total
-
-    def _float_arrays(self):
-        if self._arrays is None:
-            if self.terms:
-                exps = np.array(list(self.terms.keys()), dtype=np.int64).reshape(-1, self.nvars)
-                coeffs = np.array([float(c) for c in self.terms.values()], dtype=np.float64)
-            else:
-                exps = np.zeros((0, self.nvars), dtype=np.int64)
-                coeffs = np.zeros(0, dtype=np.float64)
-            self._arrays = (exps, coeffs)
-        return self._arrays
-
-    def eval_points(self, points):
-        """Evaluate at float points, shape (npts, nvars) -> (npts,)."""
-        exps, coeffs = self._float_arrays()
-        return kernels.eval_terms(points, exps, coeffs)
-
-    def max_abs_on(self, points):
-        exps, coeffs = self._float_arrays()
-        return kernels.max_abs_eval(points, exps, coeffs)
 
     def reduced(self):
         """Canonical form with the last variable eliminated.
@@ -336,9 +317,29 @@ def tabulate(polynomials, points, order):
     for seq in itertools.product(range(nvars), repeat=order):
         orders = tuple(seq.count(v) for v in range(nvars))
         if orders not in rows:
-            rows[orders] = np.array([p.lambda_derivative(orders).eval_points(points) for p in polynomials])
+            exps, coeffs = coefficient_matrix([p.lambda_derivative(orders) for p in polynomials])
+            rows[orders] = kernels.eval_terms(points, exps, coeffs).T
         table.append(rows[orders])
     return np.array(table)
+
+
+def coefficient_matrix(polynomials):
+    """A polynomial list as the (exps, coeffs) pair of kernels.eval_terms.
+
+    exps, (nterms, nvars) int64, holds the distinct exponent tuples of the
+    list in order of first appearance; coeffs, (nterms, len(polynomials)),
+    holds polynomial j's coefficients, as floats, in column j.
+    """
+    rows = {}
+    for p in polynomials:
+        for e in p.terms:
+            rows.setdefault(e, len(rows))
+    exps = np.array(list(rows), dtype=np.int64).reshape(-1, polynomials[0].nvars)
+    coeffs = np.zeros((len(rows), len(polynomials)))
+    for j, p in enumerate(polynomials):
+        for e, c in p.terms.items():
+            coeffs[rows[e], j] = float(c)
+    return exps, coeffs
 
 
 def chain_rule_weights(cells, alpha):

@@ -11,6 +11,11 @@ import math
 import numpy as np
 
 
+def log_sin_lp_constant(p):
+    """log c_p, where c_p^p is the integral of |sin(pi t)|^p over (0, 1)."""
+    return (math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi) - math.lgamma(p / 2.0 + 1.0)) / p
+
+
 class AnalyticFunction:
     """Scalar function on R^n with closed-form partial derivatives.
 
@@ -60,12 +65,7 @@ class SinPiProduct(AnalyticFunction):
         """
         if self.n != 1:
             raise ValueError("closed form kept for n = 1 only")
-        log_cp = (
-            math.lgamma((p + 1.0) / 2.0)
-            - 0.5 * math.log(math.pi)
-            - math.lgamma(p / 2.0 + 1.0)
-        ) / p
-        return math.exp(r * math.log(math.pi) + log_cp)
+        return math.exp(r * math.log(math.pi) + log_sin_lp_constant(p))
 
 
 class Polynomial1D(AnalyticFunction):

@@ -32,7 +32,7 @@ BLOCK_POINTS = 16_384
 
 
 def element_blocks(count, points):
-    """Ranges [lo, hi) covering `count` elements of `points` rule points each."""
+    """Ranges [lo, hi) covering `count` elements (or points) of `points` values each."""
     size = max(1, BLOCK_POINTS // points)
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
@@ -74,12 +74,8 @@ class SobolevIndex:
         return k + 1 > l + self.n / self.p
 
     def admissible(self, k):
-        """Full admissibility of degree k for this index."""
-        if not all(self.seminorm_conditions(k).values()):
-            return False
-        if self.n / self.p < 1:
-            return self.m <= k
-        return self.m <= k - 1
+        """Full admissibility of degree k: the conditions imply m <= k, and m <= k - 1 if n/p >= 1."""
+        return all(self.seminorm_conditions(k).values())
 
     def require(self, k):
         """Raise AdmissibilityError naming the first violated inequality."""
@@ -88,18 +84,6 @@ class SobolevIndex:
                 raise AdmissibilityError(
                     f"k + 1 > l + n/p fails: k={k}, l={l}, n={self.n}, p={self.p}",
                     inequality="k+1 > l + n/p",
-                )
-        if self.n / self.p < 1:
-            if self.m > k:
-                raise AdmissibilityError(
-                    f"n/p < 1 requires m <= k: m={self.m}, k={k}",
-                    inequality="m <= k",
-                )
-        else:
-            if self.m > k - 1:
-                raise AdmissibilityError(
-                    f"n/p >= 1 requires m <= k - 1: m={self.m}, k={k}",
-                    inequality="m <= k-1",
                 )
 
 

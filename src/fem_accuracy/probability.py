@@ -27,6 +27,7 @@ from functools import cache
 
 import numpy as np
 
+from .functions import log_sin_lp_constant
 from .norms import SobolevIndex
 
 # Absolute tolerance for the weak-* pairing integrals, and the Gauss-Legendre
@@ -160,11 +161,7 @@ class SinPiSeminormModel:
         if p <= 0:
             raise ValueError("p must be positive")
         self.p = p
-        self._log_cp = (
-            math.lgamma((p + 1.0) / 2.0)
-            - 0.5 * math.log(math.pi)
-            - math.lgamma(p / 2.0 + 1.0)
-        ) / p
+        self._log_cp = log_sin_lp_constant(p)
 
     def log_seminorm(self, r):
         return r * math.log(math.pi) + self._log_cp

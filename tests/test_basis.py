@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from fem_accuracy.basis import (
     auxiliary_factor,
     build_basis,
     chain_rule_weights,
+    coefficient_matrix,
     multi_indices,
     tabulate,
 )
 from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d
 from fem_accuracy.norms import PiecewisePolynomialField, interpolant_field
+from fem_accuracy.quadrature import simplex_rule
 
 from oracles import rational_eval
 
@@ -121,11 +124,11 @@ class TestPolynomialAlgebra:
         assert rational_eval(p, (t,)) == by_hand
         assert isinstance(p.evaluate((t,)), Fraction)
 
-    def test_eval_points_matches_exact(self):
+    def test_tabulate_matches_exact(self):
         p = auxiliary_factor(3, 4)
         ts = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 8)]
         pts = np.array([[float(t)] for t in ts])
-        got = p.eval_points(pts)
+        got = tabulate([p], pts, 0)[0, 0]
         want = [float(p.evaluate((t,))) for t in ts]
         assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
@@ -228,6 +231,37 @@ class TestSpatialDerivative:
             assert np.array_equal(row, chain_rule_weights(simplex, alpha))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tabulate_within_dot_product_bound(n):
+    # Dual route: each float entry against the exact value at the same (float) point,
+    # within nterms * eps * sum_t |c_t m_t(x)|, the bound of a dot product of nterms terms.
+    eps = Fraction(np.finfo(np.float64).eps)
+    for k in range(1, 6):
+        basis = build_basis(n, k)
+        points = simplex_rule(n, k).points
+        lam = [tuple(Fraction(x) for x in row) for row in points.tolist()]
+        monomials = {}
+        for order in range(3):
+            table = tabulate(basis.polynomials, points, order)
+            seen = set()
+            for s, seq in enumerate(itertools.product(range(n + 1), repeat=order)):
+                orders = tuple(seq.count(v) for v in range(n + 1))
+                if orders in seen:
+                    continue
+                seen.add(orders)
+                derivatives = [p.lambda_derivative(orders) for p in basis.polynomials]
+                nterms = len(coefficient_matrix(derivatives)[0])
+                for i, d in enumerate(derivatives):
+                    for j, x in enumerate(lam):
+                        terms = []
+                        for e, c in d.terms.items():
+                            if (j, e) not in monomials:
+                                monomials[j, e] = math.prod(xv**ev for xv, ev in zip(x, e))
+                            terms.append(c * monomials[j, e])
+                        error = abs(Fraction(float(table[s, i, j])) - sum(terms))
+                        assert error <= nterms * eps * sum(map(abs, terms)), (n, k, orders, i, j)
+
+
 def one_element_values(field, simplex, x):
     """Values at physical points x, (npts, n), of a field on the one-element mesh of simplex."""
     return field.coefficients[0] @ tabulate(field.basis.polynomials, np.atleast_2d(simplex.barycentric(x)), 0)[0]
@@ -277,4 +311,4 @@ def test_float_eval_tracks_exact_eval(which, a, b):
     lam = (a, b, rest) if a + b <= 1 else (a / (a + b), b / (a + b), 0)
     exact = float(p.evaluate(tuple(Fraction(x) for x in lam)))
     pts = np.array([[float(x) for x in lam]])
-    assert p.eval_points(pts)[0] == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    assert tabulate(basis.polynomials, pts, 0)[0, which % basis.size, 0] == pytest.approx(exact, rel=1e-12, abs=1e-12)

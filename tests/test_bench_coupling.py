@@ -1,0 +1,57 @@
+"""The benchmark's tracer against the library it wraps.
+
+e2ebench/tracer.py patches library names by module and attribute path, so a
+renamed or deleted name silently drops a layer from traced runs.  These tests
+install the tracer, run one small scan, and check that the kernel layer is
+still counted and that uninstalling puts every original object back.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import fem_accuracy
+from fem_accuracy import build_basis
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "e2ebench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("e2ebench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lookup(modname, path):
+    """(owner, attribute, current value) of one WRAPS entry; value None if missing."""
+    owner = importlib.import_module(modname)
+    *owners, attr = path.split(".")
+    for name in owners:
+        owner = getattr(owner, name)
+    return owner, attr, getattr(owner, attr, None)
+
+
+def test_tracer_counts_kernel_calls_and_restores_every_name():
+    tracer_module = load_tracer()
+    for _, modname, _ in tracer_module.WRAPS:
+        importlib.import_module(modname)
+    import fem_accuracy.cli
+
+    entries = [lookup(modname, path) for _, modname, path in tracer_module.WRAPS]
+    entries += [
+        (fem_accuracy.BarycentricPolynomial, "__init__", fem_accuracy.BarycentricPolynomial.__init__),
+        (fem_accuracy, "Bump", fem_accuracy.Bump),
+        (fem_accuracy.cli, "Bump", fem_accuracy.cli.Bump),
+    ]
+    basis = build_basis(2, 2)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        fem_accuracy.point_bound_check(basis, 1, subdivisions=4, samples=10)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["kernels.calls"] > 0
+    assert tracer.counts["bounds.points_scanned"] > 0
+    for owner, attr, original in entries:
+        assert getattr(owner, attr, None) is original, (owner, attr)

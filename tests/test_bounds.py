@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fem_accuracy import norms
 from fem_accuracy.basis import build_basis
 from fem_accuracy.bounds import (
     BoundCheck,
@@ -235,6 +238,37 @@ class TestPointScans:
     def test_caps_hold_across_configurations(self, n, k, r):
         chk = point_bound_check(build_basis(n, k), r, subdivisions=20, samples=2000)
         assert chk.passed, chk.to_record()
+
+    @pytest.mark.parametrize("n,k,r", [(1, 3, 0), (1, 3, 2), (1, 1, 2), (2, 3, 1), (2, 2, 2), (3, 2, 1)])
+    def test_scan_matches_per_polynomial_loop(self, n, k, r, monkeypatch):
+        # Dual route: each derivative of each shape function evaluated point by point
+        # in Python floats, against the blocked scan of one coefficient matrix per set,
+        # in one block and in blocks of a few points.
+        basis = build_basis(n, k)
+        pts = np.vstack([barycentric_lattice(n, 10), simplex_samples(n, 200)]).tolist()
+        worst = 0.0
+        for vars_ in itertools.combinations_with_replacement(range(n + 1), r):
+            for poly in basis.polynomials:
+                for v in vars_:
+                    poly = poly.derivative(v)
+                worst = max([worst] + [abs(poly.evaluate(x)) for x in pts])
+        chk = point_bound_check(basis, r, subdivisions=10, samples=200)
+        assert chk.measured == pytest.approx(worst, rel=1e-13, abs=0)
+        monkeypatch.setattr(norms, "BLOCK_POINTS", 64)
+        chk = point_bound_check(basis, r, subdivisions=10, samples=200)
+        assert chk.measured == pytest.approx(worst, rel=1e-13, abs=0)
+
+    def test_scan_peak_memory(self):
+        basis = build_basis(2, 4)
+        # A first tiny scan loads what numpy imports lazily, so only the scan is measured.
+        point_bound_check(basis, 2, subdivisions=1, samples=1)
+        tracemalloc.start()
+        try:
+            point_bound_check(basis, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"scan peak {peak / 2**20:.2f} MB"
 
     def test_record_params(self):
         chk = point_bound_check(build_basis(1, 1), 0, subdivisions=10, samples=50)
