@@ -50,10 +50,8 @@ from .norms import (
     PiecewisePolynomialField,
     SobolevIndex,
     interpolation_error,
-    norm_record,
     seminorm,
     seminorm_with_estimate,
-    sobolev_norm,
 )
 from .probability import (
     AccuracyLaw,
@@ -67,6 +65,6 @@ from .probability import (
     weak_star_pairing,
     weak_star_test,
 )
-from .quadrature import QuadratureRule, interval_rule, simplex_rule, triangle_rule
+from .quadrature import QuadratureRule, interval_rule, simplex_rule
 
 __version__ = "0.1.0"

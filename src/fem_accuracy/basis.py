@@ -262,10 +262,6 @@ class PkBasis:
                 self.tables[key] = table
         return table
 
-    def node_coordinates(self, simplex):
-        """Physical coordinates of the basis nodes on a given simplex, (N, n)."""
-        return self.node_array @ simplex.vertices
-
     def evaluation_matrix(self):
         """Exact values polynomials[i] at nodes[j]; identity iff unisolvent."""
         return [[p.evaluate(node) for node in self.nodes] for p in self.polynomials]

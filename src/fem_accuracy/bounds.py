@@ -55,7 +55,6 @@ class ConstantBundle:
     lam: float = 1.0
     cea_ratio: float = 1.0
     h_cap: float = 1.0
-    mes_domain: float = 1.0
 
     def __post_init__(self):
         if self.sigma < 1.0:
@@ -178,17 +177,19 @@ class BoundCheck:
 
 
 def barycentric_lattice(n, subdivisions):
-    """All barycentric points with coordinates j/subdivisions, as an array."""
-    pts = []
-    for combo in itertools.combinations(range(subdivisions + n), n):
-        prev = -1
-        coords = []
-        for c in combo:
-            coords.append(c - prev - 1)
-            prev = c
-        coords.append(subdivisions + n - 1 - prev)
-        pts.append(coords)
-    return np.asarray(pts, dtype=np.float64) / subdivisions
+    """All barycentric points with coordinates j/subdivisions, as an array.
+
+    Rows are the integer compositions of `subdivisions` into n+1 parts in
+    lexicographic order, grown one coordinate at a time: a row with `rest`
+    left to share repeats rest + 1 times, taking 0..rest as its next part.
+    """
+    rows, rest = np.zeros((1, 0), dtype=np.int64), np.array([subdivisions])
+    for _ in range(n):
+        counts = rest + 1
+        part = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), part])
+        rest = np.repeat(rest, counts) - part
+    return np.column_stack([rows, rest]) / subdivisions
 
 
 def simplex_samples(n, count, seed=0):

@@ -79,6 +79,17 @@ def _int_at_least(low):
     return parse
 
 
+def _positive_float(text):
+    """argparse type: a finite float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _int_list(text):
     """argparse type: a nonempty comma-separated list of positive integers."""
     values = [_int_at_least(1)(t) for t in text.split(",") if t.strip()]
@@ -88,11 +99,7 @@ def _int_list(text):
 
 
 def _model(name, p):
-    if name == "sinpi":
-        return SinPiSeminormModel(p)
-    if name == "exp":
-        return GeometricSeminormModel(1.0)
-    raise argparse.ArgumentTypeError(f"unknown model '{name}'")
+    return SinPiSeminormModel(p) if name == "sinpi" else GeometricSeminormModel(1.0)
 
 
 def cmd_basis(args):
@@ -123,21 +130,16 @@ def cmd_bounds(args):
 
 
 def cmd_constant(args):
-    try:
-        bundle = ConstantBundle(
-            n=args.n,
-            m=args.m,
-            k=args.k,
-            p=args.p,
-            sigma=args.sigma,
-            lam=args.lam,
-            cea_ratio=args.cea_ratio,
-            h_cap=args.h_cap,
-        )
-    except AdmissibilityError:
-        raise
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    bundle = ConstantBundle(
+        n=args.n,
+        m=args.m,
+        k=args.k,
+        p=args.p,
+        sigma=args.sigma,
+        lam=args.lam,
+        cea_ratio=args.cea_ratio,
+        h_cap=args.h_cap,
+    )
     row = {
         "n": args.n,
         "m": args.m,
@@ -155,7 +157,7 @@ def cmd_constant(args):
 
 def _h_grid(args):
     if not 0 < args.hmin < args.hmax < math.inf or args.steps < 2:
-        raise argparse.ArgumentTypeError("need 0 < hmin < hmax and steps >= 2")
+        raise ValueError("need 0 < hmin < hmax and steps >= 2")
     return np.geomspace(args.hmin, args.hmax, args.steps)
 
 
@@ -225,18 +227,18 @@ def build_parser():
     sp = sub.add_parser("bounds", help="pointwise and seminorm cap checks")
     sp.add_argument("--n", type=_int_at_least(1), default=1)
     sp.add_argument("--k", type=_int_at_least(1), default=2)
-    sp.add_argument("--r", type=int, default=2, help="max derivative order for the pointwise scan")
-    sp.add_argument("--l", type=int, default=1)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--r", type=_int_at_least(0), default=2, help="max derivative order for the pointwise scan")
+    sp.add_argument("--l", type=_int_at_least(0), default=1)
+    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--samples", type=_int_at_least(0), default=10000)
     _add_common(sp)
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("constant", help="evaluate the error constant script_C(k)")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--n", type=_int_at_least(1), default=1)
+    sp.add_argument("--m", type=_int_at_least(0), default=0)
+    sp.add_argument("--k", type=_int_at_least(1), default=1)
+    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--lam", type=float, default=1.0)
     sp.add_argument("--cea-ratio", type=float, default=1.0)
@@ -245,11 +247,11 @@ def build_parser():
     sp.set_defaults(fn=cmd_constant)
 
     sp = sub.add_parser("prob", help="accuracy-probability curve for a degree pair")
-    sp.add_argument("--k1", type=int, default=1)
+    sp.add_argument("--k1", type=_int_at_least(1), default=1)
     sp.add_argument("--k2", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--n", type=_int_at_least(1), default=1)
+    sp.add_argument("--m", type=_int_at_least(0), default=0)
+    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--ck1", type=float, default=None, help="explicit constant for k1")
     sp.add_argument("--ck2", type=float, default=None, help="explicit constant for k2")
     sp.add_argument("--seminorm-ratio", type=float, default=1.0)
@@ -261,31 +263,31 @@ def build_parser():
     sp.set_defaults(fn=cmd_prob)
 
     sp = sub.add_parser("hstar-seq", help="critical mesh sizes for growing degree gap")
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=_int_at_least(1), default=1)
     sp.add_argument("--qmax", type=_int_at_least(1), default=200)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--n", type=_int_at_least(1), default=1)
+    sp.add_argument("--m", type=_int_at_least(0), default=0)
+    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--model", choices=["sinpi", "exp"], default="sinpi")
     _add_common(sp)
     sp.set_defaults(fn=cmd_hstar_seq)
 
     sp = sub.add_parser("weakstar", help="pairing error of the laws against the step limit")
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=_int_at_least(1), default=1)
     sp.add_argument("--q-list", type=_int_list, default="1,2,5,10,20,50,100,200")
     sp.add_argument("--bump-a", type=float, default=1.0)
     sp.add_argument("--bump-b", type=float, default=2.0)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--n", type=_int_at_least(1), default=1)
+    sp.add_argument("--m", type=_int_at_least(0), default=0)
+    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--model", choices=["sinpi", "exp"], default="sinpi")
     _add_common(sp)
     sp.set_defaults(fn=cmd_weakstar)
 
     sp = sub.add_parser("converge", help="1D Galerkin convergence study")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--k", type=_int_at_least(1), default=1)
+    sp.add_argument("--m", type=_int_at_least(0), default=0)
+    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--problem", choices=["sine", "cubic"], default="sine")
     sp.add_argument("--meshes", type=_int_list, default="8,16,32,64,128")
     sp.add_argument("--cea-ratio", type=float, default=1.0)
@@ -303,7 +305,9 @@ def main(argv=None):
     except AdmissibilityError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except argparse.ArgumentTypeError as exc:
+    except np.linalg.LinAlgError:
+        raise  # a failed solve is not a usage error
+    except ValueError as exc:
         ap.error(str(exc))
 
 

@@ -57,10 +57,6 @@ class ModelProblem:
         # x - x^3 vanishes at both ends and is exactly representable by P_3.
         return cls(u=Polynomial1D([0.0, 1.0, 0.0, -1.0]), name="cubic")
 
-    @classmethod
-    def quadratic(cls):
-        return cls(u=Polynomial1D([0.0, 1.0, -1.0]), name="quadratic")
-
 
 class DiscreteSolution:
     """Galerkin solution: mesh, basis, global coefficient vector and solve quality.
@@ -77,13 +73,6 @@ class DiscreteSolution:
         self.residual = float(residual)
         self.backward_error = float(backward_error)
         self._field = None
-
-    def global_index(self, element, local):
-        """Global dof of local node `local` (0..k) of element `element`, as in element_dofs."""
-        ne, k = len(self.mesh), self.k
-        if not (0 <= element < ne and 0 <= local <= k):
-            raise IndexError(f"no local node {local} of element {element} ({ne} elements, degree {k})")
-        return element + local // k if local in (0, k) else ne + element * (k - 1) + local
 
     def as_field(self):
         if self._field is None:

@@ -57,16 +57,6 @@ class SinPiProduct(AnalyticFunction):
             out = out * np.sin(np.pi * x[:, i] + r * np.pi / 2.0)
         return out * np.pi ** sum(alpha)
 
-    def seminorm_1d(self, r, p):
-        """Exact order-r seminorm on (0,1) for the 1D case.
-
-        |sin(pi .)|_{r,p} = pi^r * c_p with c_p^p the integral of
-        |sin(pi t)|^p over (0,1); shifted sines integrate to the same c_p.
-        """
-        if self.n != 1:
-            raise ValueError("closed form kept for n = 1 only")
-        return math.exp(r * math.log(math.pi) + log_sin_lp_constant(p))
-
 
 class Polynomial1D(AnalyticFunction):
     """Univariate polynomial sum(c_j x^j) with exact derivatives."""

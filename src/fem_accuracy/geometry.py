@@ -12,7 +12,6 @@ Everything here is immutable after construction.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from functools import cached_property
@@ -105,7 +104,7 @@ class Simplex:
         if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
             raise ValueError(f"expected (n+1, n) vertex array, got shape {v.shape}")
         self.n = v.shape[1]
-        self.mesh = SimplexMesh(vertices=v, connectivity=np.arange(self.n + 1)[None])
+        self.mesh = SimplexMesh(v, np.arange(self.n + 1)[None])
         self._inv, measure, _, rho = (a[0] for a in self.mesh._geometry)  # a degenerate simplex fails here
         self.vertices, self._measure, self._rho = self.mesh.element_vertices[0], float(measure), float(rho)
 
@@ -139,11 +138,6 @@ class Simplex:
             raise ValueError(f"points have dimension {pts.shape[1]}, simplex has {self.n}")
         lam = np.hstack([np.ones((pts.shape[0], 1)), pts]) @ self._inv.T
         return lam[0] if single else lam
-
-    def to_physical(self, lam):
-        """Physical coordinates of barycentric points (inverse of barycentric)."""
-        lam = np.asarray(lam, dtype=np.float64)
-        return lam @ self.vertices
 
     def barycentric_gradients(self):
         """Constant gradients of the barycentric coordinates.
@@ -182,42 +176,31 @@ class _SimplexSequence(Sequence):
 
 
 class SimplexMesh:
-    """A collection of simplices covering a domain.
+    """A vertex table and the connectivity of simplices over it.
 
     Parameters
     ----------
-    simplices : sequence of Simplex, optional
-    domain_measure : float, optional
-        Known measure of the covered domain, used by check_cover.
-    vertices, connectivity : array_like, optional
-        Instead of simplices, a (P, n) vertex table and (E, n+1) element
-        vertex indices, which to_json writes back.  A degenerate element
-        raises DegenerateSimplexError at the first use of the geometry.
+    vertices : array_like, shape (P, n)
+        Vertex coordinates, kept as the read-only `vertices`.
+    connectivity : array_like of int, shape (E, n+1)
+        Vertex indices of every element, kept as the read-only
+        `connectivity`.  A degenerate element raises DegenerateSimplexError
+        at the first use of the geometry.
     """
 
-    def __init__(self, simplices=None, domain_measure=None, vertices=None, connectivity=None):
-        if simplices is not None:
-            simplices = tuple(simplices)
-            if not simplices:
-                raise ValueError("mesh needs at least one simplex")
-            n = simplices[0].n
-            if any(s.n != n for s in simplices):
-                raise ValueError("mixed-dimension mesh")
-            points = np.concatenate([s.vertices for s in simplices])
-            cells = np.arange(len(points)).reshape(len(simplices), n + 1)
-        else:
-            points, cells = np.array(vertices, dtype=np.float64), np.array(connectivity)
-            if points.ndim != 2 or cells.ndim != 2 or cells.shape[1] != points.shape[1] + 1 or not cells.size:
-                raise ValueError(f"need (P, n) vertices and (E, n+1) connectivity, got {points.shape}, {cells.shape}")
-            if not np.issubdtype(cells.dtype, np.integer) or cells.min() < 0 or cells.max() >= len(points):
-                raise ValueError("connectivity must hold indices into the vertex table")
+    def __init__(self, vertices, connectivity):
+        points, cells = np.array(vertices, dtype=np.float64), np.array(connectivity)
+        if points.ndim != 2 or cells.ndim != 2 or cells.shape[1] != points.shape[1] + 1 or not cells.size:
+            raise ValueError(f"need (P, n) vertices and (E, n+1) connectivity, got {points.shape}, {cells.shape}")
+        if not np.issubdtype(cells.dtype, np.integer) or cells.min() < 0 or cells.max() >= len(points):
+            raise ValueError("connectivity must hold indices into the vertex table")
         self.n = points.shape[1]
-        self.domain_measure = domain_measure
         points.setflags(write=False)
-        self._points, self._cells, self._has_table = points, cells, simplices is None
+        cells.setflags(write=False)
+        self.vertices, self.connectivity = points, cells
 
     def __len__(self):
-        return len(self._cells)
+        return len(self.connectivity)
 
     @property
     def simplices(self):
@@ -227,7 +210,7 @@ class SimplexMesh:
     @cached_property
     def element_vertices(self):
         """Vertices of every element, shape (E, n+1, n)."""
-        out = self._points[self._cells]
+        out = self.vertices[self.connectivity]
         out.setflags(write=False)
         return out
 
@@ -260,35 +243,6 @@ class SimplexMesh:
         """Largest absolute barycentric gradient entry over all elements."""
         return float(np.abs(self.element_gradients).max())
 
-    def measure(self):
-        """Sum of element measures (order-independent accumulation)."""
-        return math.fsum(self.element_measures.tolist())
-
-    def check_cover(self, tol=1e-12):
-        """True when the element measures add up to the stated domain measure."""
-        if self.domain_measure is None:
-            raise ValueError("mesh has no recorded domain measure")
-        return abs(self.measure() - self.domain_measure) <= tol * self.domain_measure
-
-    def to_json(self, indent=None):
-        """Serialize to JSON with a shared vertex table when available."""
-        payload = {"n": self.n, "h": self.h, "sigma": self.sigma, "domain_measure": self.domain_measure}
-        if self._has_table:
-            payload["vertices"] = self._points.tolist()
-            payload["simplices"] = self._cells.tolist()
-        else:
-            payload["elements"] = [{"n": self.n, "vertices": v.tolist()} for v in self.element_vertices]
-        return json.dumps(payload, indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        if "vertices" in payload:
-            mesh = cls(None, payload.get("domain_measure"), payload["vertices"], payload["simplices"])
-            mesh._geometry  # computed now, so a degenerate element fails at load
-            return mesh
-        return cls([Simplex(e["vertices"]) for e in payload["elements"]], payload.get("domain_measure"))
-
 
 def reference_simplex(n):
     """Unit reference simplex: [0,1] for n=1, the right triangle for n=2, etc."""
@@ -302,7 +256,7 @@ def uniform_mesh_1d(a, b, count):
     if not b > a:
         raise ValueError("need b > a")
     verts = np.linspace(a, b, count + 1).reshape(-1, 1)
-    return SimplexMesh(domain_measure=b - a, vertices=verts, connectivity=np.arange(count)[:, None] + np.arange(2))
+    return SimplexMesh(verts, np.arange(count)[:, None] + np.arange(2))
 
 
 def structured_mesh_2d(per_side):
@@ -319,4 +273,4 @@ def structured_mesh_2d(per_side):
     c = j * (m + 1) + i
     verts = np.stack([np.tile(xs, m + 1), np.repeat(xs, m + 1)], axis=1)
     conn = np.stack([c, c + 1, c + m + 1, c + 1, c + m + 2, c + m + 1], axis=1).reshape(-1, 3)
-    return SimplexMesh(domain_measure=1.0, vertices=verts, connectivity=conn)
+    return SimplexMesh(verts, conn)

@@ -1,4 +1,4 @@
-"""Sobolev seminorms and norms by element-wise quadrature.
+"""Sobolev seminorms by element-wise quadrature.
 
 A field supplies derivative values on blocks of elements; the engine walks
 the mesh in blocks of at most BLOCK_POINTS rule points, applies a rule to
@@ -219,22 +219,6 @@ def seminorm_with_estimate(field_or_fn, domain, l, p, degree=None):
     coarse = _seminorm_power(field, mesh, l, p, degree) ** (1.0 / p)
     fine = _seminorm_power(field, mesh, l, p, degree + ESTIMATE_DEGREE_STEP) ** (1.0 / p)
     return fine, abs(fine - coarse)
-
-
-def sobolev_norm(field_or_fn, domain, m, p, degree=None):
-    """Full W^{m,p} norm: p-th root of the summed seminorm powers."""
-    field = _as_field(field_or_fn)
-    mesh = _as_mesh(domain)
-    if degree is None:
-        degree = max(_default_degree(field, l, p) for l in range(m + 1))
-    powers = [_seminorm_power(field, mesh, l, p, degree) for l in range(m + 1)]
-    return math.fsum(powers) ** (1.0 / p)
-
-
-def norm_record(field_or_fn, domain, l, p, degree=None):
-    """JSON-ready record for one seminorm evaluation."""
-    value, est = seminorm_with_estimate(field_or_fn, domain, l, p, degree)
-    return {"l": l, "p": p, "value": value, "quad_error_estimate": est}
 
 
 def _as_field(obj):

@@ -32,10 +32,6 @@ class QuadratureRule:
     def size(self):
         return len(self.weights)
 
-    def integrate_reference(self, values):
-        """Weighted sum of integrand values on the reference simplex."""
-        return float(self.weights @ np.asarray(values, dtype=np.float64))
-
 
 def _recurrence(x, diag, off):
     """p_g, p_g' and sum_{k<g} p_k^2 at x, orthonormal up to one factor; off is padded by 0 and 1."""
@@ -98,8 +94,3 @@ def simplex_rule(n, degree):
 def interval_rule(degree):
     """Gauss-Legendre rule on the unit interval, exact to >= degree."""
     return simplex_rule(1, degree)
-
-
-def triangle_rule(degree):
-    """Collapsed Gauss rule on the reference triangle, exact to >= degree."""
-    return simplex_rule(2, degree)

@@ -2,14 +2,18 @@
 
 These deliberately avoid the package's own quadrature and evaluation
 paths: monomial integrals over a simplex come from the closed-form
-factorial formula, and polynomial evaluation is done in exact rational
-arithmetic, so each test compares two genuinely different routes.
+factorial formula, polynomial evaluation is done in exact rational
+arithmetic, and one-dimensional integrals come from scipy's adaptive
+quadrature, so each test compares two genuinely different routes.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from fem_accuracy.geometry import SimplexMesh
 
 
 def monomial_integral(exps, n, measure=None):
@@ -60,3 +64,35 @@ def interval_geometry(x0, x1):
     length = Fraction(float(Fraction(x1) - Fraction(x0)))
     size = float(abs(length))
     return size, size, np.array([[float(-1 / length)], [float(1 / length)]]), size
+
+
+def simplex_mesh(simplices):
+    """Mesh of separately built Simplex objects: their vertex stacks one after
+    another, each element indexing its own n+1 rows."""
+    vertices = np.concatenate([s.vertices for s in simplices])
+    return SimplexMesh(vertices, np.arange(len(vertices)).reshape(len(simplices), -1))
+
+
+def lattice_by_combinations(n, subdivisions):
+    """barycentric_lattice by stars and bars: each n-subset of the
+    subdivisions + n slots splits the subdivisions into n+1 parts."""
+    pts = []
+    for combo in itertools.combinations(range(subdivisions + n), n):
+        prev = -1
+        coords = []
+        for c in combo:
+            coords.append(c - prev - 1)
+            prev = c
+        coords.append(subdivisions + n - 1 - prev)
+        pts.append(coords)
+    return np.asarray(pts, dtype=np.float64) / subdivisions
+
+
+def sin_seminorm_by_quadrature(r, p):
+    """|sin(pi .)|_{r,p} on (0, 1) as pi^r c_p, with c_p^p the integral of
+    |sin(pi t)|^p over (0, 1) by adaptive quadrature (every derivative is a
+    shifted sine of the same L^p size)."""
+    from scipy import integrate
+
+    cpp, _ = integrate.quad(lambda t: abs(math.sin(math.pi * t)) ** p, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    return math.pi**r * cpp ** (1.0 / p)

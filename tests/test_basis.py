@@ -163,7 +163,7 @@ class TestBasisConstruction:
 
     def test_node_coordinates_interval(self):
         basis = build_basis(1, 2)
-        pts = basis.node_coordinates(Simplex([[0.0], [1.0]]))
+        pts = basis.node_array @ Simplex([[0.0], [1.0]]).vertices
         assert np.allclose(pts.ravel(), [0.0, 0.5, 1.0], atol=1e-15)
 
     def test_float_nodes_built_once(self):
@@ -287,7 +287,7 @@ class TestInterpolation:
         basis = build_basis(1, 3)
         values = np.array([3.0, -1.0, 0.5, 2.0])
         interp = PiecewisePolynomialField(basis, values[None])
-        assert np.allclose(one_element_values(interp, s, basis.node_coordinates(s)), values, rtol=0.0, atol=1e-12)
+        assert np.allclose(one_element_values(interp, s, basis.node_array @ s.vertices), values, rtol=0.0, atol=1e-12)
 
     def test_value_count_validation(self):
         basis = build_basis(1, 1)

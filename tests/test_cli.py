@@ -9,6 +9,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -58,6 +59,23 @@ class TestParser:
             "converge --meshes ,",
             "prob --hmin nan",
             "bounds --samples -1",
+            "converge --k 0",
+            "converge --p 0",
+            "converge --p nan",
+            "converge --cea-ratio 0.5",
+            "bounds --p 0",
+            "bounds --p nan",
+            "bounds --l -1",
+            "bounds --r -1",
+            "hstar-seq --k 0",
+            "hstar-seq --m -1",
+            "weakstar --k 0",
+            "weakstar --p 0",
+            "weakstar --bump-a 2 --bump-b 1",
+            "prob --k1 2 --k2 1",
+            "prob --ck1 -1 --ck2 1",
+            "prob --n 0",
+            "constant --k 0",
         ],
     )
     def test_bad_argument_is_usage_error(self, capsys, argv):
@@ -68,6 +86,17 @@ class TestParser:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_failed_solve_is_not_usage_error(self, monkeypatch):
+        # LinAlgError is a ValueError, but a failed solve is not the user's argument.
+        from fem_accuracy import fem1d
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("nonpositive pivot")
+
+        monkeypatch.setattr(fem1d, "convergence_study", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["converge", "--meshes", "4"])
 
     def test_import_loads_no_scipy(self):
         # scipy is imported by the functions that use it, not at start-up.

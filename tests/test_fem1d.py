@@ -27,7 +27,10 @@ from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, unif
 from fem_accuracy.norms import element_blocks
 from fem_accuracy.quadrature import interval_rule
 
-from oracles import loglog_slope, rational_eval
+from oracles import loglog_slope, rational_eval, simplex_mesh
+
+# x - x^2 vanishes at both ends and lies in P_2.
+QUADRATIC = ModelProblem(u=Polynomial1D([0.0, 1.0, -1.0]), name="quadratic")
 
 
 def graded_mesh(count=300):
@@ -112,7 +115,7 @@ class TestModelProblem:
             ModelProblem.sine().f_values(np.zeros((2, 2, 1)))
 
     def test_boundary_values_vanish(self):
-        for prob in (ModelProblem.sine(), ModelProblem.cubic(), ModelProblem.quadratic()):
+        for prob in (ModelProblem.sine(), ModelProblem.cubic(), QUADRATIC):
             ends = prob.u(np.array([[0.0], [1.0]]))
             assert np.allclose(ends, 0.0, atol=1e-14)
 
@@ -133,7 +136,7 @@ class TestSolver:
         # lengths the point values are exact to rounding.
         prob = ModelProblem.cubic()
         nodes = np.linspace(0.0, 1.0, 301) ** 2
-        mesh = SimplexMesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])], 1.0)
+        mesh = simplex_mesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
         sol = assemble_and_solve(prob, mesh, 3)
         xs = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(sol(xs) - (xs - xs**3))) < 1e-11
@@ -166,7 +169,7 @@ class TestSolver:
         assert np.max(np.abs(sol(xs) - np.array(expected))) <= 1e-15
 
     def test_reproduces_quadratic_exactly(self):
-        prob = ModelProblem.quadratic()
+        prob = QUADRATIC
         sol = assemble_and_solve(prob, uniform_mesh_1d(0.0, 1.0, 3), 2)
         xs = np.linspace(0.0, 1.0, 23)
         assert np.max(np.abs(sol(xs) - (xs - xs**2))) < 1e-12
@@ -271,12 +274,11 @@ class TestSolver:
             assert left == pytest.approx(right, abs=1e-9)
 
     def test_global_numbering(self):
+        # Vertices left to right, then the interior node of each element.
         sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 3), 2)
-        assert sol.global_index(0, 0) == 0
-        assert sol.global_index(0, 2) == 1
-        assert sol.global_index(2, 2) == 3
-        assert sol.global_index(0, 1) == 4
-        assert sol.global_index(2, 1) == 6
+        dofs = element_dofs(3, 2)
+        assert dofs.tolist() == [[0, 4, 1], [1, 5, 2], [2, 6, 3]]
+        assert np.array_equal(sol.as_field().coefficients, sol.coefficients[dofs])
 
     def test_basis_built_once_per_degree(self, monkeypatch):
         from fem_accuracy import fem1d

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -22,7 +21,7 @@ from fem_accuracy.geometry import (
 from fem_accuracy.norms import element_blocks, interpolation_error
 from fem_accuracy.quadrature import simplex_rule
 
-from oracles import interval_geometry
+from oracles import interval_geometry, simplex_mesh
 
 COORD_TOL = 1e-12
 
@@ -52,7 +51,7 @@ class TestSimplex:
     def test_barycentric_physical_round_trip(self):
         s = Simplex([[0.1, -0.3], [1.5, 0.2], [0.4, 2.0]])
         lam = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]])
-        back = s.barycentric(s.to_physical(lam))
+        back = s.barycentric(lam @ s.vertices)
         assert np.allclose(back, lam, atol=1e-12)
 
     def test_gradients_rows_sum_to_zero(self):
@@ -118,7 +117,7 @@ def test_barycentric_partition_property(coords, raw):
     except DegenerateSimplexError:
         return
     lam = np.array(raw) / sum(raw)
-    x = s.to_physical(lam)
+    x = lam @ s.vertices
     lam_back = s.barycentric(x)
     assert abs(lam_back.sum() - 1.0) < 1e-9
     assert np.allclose(lam_back, lam, atol=1e-7 * max(1.0, s.gradient_max))
@@ -130,7 +129,7 @@ class TestMesh:
         assert len(mesh) == 7
         assert mesh.h == pytest.approx(1.0 / 7.0, rel=1e-13)
         assert mesh.sigma == pytest.approx(1.0, rel=1e-13)
-        assert mesh.check_cover(tol=1e-12)
+        assert math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
 
     def test_uniform_1d_validation(self):
         with pytest.raises(ValueError):
@@ -153,56 +152,38 @@ class TestMesh:
     def test_structured_2d(self, per_side):
         mesh = structured_mesh_2d(per_side)
         assert len(mesh) == 2 * per_side**2
-        assert mesh.check_cover(tol=1e-12)
+        assert math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
         assert mesh.h == pytest.approx(math.sqrt(2.0) / per_side, rel=1e-12)
         # Right isoceles triangles have h/rho = 1 + sqrt(2) at any scale.
         assert mesh.sigma == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
 
     def test_mesh_measure_additivity(self):
         mesh = structured_mesh_2d(3)
-        assert mesh.measure() == pytest.approx(1.0, abs=1e-13)
+        assert math.fsum(mesh.element_measures) == pytest.approx(1.0, abs=1e-13)
 
     def test_gradient_max_tracks_refinement(self):
         coarse = uniform_mesh_1d(0.0, 1.0, 4)
         fine = uniform_mesh_1d(0.0, 1.0, 16)
         assert fine.gradient_max == pytest.approx(4.0 * coarse.gradient_max, rel=1e-12)
 
-    def test_json_round_trip(self):
-        mesh = structured_mesh_2d(2)
-        text = mesh.to_json()
-        back = SimplexMesh.from_json(text)
-        assert back.n == mesh.n
-        assert back.h == pytest.approx(mesh.h, rel=1e-15)
-        assert back.sigma == pytest.approx(mesh.sigma, rel=1e-15)
-        assert back.measure() == pytest.approx(mesh.measure(), rel=1e-15)
-        payload = json.loads(text)
-        assert payload["n"] == 2
-        assert len(payload["simplices"]) == 8
-
-    def test_json_round_trip_without_table(self):
-        mesh = SimplexMesh([Simplex([[0.0], [0.5]]), Simplex([[0.5], [1.0]])], domain_measure=1.0)
-        back = SimplexMesh.from_json(mesh.to_json())
-        assert back.measure() == pytest.approx(1.0, abs=1e-15)
-
-    def test_mixed_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            SimplexMesh([Simplex([[0.0], [1.0]]), reference_simplex(2)])
-
-    def test_json_payload_of_one_cell(self):
-        assert structured_mesh_2d(1).to_json() == (
-            '{"domain_measure": 1.0, "h": 1.4142135623730951, "n": 2, "sigma": 2.4142135623730954, '
-            '"simplices": [[0, 1, 2], [1, 3, 2]], "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}'
-        )
+    def test_table_of_one_cell(self):
+        mesh = structured_mesh_2d(1)
+        assert mesh.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        assert mesh.connectivity.tolist() == [[0, 1, 2], [1, 3, 2]]
+        assert (mesh.h, mesh.sigma) == (1.4142135623730951, 2.4142135623730954)
+        assert not mesh.vertices.flags.writeable and not mesh.connectivity.flags.writeable
 
     def test_degenerate_table_element_named(self):
-        mesh = SimplexMesh(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], connectivity=[[0, 1, 2], [0, 1, 3]])
+        mesh = SimplexMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], [[0, 1, 2], [0, 1, 3]])
         with pytest.raises(DegenerateSimplexError, match="element 1"):
             mesh.h
 
     def test_degenerate_table_rejected_at_load(self):
-        text = json.dumps({"n": 1, "domain_measure": 1.0, "vertices": [[0.0], [0.5], [0.5], [1.0]], "simplices": [[0, 1], [1, 2], [2, 3]]})
+        # The constructor only checks the table; the geometry, built on first
+        # use, names the zero-length interval.
+        mesh = SimplexMesh([[0.0], [0.5], [0.5], [1.0]], [[0, 1], [1, 2], [2, 3]])
         with pytest.raises(DegenerateSimplexError, match="element 1"):
-            SimplexMesh.from_json(text)
+            mesh.element_measures
 
     @pytest.mark.parametrize(
         "connectivity",
@@ -211,16 +192,16 @@ class TestMesh:
     )
     def test_bad_table_rejected(self, connectivity):
         with pytest.raises(ValueError):
-            SimplexMesh(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], connectivity=connectivity)
+            SimplexMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], connectivity)
 
 
 def jittered_table_2d(per_side, seed):
     """Vertex table and connectivity of structured_mesh_2d with interior vertices moved."""
-    payload = json.loads(structured_mesh_2d(per_side).to_json())
-    verts = np.array(payload["vertices"])
+    mesh = structured_mesh_2d(per_side)
+    verts = mesh.vertices.copy()
     interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
     verts[interior] += np.random.default_rng(seed).uniform(-0.2, 0.2, (interior.sum(), 2)) / per_side
-    return verts, payload["simplices"]
+    return verts, mesh.connectivity.tolist()
 
 
 def graded_table_1d(count):
@@ -299,7 +280,7 @@ class TestFacetSums:
         inscribed = simplex_geometry(vertices)[3]
         assert 0 < len(calls) <= len(vertices)
         assert inscribed.tolist() == [loop[3] for loop in loops]
-        mesh = SimplexMesh(vertices=verts, connectivity=conn)
+        mesh = SimplexMesh(verts, conn)
         assert mesh.sigma == max(loop[1] / loop[3] for loop in loops)
 
     def test_intervals_never_take_the_fsum_route(self, monkeypatch):
@@ -318,7 +299,7 @@ class TestBatchedGeometry:
     )
     def test_matches_per_simplex_bitwise(self, table):
         verts, conn = table
-        mesh = SimplexMesh(vertices=verts, connectivity=conn)
+        mesh = SimplexMesh(verts, conn)
         singles = [Simplex(verts[idx]) for idx in conn]
         if mesh.n == 2:
             # 578 triangles: a degree-10 seminorm (36 rule points) walks them
@@ -338,7 +319,7 @@ class TestBatchedGeometry:
         assert mesh.h == max(s.diameter for s in singles)
         assert mesh.sigma == max(s.diameter / s.inscribed_diameter() for s in singles)
         assert mesh.gradient_max == max(s.gradient_max for s in singles)
-        stacked = SimplexMesh(singles)
+        stacked = simplex_mesh(singles)
         assert np.array_equal(stacked.element_gradients, mesh.element_gradients)
         assert (stacked.h, stacked.sigma, stacked.gradient_max) == (mesh.h, mesh.sigma, mesh.gradient_max)
 
@@ -393,8 +374,8 @@ class TestIntervalGeometry:
     def test_calls_no_linear_algebra(self, monkeypatch):
         verts, conn = graded_table_1d(300)
         calls = self.count_linalg(monkeypatch)
-        mesh = SimplexMesh(vertices=verts, connectivity=conn, domain_measure=1.0)
-        assert mesh.sigma == 1.0 and mesh.gradient_max > 0.0 and mesh.check_cover()
+        mesh = SimplexMesh(verts, conn)
+        assert mesh.sigma == 1.0 and mesh.gradient_max > 0.0 and math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(Simplex([[0.25], [1.0]]).barycentric([0.625]), [0.5, 0.5], atol=1e-15)
         assert calls == []
         # The counter sees the general route.
@@ -403,7 +384,7 @@ class TestIntervalGeometry:
 
     def test_reversed_intervals(self):
         verts, conn = graded_table_1d(300)
-        mesh = SimplexMesh(vertices=verts, connectivity=[c[::-1] for c in conn])
+        mesh = SimplexMesh(verts, [c[::-1] for c in conn])
         for e, (c, s) in enumerate(zip(conn, mesh.simplices)):
             measure, diameter, gradients, inscribed = interval_geometry(verts[c[1], 0], verts[c[0], 0])
             assert (s.measure, s.diameter, s.inscribed_diameter()) == (measure, diameter, inscribed)
@@ -416,7 +397,7 @@ class TestIntervalGeometry:
         assert np.allclose(s.barycentric([[1.0], [0.25], [0.4375]]), [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]], atol=1e-15)
 
     def test_zero_length_interval_named(self):
-        mesh = SimplexMesh(vertices=[[0.0], [0.5], [0.5], [1.0]], connectivity=[[0, 1], [1, 2], [2, 3]])
+        mesh = SimplexMesh([[0.0], [0.5], [0.5], [1.0]], [[0, 1], [1, 2], [2, 3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSimplexError) as exc:

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -22,13 +21,11 @@ from fem_accuracy.norms import (
     derivative_multi_indices,
     element_blocks,
     interpolation_error,
-    norm_record,
     seminorm,
     seminorm_with_estimate,
-    sobolev_norm,
 )
 
-from oracles import rational_eval
+from oracles import rational_eval, simplex_mesh, sin_seminorm_by_quadrature
 
 
 class TestSobolevIndex:
@@ -121,14 +118,14 @@ class TestSeminormValues:
 
     @pytest.mark.parametrize("r,p", [(0, 1.5), (0, 2.0), (1, 2.0), (2, 3.0), (1, 1.5)])
     def test_sine_closed_form_all_orders(self, r, p):
-        # Dual route: quadrature against the gamma-function closed form.
+        # Dual route: the package's element quadrature against scipy's
+        # adaptive quadrature of |sin(pi t)|^p.
         # Noninteger p makes the integrand non-smooth where the derivative
         # vanishes, so the rate is algebraic; 1e-7 is attainable at this
         # degree for every combination.
         mesh = uniform_mesh_1d(0.0, 1.0, 16)
-        fn = SinPiProduct()
-        got = seminorm(fn, mesh, r, p, degree=20)
-        assert got == pytest.approx(fn.seminorm_1d(r, p), rel=1e-7)
+        got = seminorm(SinPiProduct(), mesh, r, p, degree=20)
+        assert got == pytest.approx(sin_seminorm_by_quadrature(r, p), rel=1e-7)
 
     def test_constant_on_triangle_mesh(self):
         mesh = structured_mesh_2d(3)
@@ -177,18 +174,21 @@ class ConstantOneField:
 
 
 class TestSobolevNorm:
+    # The W^{m,p} norm is the p-th root of the summed seminorm powers, as
+    # fem1d.error_report forms it.
     def test_combines_orders(self):
         mesh = uniform_mesh_1d(0.0, 1.0, 4)
         fn = Polynomial1D([0.0, 1.0])
-        got = sobolev_norm(fn, mesh, 1, 2.0)
+        got = math.fsum(seminorm(fn, mesh, l, 2.0) ** 2.0 for l in (0, 1)) ** 0.5
         assert got == pytest.approx(math.sqrt(1.0 / 3.0 + 1.0), rel=1e-13)
 
     def test_m_zero_matches_seminorm(self):
-        mesh = uniform_mesh_1d(0.0, 1.0, 4)
-        fn = SinPiProduct()
-        assert sobolev_norm(fn, mesh, 0, 2.0, degree=16) == pytest.approx(
-            seminorm(fn, mesh, 0, 2.0, degree=16), rel=1e-14
-        )
+        problem = fem1d.ModelProblem.sine()
+        solution = fem1d.assemble_and_solve(problem, uniform_mesh_1d(0.0, 1.0, 4), 2)
+        report = fem1d.error_report(solution, problem, 0, 2.0)
+        degree = 2 * 2 + 6 + norms.ESTIMATE_DEGREE_STEP
+        direct = seminorm(fem1d.error_field(solution, problem), solution.mesh, 0, 2.0, degree=degree)
+        assert report["error"] == pytest.approx(direct, rel=1e-14)
 
 
 class TestQuadratureEstimate:
@@ -205,12 +205,6 @@ class TestQuadratureEstimate:
         _, est_high = seminorm_with_estimate(fn, mesh, 0, 2.0, degree=12)
         assert est_high < est_low
         assert est_high < 1e-10
-
-    def test_norm_record_fields(self):
-        mesh = uniform_mesh_1d(0.0, 1.0, 2)
-        rec = norm_record(SinPiProduct(), mesh, 1, 2.0)
-        assert set(rec) == {"l", "p", "value", "quad_error_estimate"}
-        assert rec["value"] == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-10)
 
 
 class TestInterpolationError:
@@ -271,7 +265,7 @@ class TestTabulatedField:
         bary = np.array([[0.25, 0.5, 0.25], [0.125, 0.125, 0.75], [0.6, 0.3, 0.1]])
         points = QuadratureRule(n=2, points=bary, weights=np.full(3, 1.0 / 6.0), exactness_degree=0)
         for alpha in derivative_multi_indices(2, l):
-            got = field.deriv_block(SimplexMesh([simplex]), 0, 1, alpha, points, (bary @ simplex.vertices)[None])[0]
+            got = field.deriv_block(simplex_mesh([simplex]), 0, 1, alpha, points, (bary @ simplex.vertices)[None])[0]
             directions = [j for j, times in enumerate(alpha) for _ in range(times)]
             for lam, value in zip(bary, got):
                 lam_exact = [Fraction(float(x)) for x in lam]
@@ -298,11 +292,11 @@ class CountingSinPi(SinPiProduct):
 
 def jittered_mesh_2d(per_side, seed):
     """structured_mesh_2d with interior vertices moved, so every element differs."""
-    payload = json.loads(structured_mesh_2d(per_side).to_json())
-    verts = np.array(payload["vertices"])
+    mesh = structured_mesh_2d(per_side)
+    verts = mesh.vertices.copy()
     interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
     verts[interior] += np.random.default_rng(seed).uniform(-0.2, 0.2, (interior.sum(), 2)) / per_side
-    return SimplexMesh([Simplex(verts[idx]) for idx in payload["simplices"]], 1.0)
+    return simplex_mesh([Simplex(verts[idx]) for idx in mesh.connectivity])
 
 
 def blocks_at(mesh, degree):
@@ -325,7 +319,7 @@ class TestBlockedEvaluation:
     def test_mesh_spans_more_than_one_block(self):
         for degree in (10, 14):
             assert_spans_blocks(self.mesh, degree)
-        assert self.mesh.check_cover()
+        assert math.fsum(self.mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
 
     def test_mesh_seminorm_is_sum_of_simplex_seminorms(self):
         # Dual route: each element on its own as a one-simplex domain, so a
