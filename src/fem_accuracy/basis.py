@@ -13,8 +13,8 @@ evaluates the exact barycentric derivatives of a list at float points with
 one `kernels.eval_terms` call per derivative order, `PkBasis.table` keeps the
 table of a basis read-only per quadrature rule and order, so every element
 and field of the basis shares it, and `chain_rule_weights` turns a table into
-physical derivatives on a simplex, or on a whole block of elements at once,
-through the (float) barycentric gradients.
+physical derivatives on a whole block of elements at once, given the (float)
+barycentric gradients of the block as one array.
 """
 
 from __future__ import annotations
@@ -338,16 +338,16 @@ def coefficient_matrix(polynomials):
     return exps, coeffs
 
 
-def chain_rule_weights(cells, alpha):
+def chain_rule_weights(gradients, alpha):
     """Weights turning a barycentric derivative table into d^alpha in x.
 
-    cells is a Simplex or an array of barycentric gradients G of shape
-    (..., n+1, n), for instance one row per element of a block.  With the
-    directions (j_1, ..., j_l) of alpha, sequence q of `tabulate` has the
-    weight prod_s G[q_s, j_s]; this is d/dx_j = sum_q G[q, j] d/dlambda_q
-    applied once per unit of alpha[j].  Returns shape (..., (n+1)^l).
+    gradients is an array of barycentric gradients G of shape (..., n+1, n),
+    for instance one row per element of a block.  With the directions
+    (j_1, ..., j_l) of alpha, sequence q of `tabulate` has the weight
+    prod_s G[q_s, j_s]; this is d/dx_j = sum_q G[q, j] d/dlambda_q applied
+    once per unit of alpha[j].  Returns shape (..., (n+1)^l).
     """
-    grads = cells.barycentric_gradients() if hasattr(cells, "barycentric_gradients") else np.asarray(cells)
+    grads = np.asarray(gradients)
     lead = grads.shape[:-2]
     if len(alpha) != grads.shape[-1]:
         raise ValueError(f"alpha must have {grads.shape[-1]} entries")
@@ -356,18 +356,3 @@ def chain_rule_weights(cells, alpha):
         for _ in range(times):
             weights = (weights[..., :, None] * grads[..., None, :, j]).reshape(lead + (-1,))
     return weights
-
-
-def sample(f, points):
-    """Values of f at an (M, n) point array, shape (M,).
-
-    f is called once with the whole array; a callable taking n scalars is
-    accepted as a fallback and called point by point.
-    """
-    try:
-        vals = np.asarray(f(points), dtype=np.float64).reshape(-1)
-        if vals.shape != (len(points),):
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f(*row)) for row in points])
-    return vals

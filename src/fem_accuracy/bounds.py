@@ -57,9 +57,10 @@ class ConstantBundle:
     h_cap: float = 1.0
 
     def __post_init__(self):
-        if self.sigma < 1.0:
+        # Each check is written so that NaN fails it.
+        if not self.sigma >= 1.0:
             raise ValueError("sigma is a shape bound, must be >= 1")
-        if self.lam <= 0 or self.cea_ratio < 1.0 or self.h_cap <= 0:
+        if not (self.lam > 0 and self.cea_ratio >= 1.0 and self.h_cap > 0):
             raise ValueError("need lam > 0, cea_ratio >= 1, h_cap > 0")
         self.index.require(self.k)
 

@@ -58,8 +58,11 @@ def _emit(rows, fmt, out):
         writer.writerows(rows)
         text = buf.getvalue()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

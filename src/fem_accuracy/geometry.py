@@ -1,12 +1,13 @@
 """Simplex geometry and structured meshes.
 
 simplex_geometry computes the geometry of a stack of simplices, an (E, n+1, n)
-vertex array, with batched array operations (math.fsum only for facet sums
-not exact in floats); intervals take a closed form in their signed length,
+vertex array, with batched array operations and each element's facet measures
+summed by math.fsum; intervals take a closed form in their signed length,
 with no linear algebra call.  A SimplexMesh is a vertex table with an (E, n+1)
 connectivity whose per-element arrays and h, sigma and gradient maximum it
 builds on first use; it builds a Simplex object only for an element asked
-for by index.  A Simplex is held as a one-element mesh.
+for by index.  A Simplex is the one-element SimplexMesh over its own
+vertices, with the geometry of that element as scalars.
 Everything here is immutable after construction.
 """
 
@@ -67,99 +68,11 @@ def simplex_geometry(vertices):
             edges = edges[:, 1:] - edges[:, :1]
             gram = np.linalg.det(edges @ edges.transpose(0, 2, 1))
             facets[:, q] = np.sqrt(np.maximum(gram, 0.0)) / math.factorial(n - 1)
-        # Summed left to right, a row whose TwoSum errors (Knuth) all vanish is
-        # exact; fsum rounds the others.
-        sums, exact = facets[:, 0].copy(), np.ones(count, dtype=bool)
-        for column in facets.T[1:]:
-            s = sums + column
-            b = s - sums
-            exact &= (sums - (s - b)) + (column - b) == 0.0
-            sums = s
-        inexact = np.flatnonzero(~exact)
-        sums[inexact] = [math.fsum(f) for f in facets[inexact].tolist()]
+        sums = np.array([math.fsum(f) for f in facets.tolist()])
         inscribed = 2.0 * n * measures / sums
     for a in (inverse, measures, diameters, inscribed):
         a.setflags(write=False)
     return inverse, measures, diameters, inscribed
-
-
-class Simplex:
-    """An n-simplex given by its n+1 vertices, held as the one-element mesh `mesh`.
-
-    Parameters
-    ----------
-    vertices : array_like, shape (n+1, n)
-        Vertex coordinates, one row per vertex.
-
-    Raises
-    ------
-    DegenerateSimplexError
-        If the vertices are affinely dependent within VOLUME_REL_TOL.
-    """
-
-    def __init__(self, vertices):
-        v = np.array(vertices, dtype=np.float64)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
-            raise ValueError(f"expected (n+1, n) vertex array, got shape {v.shape}")
-        self.n = v.shape[1]
-        self.mesh = SimplexMesh(v, np.arange(self.n + 1)[None])
-        self._inv, measure, _, rho = (a[0] for a in self.mesh._geometry)  # a degenerate simplex fails here
-        self.vertices, self._measure, self._rho = self.mesh.element_vertices[0], float(measure), float(rho)
-
-    @property
-    def measure(self):
-        """n-dimensional volume."""
-        return self._measure
-
-    @property
-    def diameter(self):
-        """Largest pairwise vertex distance h_K."""
-        return self.mesh.h
-
-    def barycentric(self, x):
-        """Barycentric coordinates of physical points.
-
-        Parameters
-        ----------
-        x : array_like, shape (n,) or (npts, n)
-
-        Returns
-        -------
-        ndarray, shape (n+1,) or (npts, n+1)
-            Coordinates summing to one; nonnegative iff the point lies
-            inside the simplex.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        pts = x.reshape(1, -1) if single else x
-        if pts.shape[1] != self.n:
-            raise ValueError(f"points have dimension {pts.shape[1]}, simplex has {self.n}")
-        lam = np.hstack([np.ones((pts.shape[0], 1)), pts]) @ self._inv.T
-        return lam[0] if single else lam
-
-    def barycentric_gradients(self):
-        """Constant gradients of the barycentric coordinates.
-
-        Returns
-        -------
-        ndarray, shape (n+1, n)
-            Row q holds grad lambda_q; the rows sum to the zero vector.
-        """
-        return self.mesh.element_gradients[0]
-
-    @property
-    def gradient_max(self):
-        """Largest absolute entry of the barycentric gradient matrix."""
-        return self.mesh.gradient_max
-
-    def inscribed_diameter(self):
-        """Diameter rho of the largest inscribed ball (2 * inradius)."""
-        return self._rho
-
-    def __repr__(self):
-        return f"Simplex(n={self.n}, measure={self._measure:.6g})"
 
 
 class _SimplexSequence(Sequence):
@@ -242,6 +155,81 @@ class SimplexMesh:
     def gradient_max(self):
         """Largest absolute barycentric gradient entry over all elements."""
         return float(np.abs(self.element_gradients).max())
+
+
+class Simplex(SimplexMesh):
+    """An n-simplex given by its n+1 vertices: the one-element SimplexMesh over them.
+
+    It goes wherever a mesh goes; the methods below read its one element's
+    geometry, which is built and checked at construction.
+
+    Parameters
+    ----------
+    vertices : array_like, shape (n+1, n)
+        Vertex coordinates, one row per vertex.
+
+    Raises
+    ------
+    DegenerateSimplexError
+        If the vertices are affinely dependent within VOLUME_REL_TOL.
+    """
+
+    def __init__(self, vertices):
+        v = np.array(vertices, dtype=np.float64)
+        if v.ndim == 1:
+            v = v.reshape(-1, 1)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
+            raise ValueError(f"expected (n+1, n) vertex array, got shape {v.shape}")
+        super().__init__(v, np.arange(len(v))[None])
+        self._geometry  # a degenerate simplex fails here
+
+    @property
+    def measure(self):
+        """n-dimensional volume."""
+        return float(self.element_measures[0])
+
+    @property
+    def diameter(self):
+        """Largest pairwise vertex distance h_K."""
+        return self.h
+
+    def barycentric(self, x):
+        """Barycentric coordinates of physical points.
+
+        Parameters
+        ----------
+        x : array_like, shape (n,) or (npts, n)
+
+        Returns
+        -------
+        ndarray, shape (n+1,) or (npts, n+1)
+            Coordinates summing to one; nonnegative iff the point lies
+            inside the simplex.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        pts = x.reshape(1, -1) if single else x
+        if pts.shape[1] != self.n:
+            raise ValueError(f"points have dimension {pts.shape[1]}, simplex has {self.n}")
+        lam = np.hstack([np.ones((pts.shape[0], 1)), pts]) @ self._geometry[0][0].T
+        return lam[0] if single else lam
+
+    def barycentric_gradients(self):
+        """Constant gradients of the barycentric coordinates.
+
+        Returns
+        -------
+        ndarray, shape (n+1, n)
+            Row q holds grad lambda_q; the rows sum to the zero vector.
+        """
+        return self.element_gradients[0]
+
+    def inscribed_diameter(self):
+        """Diameter rho of the largest inscribed ball (2 * inradius)."""
+        return float(self._geometry[3][0])
+
+    def __repr__(self):
+        return f"Simplex(n={self.n}, measure={self.measure:.6g})"
 
 
 def reference_simplex(n):

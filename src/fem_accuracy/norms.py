@@ -8,6 +8,9 @@ p-th powers with exact (fsum) summation so the element order never matters.  For
 integrands that are not polynomial (absolute values with noninteger p,
 analytic error terms) a second rule of higher degree gives a Richardson
 style quadrature error estimate that is reported, never silently dropped.
+The caller names the rule degree: `seminorm` and `seminorm_with_estimate`
+require it, and `interpolation_error` defaults it to 2k + 6.  A domain is a
+SimplexMesh; a Simplex is one, with a single element.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import chain_rule_weights, sample
-from .geometry import Simplex, SimplexMesh
+from .basis import chain_rule_weights
+from .geometry import SimplexMesh
 from .quadrature import simplex_rule
 
 # Extra rule degree used for the Richardson quadrature error estimate.
@@ -58,7 +61,7 @@ class SobolevIndex:
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 1 or self.p <= 0:
+        if self.m < 0 or self.n < 1 or not self.p > 0:  # NaN fails p > 0
             raise ValueError("need m >= 0, n >= 1, p > 0")
         if self.p <= 1:
             warnings.warn(
@@ -110,9 +113,6 @@ class AnalyticField:
         """d^alpha at the block's physical points phys (hi - lo, npts, n), shape (hi - lo, npts)."""
         return self.fn.deriv_values(alpha, phys.reshape(-1, phys.shape[-1])).reshape(phys.shape[:2])
 
-    def max_degree(self):
-        return None
-
 
 class PiecewisePolynomialField:
     """The shape functions of a PkBasis combined per element by an (E, N) coefficient array.
@@ -137,9 +137,6 @@ class PiecewisePolynomialField:
         # weights[:, s] and summed over s left to right.
         return sum(weights[:, s, None] * (coefficients @ row) for s, row in enumerate(table))
 
-    def max_degree(self):
-        return self.basis.k
-
 
 class DifferenceField:
     """Pointwise difference of two fields (error fields)."""
@@ -152,16 +149,11 @@ class DifferenceField:
         args = (mesh, lo, hi, alpha, rule, phys)
         return self.left.deriv_block(*args) - self.right.deriv_block(*args)
 
-    def max_degree(self):
-        return None
-
 
 def _as_mesh(domain):
-    if isinstance(domain, SimplexMesh):
-        return domain
-    if isinstance(domain, Simplex):
-        return domain.mesh
-    raise TypeError("domain must be a Simplex or SimplexMesh")
+    if not isinstance(domain, SimplexMesh):
+        raise TypeError("domain must be a Simplex or SimplexMesh")
+    return domain
 
 
 def _seminorm_power(field, mesh, l, p, degree):
@@ -179,25 +171,16 @@ def _seminorm_power(field, mesh, l, p, degree):
     return math.fsum(np.concatenate(parts).tolist())
 
 
-def _default_degree(field, l, p):
-    d = field.max_degree()
-    if d is not None and float(p).is_integer() and int(p) % 2 == 0:
-        return max(int(p) * max(d - l, 0), 1)
-    base = d if d is not None else 5
-    return 2 * base + 6
-
-
-def seminorm(field_or_fn, domain, l, p, degree=None):
+def seminorm(field_or_fn, domain, l, p, degree):
     """Order-l seminorm in L^p over a simplex or mesh.
 
     Parameters
     ----------
     field_or_fn : field object or AnalyticFunction
-    domain : Simplex or SimplexMesh
+    domain : Simplex or SimplexMesh (a Simplex is a one-element mesh)
     l : int, derivative order (all |alpha| = l summed).
     p : float > 0.
-    degree : int, optional
-        Quadrature exactness; defaults from the field's degree and p.
+    degree : int, the exactness degree of the quadrature rule.
 
     Returns
     -------
@@ -205,17 +188,13 @@ def seminorm(field_or_fn, domain, l, p, degree=None):
     """
     field = _as_field(field_or_fn)
     mesh = _as_mesh(domain)
-    if degree is None:
-        degree = _default_degree(field, l, p)
     return _seminorm_power(field, mesh, l, p, degree) ** (1.0 / p)
 
 
-def seminorm_with_estimate(field_or_fn, domain, l, p, degree=None):
-    """Seminorm plus a two-rule quadrature error estimate."""
+def seminorm_with_estimate(field_or_fn, domain, l, p, degree):
+    """Seminorm with rule degree + ESTIMATE_DEGREE_STEP, and its distance to the one at degree."""
     field = _as_field(field_or_fn)
     mesh = _as_mesh(domain)
-    if degree is None:
-        degree = _default_degree(field, l, p)
     coarse = _seminorm_power(field, mesh, l, p, degree) ** (1.0 / p)
     fine = _seminorm_power(field, mesh, l, p, degree + ESTIMATE_DEGREE_STEP) ** (1.0 / p)
     return fine, abs(fine - coarse)
@@ -235,7 +214,7 @@ def interpolant_field(fn, mesh, basis):
     The nodes of all elements are mapped at once and fn is sampled in one call.
     """
     nodes = basis.node_array @ mesh.element_vertices
-    values = sample(fn, nodes.reshape(-1, mesh.n)).reshape(len(mesh), basis.size)
+    values = np.asarray(fn(nodes.reshape(-1, mesh.n)), dtype=np.float64).reshape(len(mesh), basis.size)
     return PiecewisePolynomialField(basis, values)
 
 

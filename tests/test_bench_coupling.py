@@ -4,8 +4,9 @@ e2ebench/tracer.py patches library names by module and attribute path, so a
 renamed or deleted name silently drops a layer from traced runs.  These tests
 install the tracer, run one small scan, and check that the kernel layer is
 still counted and that uninstalling puts every original object back.  The
-tracer also tells a mesh from a single simplex by its `simplices` attribute
-when it counts seminorm point evaluations; a test pins that count.
+tracer also reads the element count of a domain by its `simplices` attribute
+when it counts seminorm point evaluations; a test pins that count on a mesh
+and on a Simplex, which is a one-element mesh.
 """
 
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import fem_accuracy
 from fem_accuracy import build_basis, norms
 from fem_accuracy.functions import SinPiProduct
-from fem_accuracy.geometry import structured_mesh_2d
+from fem_accuracy.geometry import reference_simplex, structured_mesh_2d
 from fem_accuracy.quadrature import simplex_rule
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "e2ebench" / "tracer.py"
@@ -65,11 +66,15 @@ def test_tracer_counts_kernel_calls_and_restores_every_name():
 def test_tracer_counts_seminorm_points_on_every_element():
     tracer = load_tracer().Tracer()
     mesh = structured_mesh_2d(2)
+    simplex = reference_simplex(2)
     tracer.install()
     try:
         norms.seminorm(SinPiProduct(2), mesh, 1, 2.0, degree=6)
+        mesh_points = tracer.counts["norms.point_evals"]
+        norms.seminorm(SinPiProduct(2), simplex, 1, 2.0, degree=6)
     finally:
         tracer.uninstall()
     directions = len(norms.derivative_multi_indices(2, 1))
-    assert len(mesh) == 8
-    assert tracer.counts["norms.point_evals"] == 8 * directions * simplex_rule(2, 6).size
+    assert len(mesh) == 8 and len(simplex) == 1
+    assert mesh_points == 8 * directions * simplex_rule(2, 6).size
+    assert tracer.counts["norms.point_evals"] - mesh_points == directions * simplex_rule(2, 6).size

@@ -76,6 +76,11 @@ class TestParser:
             "prob --ck1 -1 --ck2 1",
             "prob --n 0",
             "constant --k 0",
+            "constant --m 1 --k 2 --lam nan",
+            "constant --sigma nan",
+            "constant --h-cap nan",
+            "constant --cea-ratio nan",
+            "converge --k 2 --cea-ratio nan",
         ],
     )
     def test_bad_argument_is_usage_error(self, capsys, argv):
@@ -246,6 +251,16 @@ class TestOutputHandling:
         assert out == ""
         rows = parse_csv(target.read_text())
         assert float(rows[0]["script_C"]) == pytest.approx(8.0 / 3.0, rel=1e-12)
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["constant", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"error: cannot write --out {target}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_csv_and_json_agree(self, capsys):
         _, out_csv, _ = run_main(capsys, ["hstar-seq", "--qmax", "3"])

@@ -99,10 +99,20 @@ class TestSimplex:
             Simplex([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(DegenerateSimplexError):
             Simplex([[0.5], [0.5]])
+        with pytest.raises(DegenerateSimplexError, match="degenerate 3-simplex at element 0"):
+            Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             Simplex([[0.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_the_one_element_mesh(self, n):
+        v = np.random.default_rng(n).uniform(-1.0, 1.0, (n + 1, n))
+        s = Simplex(v)
+        assert isinstance(s, SimplexMesh)
+        assert len(s) == 1 and s.connectivity.tolist() == [list(range(n + 1))]
+        assert len(s.simplices) == 1 and s.simplices[0].vertices.tolist() == s.vertices.tolist()
 
 
 @seed(20240817)
@@ -273,12 +283,12 @@ class TestFacetSums:
         vertices = np.asarray(verts)[np.asarray(conn)]
         loops = [loop_geometry(v) for v in vertices]
         # The plain left-to-right facet sum is not correctly rounded on some
-        # rows, so a route without the exactness test would fail here.
+        # rows, so a route summing without fsum would fail here.
         facets = [loop_facets(v) for v in vertices]
         assert any(sum(f) != math.fsum(f) for f in facets)
         calls = self.count_fsum(monkeypatch)
         inscribed = simplex_geometry(vertices)[3]
-        assert 0 < len(calls) <= len(vertices)
+        assert len(calls) == len(vertices)
         assert inscribed.tolist() == [loop[3] for loop in loops]
         mesh = SimplexMesh(verts, conn)
         assert mesh.sigma == max(loop[1] / loop[3] for loop in loops)
