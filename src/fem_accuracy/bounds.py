@@ -19,7 +19,6 @@ All checks return BoundCheck records that serialize to JSON.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import coefficient_matrix
+from .basis import coefficient_matrix, multi_indices
 from .norms import PiecewisePolynomialField, SobolevIndex, element_blocks, seminorm
 
 # Lattice refinement and random sample count for the pointwise scans.
@@ -58,10 +57,10 @@ class ConstantBundle:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
-        if not self.sigma >= 1.0:
-            raise ValueError("sigma is a shape bound, must be >= 1")
-        if not (self.lam > 0 and self.cea_ratio >= 1.0 and self.h_cap > 0):
-            raise ValueError("need lam > 0, cea_ratio >= 1, h_cap > 0")
+        if not 1.0 <= self.sigma < math.inf:
+            raise ValueError("sigma is a shape bound, must be finite and >= 1")
+        if not (0 < self.lam < math.inf and 1.0 <= self.cea_ratio < math.inf and 0 < self.h_cap < math.inf):
+            raise ValueError("need finite lam > 0, cea_ratio >= 1, h_cap > 0")
         self.index.require(self.k)
 
     @property
@@ -211,11 +210,10 @@ def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAU
         pts = np.vstack([pts, simplex_samples(n, samples, seed)])
 
     bound = float(k) ** (r * (n + 2) if r else n + 1)
-    # One coefficient matrix per variable set, scanned in blocks of at most
+    # One coefficient matrix per derivative order, scanned in blocks of at most
     # BLOCK_POINTS monomial values; orders above k leave no terms to scan.
     worst = 0.0
-    for vars_ in itertools.combinations_with_replacement(range(n + 1), r):
-        orders = tuple(vars_.count(v) for v in range(n + 1))
+    for orders in multi_indices(n, r):
         exps, coeffs = coefficient_matrix([p.lambda_derivative(orders) for p in basis.polynomials])
         if len(exps):
             for lo, hi in element_blocks(len(pts), len(exps)):
@@ -229,7 +227,7 @@ def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAU
     )
 
 
-def seminorm_bound_check(basis, simplex, l, p, degree=None):
+def seminorm_bound_check(basis, simplex, l, p):
     """Compare max_i |p_i|_{l,p,K} against the geometric seminorm cap.
 
     For l = 0 the cap is mes(K)^{1/p} k^{n+1}; for l >= 1 it is
@@ -259,8 +257,7 @@ def seminorm_bound_check(basis, simplex, l, p, degree=None):
             * float(k) ** (l * (n + 2))
             / rho**l
         )
-    if degree is None:
-        degree = max(1, math.ceil(p * max(k - l, 1))) + 2
+    degree = max(1, math.ceil(p * max(k - l, 1))) + 2
     # Unit rows pick each shape function out of the basis's shared tables, exactly.
     measured = 0.0
     for unit in np.eye(basis.size):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -143,18 +144,7 @@ def cmd_constant(args):
         cea_ratio=args.cea_ratio,
         h_cap=args.h_cap,
     )
-    row = {
-        "n": args.n,
-        "m": args.m,
-        "k": args.k,
-        "p": args.p,
-        "sigma": args.sigma,
-        "lam": args.lam,
-        "cea_ratio": args.cea_ratio,
-        "h_cap": args.h_cap,
-        "script_C": script_c(bundle),
-    }
-    _emit([row], args.format, args.out)
+    _emit([{**dataclasses.asdict(bundle), "script_C": script_c(bundle)}], args.format, args.out)
     return EXIT_OK
 
 

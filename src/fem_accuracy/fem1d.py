@@ -1,8 +1,8 @@
 """Continuous P_k Galerkin solver for -u'' + u = f on an interval.
 
 Homogeneous Dirichlet conditions and a manufactured exact solution.  Element
-matrices scale reference-interval tables, built once per degree and load
-rule, by the element length (exact in 1D).  Global dofs are the vertices left
+matrices scale reference-interval tables, built once per degree, by the
+element length (exact in 1D).  Global dofs are the vertices left
 to right, then the k-1 interior nodes of each element.  The solve is numpy
 only: static condensation of the interior nodes, then cyclic reduction of the
 tridiagonal vertex system.  Error reports measure W^{m,p} seminorms of u - u_h, estimate
@@ -101,22 +101,21 @@ def element_dofs(ne, k):
 
 
 @cache
-def _reference_system(k, load_degree):
-    """Reference mass and stiffness (exactness 2k), the load rule and its value table."""
-    basis, rule, load_rule = _interval_basis(k), interval_rule(2 * k), interval_rule(load_degree)
+def _reference_system(k):
+    """Reference mass and stiffness (exactness 2k), the load rule (exactness 2k + 8) and its value table."""
+    basis, rule, load_rule = _interval_basis(k), interval_rule(2 * k), interval_rule(2 * k + 8)
     vals, dlam = basis.table(rule, 0), basis.table(rule, 1)
     # On the reference interval lambda_1 = x = 1 - lambda_0, so d/dx = d/dlambda_1 - d/dlambda_0.
     mass, stiff = (np.einsum("q,aq,bq->ab", rule.weights, v, v) for v in (vals[0], dlam[1] - dlam[0]))
     return mass, stiff, load_rule, basis.table(load_rule, 0)[0]
 
 
-def element_system(problem, mesh, basis, rhs_degree=None):
+def element_system(problem, mesh, basis):
     """Element matrices a (ne, k+1, k+1) and loads b (ne, k+1): reference stiffness
     and mass (exactness 2k) scaled by the element length; the load rule has
     exactness 2k + 8 because f is generally not polynomial.  Reference tables
-    are built once per (basis.k, load degree)."""
-    load_degree = rhs_degree if rhs_degree is not None else 2 * basis.k + 8
-    mass_ref, stiff_ref, load_rule, load_vals = _reference_system(basis.k, load_degree)
+    are built once per basis.k."""
+    mass_ref, stiff_ref, load_rule, load_vals = _reference_system(basis.k)
     verts = mesh.element_vertices
     h = (verts[:, 1, 0] - verts[:, 0, 0])[:, None]
     fvals = problem.f_values((load_rule.points @ verts).reshape(-1, 1)).reshape(len(h), -1)
@@ -208,7 +207,7 @@ def _interval_basis(k):
     return build_basis(1, k)
 
 
-def assemble_and_solve(problem, mesh, k, rhs_degree=None):
+def assemble_and_solve(problem, mesh, k):
     """Assemble and solve the P_k Galerkin system on a 1D mesh.
 
     Returns a DiscreteSolution with its relative algebraic residual and its
@@ -217,7 +216,7 @@ def assemble_and_solve(problem, mesh, k, rhs_degree=None):
     if mesh.n != 1:
         raise ValueError("assemble_and_solve is restricted to 1D meshes")
     basis = _interval_basis(k)
-    a, b = element_system(problem, mesh, basis, rhs_degree)
+    a, b = element_system(problem, mesh, basis)
     coefficients = solve_condensed(a, b)
     return DiscreteSolution(mesh, basis, coefficients, *solve_quality(a, b, coefficients))
 
@@ -226,14 +225,14 @@ def error_field(solution, problem):
     return DifferenceField(AnalyticField(problem.u), solution.as_field())
 
 
-def error_report(solution, problem, m, p, sigma=None, cea_ratio=1.0):
+def error_report(solution, problem, m, p, cea_ratio=1.0):
     """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm, and the bound.
 
     The bound side uses script_C(k) built from the mesh quantities (the
-    gradient maximum over elements; sigma defaults to the mesh's own
-    regularity) times h^{k+1-m} |u|_{k+1,p}.  The report states where the
-    measured error lands inside the bound interval; nothing stronger than
-    measured <= bound is asserted.  residual_ok flags a solve whose relative
+    gradient maximum over elements and the regularity max(sigma, 1)) times
+    h^{k+1-m} |u|_{k+1,p}.  The report states where the measured error lands
+    inside the bound interval; nothing stronger than measured <= bound is
+    asserted.  residual_ok flags a solve whose relative
     residual exceeds RESIDUAL_REL_TOL; backward_error is the solve's
     normwise backward error.
     """
@@ -258,7 +257,7 @@ def error_report(solution, problem, m, p, sigma=None, cea_ratio=1.0):
             m=m,
             k=k,
             p=p,
-            sigma=sigma if sigma is not None else max(mesh.sigma, 1.0),
+            sigma=max(mesh.sigma, 1.0),
             lam=mesh.gradient_max,
             cea_ratio=cea_ratio,
             h_cap=max(mesh.h, 1.0),
@@ -285,7 +284,7 @@ def error_report(solution, problem, m, p, sigma=None, cea_ratio=1.0):
     }
 
 
-def convergence_study(problem, k, m, p, element_counts, sigma=None, cea_ratio=1.0):
+def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
     """Solve on a family of uniform meshes and estimate the order.
 
     Returns (rows, order): rows carry {k, m, p, h, error, bound, order_est}
@@ -298,7 +297,7 @@ def convergence_study(problem, k, m, p, element_counts, sigma=None, cea_ratio=1.
     for ne in element_counts:
         mesh = uniform_mesh_1d(0.0, 1.0, ne)
         sol = assemble_and_solve(problem, mesh, k)
-        rep = error_report(sol, problem, m, p, sigma=sigma, cea_ratio=cea_ratio)
+        rep = error_report(sol, problem, m, p, cea_ratio=cea_ratio)
         hs.append(mesh.h)
         errors.append(rep["error"])
         rows.append(

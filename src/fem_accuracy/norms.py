@@ -9,20 +9,19 @@ integrands that are not polynomial (absolute values with noninteger p,
 analytic error terms) a second rule of higher degree gives a Richardson
 style quadrature error estimate that is reported, never silently dropped.
 The caller names the rule degree: `seminorm` and `seminorm_with_estimate`
-require it, and `interpolation_error` defaults it to 2k + 6.  A domain is a
+require it, and `interpolation_error` uses 2k + 6.  A domain is a
 SimplexMesh; a Simplex is one, with a single element.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import chain_rule_weights
+from .basis import chain_rule_weights, multi_indices
 from .geometry import SimplexMesh
 from .quadrature import simplex_rule
 
@@ -91,16 +90,8 @@ class SobolevIndex:
 
 
 def derivative_multi_indices(n, l):
-    """Spatial multi-indices of total order l in n variables."""
-    if l == 0:
-        return [(0,) * n]
-    out = set()
-    for combo in itertools.combinations_with_replacement(range(n), l):
-        alpha = [0] * n
-        for j in combo:
-            alpha[j] += 1
-        out.add(tuple(alpha))
-    return sorted(out)
+    """Spatial multi-indices of total order l in n variables, ascending lex order."""
+    return multi_indices(n - 1, l)[::-1]
 
 
 class AnalyticField:
@@ -218,15 +209,14 @@ def interpolant_field(fn, mesh, basis):
     return PiecewisePolynomialField(basis, values)
 
 
-def interpolation_error(fn, mesh, basis, l, p, degree=None, with_estimate=False):
+def interpolation_error(fn, mesh, basis, l, p, with_estimate=False):
     """Seminorm of fn minus its element-wise interpolant.
 
-    The default rule degree is 2k + 6 with the Richardson step on top when
+    The rule degree is 2k + 6 with the Richardson step on top when
     with_estimate is set, matching the treatment of noninteger p.
     """
     err = DifferenceField(AnalyticField(fn), interpolant_field(fn, mesh, basis))
-    if degree is None:
-        degree = 2 * basis.k + 6
+    degree = 2 * basis.k + 6
     if with_estimate:
         return seminorm_with_estimate(err, mesh, l, p, degree)
     return seminorm(err, mesh, l, p, degree)

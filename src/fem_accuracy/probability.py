@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
+from .bounds import log_k_factor
 from .functions import log_sin_lp_constant
 from .norms import SobolevIndex
+from .quadrature import interval_rule
 
 # Absolute tolerance for the weak-* pairing integrals, and the Gauss-Legendre
 # nodes per panel that meet it.
@@ -82,23 +83,14 @@ def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
     """
     if not k1 < k2:
         raise ValueError("need k1 < k2")
-    if seminorm_ratio <= 0 or cea_quotient <= 0:
+    if not (seminorm_ratio > 0 and cea_quotient > 0):
         raise ValueError("ratios must be positive")
     idx = SobolevIndex(m=m, p=p, n=n)
     idx.require(k1)
     idx.require(k2)
-    q = k2 - k1
-    log_h = (
-        math.log(cea_quotient)
-        + n * (math.log(k1 + n) - math.log(k2 + n))
-        + m * (n + 2) * (math.log(k1) - math.log(k2))
-        + math.lgamma(k2 - m + 1)
-        - math.lgamma(k1 - m + 1)
-        + math.log(k2 + 1 - m - n / p)
-        - math.log(k1 + 1 - m - n / p)
-        + math.log(seminorm_ratio)
-    ) / q
-    return math.exp(log_h)
+    # The two ratios enter as two logs: their product can overflow.
+    log_pow = log_k_factor(n, m, p, k1) - log_k_factor(n, m, p, k2) + math.log(seminorm_ratio) + math.log(cea_quotient)
+    return math.exp(log_pow / (k2 - k1))
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ class SinPiSeminormModel:
     ratio_limit = math.pi
 
     def __init__(self, p=2.0):
-        if p <= 0:
+        if not p > 0:
             raise ValueError("p must be positive")
         self.p = p
         self._log_cp = log_sin_lp_constant(p)
@@ -171,7 +163,7 @@ class GeometricSeminormModel:
     """|u|_{r,p} = base * ratio^r; covers exp(a x) (ratio a) and friends."""
 
     def __init__(self, ratio, base=1.0):
-        if ratio <= 0 or base <= 0:
+        if not (ratio > 0 and base > 0):
             raise ValueError("ratio and base must be positive")
         self.ratio = float(ratio)
         self.base = float(base)
@@ -194,23 +186,9 @@ def h_star_sequence(k, q_max, model, n=1, m=0, p=2.0, cea_quotient=None):
     idx = SobolevIndex(m=m, p=p, n=n)
     idx.require(k)
     out = np.empty(q_max)
-    base = (
-        n * math.log(k + n)
-        + m * (n + 2) * math.log(k)
-        - math.lgamma(k - m + 1)
-        - math.log(k + 1 - m - n / p)
-        + model.log_seminorm(k + 1)
-    )
+    base = log_k_factor(n, m, p, k) + model.log_seminorm(k + 1)
     for q in range(1, q_max + 1):
-        kq = k + q
-        log_pow = (
-            base
-            - n * math.log(kq + n)
-            - m * (n + 2) * math.log(kq)
-            + math.lgamma(kq - m + 1)
-            + math.log(kq + 1 - m - n / p)
-            - model.log_seminorm(kq + 1)
-        )
+        log_pow = base - log_k_factor(n, m, p, k + q) - model.log_seminorm(k + q + 1)
         if cea_quotient is not None:
             log_pow += math.log(cea_quotient(q))
         out[q - 1] = math.exp(log_pow / q)
@@ -225,8 +203,8 @@ class Bump:
     """
 
     def __init__(self, a, b):
-        if not b > a:
-            raise ValueError("need b > a")
+        if not (a < b and b - a < math.inf):
+            raise ValueError("need a < b with a finite width b - a")
         self.a = float(a)
         self.b = float(b)
 
@@ -242,20 +220,16 @@ class Bump:
         return _panel_integral(self, self.a, self.b)
 
 
-# Looked up on first use: numpy.polynomial is not imported with numpy.
-_leggauss = cache(lambda npts: np.polynomial.legendre.leggauss(npts))
-
-
 def _panel_integral(f, lo, hi, split=None):
     """Integral of the vectorised f over (lo, hi) by PAIRING_POINTS-point Gauss-Legendre
     panels, split at split if it lies inside; twice as many nodes per panel
     check it, and a gap above PAIRING_ABS_TOL is a RuntimeWarning."""
     edges = np.array([lo, split, hi] if split is not None and lo < split < hi else [lo, hi])
-    half = np.diff(edges)[:, None] / 2.0
+    width = np.diff(edges)[:, None]
     values = []
     for npts in (PAIRING_POINTS, 2 * PAIRING_POINTS):
-        x, w = _leggauss(npts)
-        values.append(math.fsum((half * w * f(edges[:-1, None] + half * (x + 1.0))).ravel()))
+        rule = interval_rule(2 * npts - 1)
+        values.append(math.fsum((width * rule.weights * f(edges[:-1, None] + width * rule.points[:, 1])).ravel()))
     gap = abs(values[1] - values[0])
     if gap > PAIRING_ABS_TOL:
         warnings.warn(f"Gauss rules on ({lo}, {hi}) differ by {gap:.2e}", RuntimeWarning, stacklevel=3)

@@ -96,3 +96,19 @@ def sin_seminorm_by_quadrature(r, p):
 
     cpp, _ = integrate.quad(lambda t: abs(math.sin(math.pi * t)) ** p, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
     return math.pi**r * cpp ** (1.0 / p)
+
+
+def k_factor(n, m, p, k):
+    """(k+n)^n k^{m(n+2)} / ((k-m)! (k+1-m-n/p)) as a Fraction, for a rational p."""
+    return Fraction((k + n) ** n * k ** (m * (n + 2)), math.factorial(k - m)) / (k + 1 - m - n / Fraction(p))
+
+
+def h_star_power(n, m, p, k1, k2):
+    """h*^(k2-k1) = K(k1) / K(k2) exactly, for unit seminorm and Cea ratios."""
+    return k_factor(n, m, p, k1) / k_factor(n, m, p, k2)
+
+
+def root_relative_error(h, power, q):
+    """|h / power^(1/q) - 1| for a float h, with h^q formed exactly so only
+    the final ratio near 1 is rounded."""
+    return abs(math.expm1(math.log(float(Fraction(h) ** q / power)) / q))

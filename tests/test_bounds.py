@@ -88,11 +88,15 @@ class TestConstantBundle:
         with pytest.raises(ValueError):
             ConstantBundle(n=1, m=0, k=1, p=2.0, h_cap=0.0)
 
-    @pytest.mark.parametrize("name", ["p", "sigma", "lam", "cea_ratio", "h_cap"])
-    def test_nan_rejected(self, name):
+    @pytest.mark.parametrize(
+        "name,value",
+        [pytest.param(name, math.nan, id=name) for name in ("p", "sigma", "lam", "cea_ratio", "h_cap")]
+        + [pytest.param(name, math.inf, id=f"{name}-inf") for name in ("sigma", "lam", "cea_ratio", "h_cap")],
+    )
+    def test_nan_rejected(self, name, value):
         # A plain ValueError at construction, not an inadmissibility verdict.
         with pytest.raises(ValueError) as exc:
-            ConstantBundle(**{"n": 1, "m": 1, "k": 2, "p": 2.0, name: math.nan})
+            ConstantBundle(**{"n": 1, "m": 1, "k": 2, "p": 2.0, name: value})
         assert type(exc.value) is ValueError
 
     def test_inadmissible_configuration_rejected(self):

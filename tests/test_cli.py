@@ -81,6 +81,13 @@ class TestParser:
             "constant --h-cap nan",
             "constant --cea-ratio nan",
             "converge --k 2 --cea-ratio nan",
+            "constant --m 1 --k 2 --sigma inf",
+            "constant --m 1 --k 2 --lam inf",
+            "constant --m 1 --k 2 --h-cap inf",
+            "constant --m 1 --k 2 --cea-ratio inf",
+            "converge --k 2 --cea-ratio inf --meshes 4,8",
+            "weakstar --bump-a=1 --bump-b=inf",
+            "weakstar --bump-a=-inf --bump-b=2",
         ],
     )
     def test_bad_argument_is_usage_error(self, capsys, argv):

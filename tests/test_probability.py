@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from fem_accuracy.probability import (
     weak_star_test,
 )
 
-from oracles import sin_seminorm_by_quadrature
+from oracles import h_star_power, root_relative_error, sin_seminorm_by_quadrature
 
 
 class TestElementPair:
@@ -85,6 +88,9 @@ class TestHStarExplicit:
             h_star_explicit(1, 0, 2.0, 2, 2)
         with pytest.raises(ValueError):
             h_star_explicit(1, 0, 2.0, 1, 2, seminorm_ratio=0.0)
+        for bad in ({"seminorm_ratio": math.nan}, {"cea_quotient": math.nan}):
+            with pytest.raises(ValueError):
+                h_star_explicit(1, 0, 2.0, 1, 2, **bad)
         with pytest.raises(AdmissibilityError):
             h_star_explicit(1, 2, 2.0, 1, 3)
 
@@ -197,6 +203,14 @@ class TestSeminormModels:
         with pytest.raises(ValueError):
             GeometricSeminormModel(ratio=0.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            SinPiSeminormModel(math.nan)
+        with pytest.raises(ValueError):
+            GeometricSeminormModel(ratio=math.nan)
+        with pytest.raises(ValueError):
+            GeometricSeminormModel(ratio=2.0, base=math.nan)
+
     def test_sin_model_is_geometric(self):
         sin_based = h_star_sequence(1, 50, SinPiSeminormModel(2.0))
         geo = GeometricSeminormModel(ratio=math.pi, base=math.sqrt(0.5))
@@ -237,6 +251,38 @@ class TestHStarSequence:
             h_star_sequence(1, 5, SinPiSeminormModel(), m=2)
 
 
+# Every admissible (n, m, p, k1) with k1 < k2 <= ORACLE_K_MAX.
+ORACLE_K_MAX = 24
+ORACLE_CASES = [
+    (n, m, p, k1)
+    for n in (1, 2, 3)
+    for m in (0, 1, 2)
+    for p in (Fraction(3, 2), Fraction(2), Fraction(3))
+    for k1 in range(1, ORACLE_K_MAX)
+    if k1 + 1 > m + n / p
+]
+
+
+class TestHStarExactRational:
+    # Second route: h*^(k2-k1) = K(k1)/K(k2) as a Fraction, with unit seminorm
+    # and Cea ratios (GeometricSeminormModel(1.0) in the sequence).
+    def test_explicit_matches_rational(self):
+        worst = max(
+            root_relative_error(h_star_explicit(n, m, float(p), k1, k2), h_star_power(n, m, p, k1, k2), k2 - k1)
+            for n, m, p, k1 in ORACLE_CASES
+            for k2 in range(k1 + 1, ORACLE_K_MAX + 1)
+        )
+        assert worst < 2e-14
+
+    def test_sequence_matches_rational(self):
+        worst = 0.0
+        for n, m, p, k1 in ORACLE_CASES:
+            hs = h_star_sequence(k1, ORACLE_K_MAX - k1, GeometricSeminormModel(1.0), n=n, m=m, p=float(p))
+            for q, h in enumerate(hs.tolist(), start=1):
+                worst = max(worst, root_relative_error(h, h_star_power(n, m, p, k1, k1 + q), q))
+        assert worst < 2e-14
+
+
 class TestBump:
     def test_support(self):
         bump = Bump(0.5, 2.0)
@@ -264,8 +310,9 @@ class TestBump:
         assert wide == pytest.approx(3.0 * narrow, rel=1e-9)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Bump(1.0, 1.0)
+        for a, b in [(1.0, 1.0), (1.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (1.0, math.nan), (-1e308, 1e308)]:
+            with pytest.raises(ValueError):
+                Bump(a, b)
 
 
 class TestWeakStarPairing:
@@ -381,3 +428,14 @@ class TestWeakStarTest:
         assert errors[13] < 1e-3
         tail = [errors[q] for q in range(10, 26)]
         assert all(a > b for a, b in zip(tail, tail[1:]))
+
+    def test_loads_no_numpy_polynomial(self):
+        # The panels use the package's Gauss rule, not numpy's leggauss.
+        code = (
+            "import sys\n"
+            "from fem_accuracy.cli import main\n"
+            "main(['weakstar', '--q-list', '1,5,20'])\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False"

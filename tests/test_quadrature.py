@@ -53,6 +53,15 @@ class TestIntervalRule:
         with pytest.raises(ValueError):
             interval_rule(-1)
 
+    @pytest.mark.parametrize("g", [80, 160])
+    def test_many_point_rule_exact_on_monomials(self, g):
+        # The weak-* pairing panels: x^j on [0, 1] integrates to 1 / (j + 1).
+        rule = interval_rule(2 * g - 1)
+        assert rule.size == g
+        x = rule.points[:, 1]
+        worst = max(abs(math.fsum(rule.weights * x**j) * (j + 1) - 1.0) for j in range(2 * g))
+        assert worst < 5e-14
+
 
 class TestTriangleRule:
     @pytest.mark.parametrize("degree", [0, 2, 4, 8, 13])
