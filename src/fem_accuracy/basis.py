@@ -2,15 +2,17 @@
 
 The basis is indexed by multi-indices (i_1, ..., i_{n+1}) with |i| = k; the
 node of index i has barycentric coordinates (i_1/k, ..., i_{n+1}/k).  Each
-shape function is a product over the barycentric variables of univariate
-factors built from the node spacing 1/k, expanded here into an explicit
-term list with exact rational coefficients.  Construction, differentiation
-in the barycentric variables, and evaluation at rational points are all
-exact; floating point enters only when evaluating at float points.  Float
-work goes through one route: `coefficient_matrix` turns a polynomial list
-into one float coefficient matrix over its distinct monomials, `tabulate`
-evaluates the exact barycentric derivatives of a list at float points with
-one `kernels.eval_terms` call per derivative order, `PkBasis.table` keeps the
+shape function is the product phi_i = prod_v a_{i_v}(lambda_v) of univariate
+node factors built from the node spacing 1/k, kept as an immutable term map
+with exact rational coefficients: its terms are the products of one term per
+factor, and derivatives in the barycentric variables take one pass over the
+terms.  There are no arithmetic operators on polynomials.  Construction,
+differentiation and evaluation at rational points are exact; floating point
+enters only when evaluating at float points.  Float work goes through one
+route: `coefficient_matrix` turns a polynomial list into one float
+coefficient matrix over its distinct monomials, `tabulate` evaluates the
+exact barycentric derivatives of a list at float points with one
+`kernels.eval_terms` call per derivative order, `PkBasis.table` keeps the
 table of a basis read-only per quadrature rule and order, so every element
 and field of the basis shares it, and `chain_rule_weights` turns a table into
 physical derivatives on a whole block of elements at once, given the (float)
@@ -54,15 +56,16 @@ class BarycentricPolynomial:
 
     terms maps an exponent tuple (one entry per variable) to a nonzero
     coefficient: Fraction for the exact shape functions, though any number
-    type works.  Instances are treated as immutable.
+    type works.  Instances are treated as immutable and support only what the
+    basis needs: derivatives, evaluation and the reduced form.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None):
+    def __init__(self, nvars, terms):
         self.nvars = nvars
         clean = {}
-        for exps, c in (terms or {}).items():
+        for exps, c in terms.items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong length for {nvars} variables")
             if c == 0:
@@ -70,84 +73,14 @@ class BarycentricPolynomial:
             clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
 
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value}) if value != 0 else cls(nvars)
-
-    @classmethod
-    def variable(cls, nvars, var):
-        e = [0] * nvars
-        e[var] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __add__(self, other):
-        if isinstance(other, BarycentricPolynomial):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            terms = dict(self.terms)
-            for e, c in other.terms.items():
-                s = terms.get(e, 0) + c
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-            return BarycentricPolynomial(self.nvars, terms)
-        return self + BarycentricPolynomial.constant(self.nvars, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BarycentricPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, BarycentricPolynomial):
-            return self + (-other)
-        return self + BarycentricPolynomial.constant(self.nvars, -other)
-
-    def __mul__(self, other):
-        if isinstance(other, BarycentricPolynomial):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = terms.get(e, 0) + c1 * c2
-                    if s == 0:
-                        terms.pop(e, None)
-                    else:
-                        terms[e] = s
-            return BarycentricPolynomial(self.nvars, terms)
-        if other == 0:
-            return BarycentricPolynomial(self.nvars)
-        return BarycentricPolynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def derivative(self, var):
-        """Partial derivative with respect to barycentric variable `var`."""
+    def lambda_derivative(self, orders):
+        """Iterated derivative; orders[v] counts derivatives in variable v, one entry
+        per variable.  c * lambda^e gives c * prod_v e_v!/(e_v - orders[v])! or 0."""
         terms = {}
         for e, c in self.terms.items():
-            if e[var] == 0:
-                continue
-            d = list(e)
-            d[var] -= 1
-            terms[tuple(d)] = c * e[var]
+            if all(p >= o for p, o in zip(e, orders, strict=True)):
+                terms[tuple(p - o for p, o in zip(e, orders))] = c * math.prod(map(math.perm, e, orders))
         return BarycentricPolynomial(self.nvars, terms)
-
-    def lambda_derivative(self, orders):
-        """Iterated derivative; orders[v] counts derivatives in variable v."""
-        cur = self
-        for var, times in enumerate(orders):
-            for _ in range(times):
-                cur = cur.derivative(var)
-        return cur
 
     def evaluate(self, lam):
         """Evaluate at one barycentric point; exact for Fraction inputs."""
@@ -208,15 +141,6 @@ def auxiliary_factor(i, k):
     return BarycentricPolynomial(1, {(e,): a for e, a in enumerate(coeffs) if a != 0})
 
 
-def _embed(poly1d, nvars, var):
-    terms = {}
-    for (e,), c in poly1d.terms.items():
-        key = [0] * nvars
-        key[var] = e
-        terms[tuple(key)] = c
-    return BarycentricPolynomial(nvars, terms)
-
-
 @dataclass(frozen=True)
 class PkBasis:
     """Degree-k Lagrange basis on the n-simplex.
@@ -267,10 +191,11 @@ class PkBasis:
         return [[p.evaluate(node) for node in self.nodes] for p in self.polynomials]
 
     def sum_polynomial(self):
-        total = BarycentricPolynomial(self.n + 1)
+        total = {}
         for p in self.polynomials:
-            total = total + p
-        return total
+            for e, c in p.terms.items():
+                total[e] = total.get(e, 0) + c
+        return BarycentricPolynomial(self.n + 1, total)
 
 
 def build_basis(n, k):
@@ -288,13 +213,14 @@ def build_basis(n, k):
         raise ValueError(f"basis of dimension {size} exceeds cap {MAX_BASIS_SIZE}")
     idx = multi_indices(n, k)
     nodes = [tuple(Fraction(i, k) for i in mi) for mi in idx]
+    # One term per choice of a term from each factor, variable 0 outermost for coefficient_matrix's column order.
+    factors = [list(auxiliary_factor(i, k).terms.items()) for i in range(k + 1)]
     polys = []
     for mi in idx:
-        poly = BarycentricPolynomial.constant(n + 1, Fraction(1))
-        for var, i in enumerate(mi):
-            if i:
-                poly = poly * _embed(auxiliary_factor(i, k), n + 1, var)
-        polys.append(poly)
+        terms = {}
+        for choice in itertools.product(*(factors[i] for i in mi)):
+            terms[tuple(e for (e,), _ in choice)] = math.prod(c for _, c in choice)
+        polys.append(BarycentricPolynomial(n + 1, terms))
     return PkBasis(n=n, k=k, indices=idx, nodes=nodes, polynomials=polys)
 
 

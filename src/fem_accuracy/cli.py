@@ -155,7 +155,9 @@ def _h_grid(args):
 
 
 def cmd_prob(args):
-    if args.ck1 is not None and args.ck2 is not None:
+    if (args.ck1 is None) != (args.ck2 is None):
+        raise ValueError("give both --ck1 and --ck2, or neither")
+    if args.ck1 is not None:
         pair = ElementPair(k1=args.k1, k2=args.k2, c_k1=args.ck1, c_k2=args.ck2)
         law = AccuracyLaw.from_pair(pair)
     else:

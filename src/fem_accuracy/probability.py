@@ -61,6 +61,14 @@ class ElementPair:
         return self.k2 - self.k1
 
 
+def _root_from_log(log_pow, q):
+    """exp(log_pow / q); a ValueError, not an OverflowError, beyond the float range."""
+    try:
+        return math.exp(log_pow / q)
+    except OverflowError:
+        raise ValueError(f"critical mesh size exp({log_pow / q:.6g}) is beyond the float range") from None
+
+
 def h_star(pair):
     """Critical mesh size (c_k1 / c_k2)^(1/(k2-k1)).
 
@@ -69,9 +77,8 @@ def h_star(pair):
     back to the difference of logs.
     """
     ratio = pair.c_k1 / pair.c_k2
-    if 0.0 < ratio < math.inf:
-        return math.exp(math.log(ratio) / pair.exponent)
-    return math.exp((math.log(pair.c_k1) - math.log(pair.c_k2)) / pair.exponent)
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(pair.c_k1) - math.log(pair.c_k2)
+    return _root_from_log(log_ratio, pair.exponent)
 
 
 def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
@@ -90,7 +97,7 @@ def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
     idx.require(k2)
     # The two ratios enter as two logs: their product can overflow.
     log_pow = log_k_factor(n, m, p, k1) - log_k_factor(n, m, p, k2) + math.log(seminorm_ratio) + math.log(cea_quotient)
-    return math.exp(log_pow / (k2 - k1))
+    return _root_from_log(log_pow, k2 - k1)
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,7 @@ def h_star_sequence(k, q_max, model, n=1, m=0, p=2.0, cea_quotient=None):
         log_pow = base - log_k_factor(n, m, p, k + q) - model.log_seminorm(k + q + 1)
         if cea_quotient is not None:
             log_pow += math.log(cea_quotient(q))
-        out[q - 1] = math.exp(log_pow / q)
+        out[q - 1] = _root_from_log(log_pow, q)
     return out
 
 

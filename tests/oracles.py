@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from fem_accuracy.basis import BarycentricPolynomial
 from fem_accuracy.geometry import SimplexMesh
 
 
@@ -36,6 +37,24 @@ def polynomial_integral(poly, n, measure=None):
     for e, c in poly.terms.items():
         total += Fraction(c) * monomial_integral(e, n, measure)
     return total
+
+
+def polynomial_product(p, q):
+    """Exact product of two BarycentricPolynomials by the term-by-term double
+    loop, like terms summed; terms in order of first appearance, p's outermost."""
+    if p.nvars != q.nvars:
+        raise ValueError("variable count mismatch")
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return BarycentricPolynomial(p.nvars, terms)
+
+
+def embedded(poly1d, nvars, var):
+    """A polynomial in one variable as the same polynomial in variable `var` of nvars."""
+    return BarycentricPolynomial(nvars, {tuple(e if v == var else 0 for v in range(nvars)): c for (e,), c in poly1d.terms.items()})
 
 
 def rational_eval(poly, lam):

@@ -52,7 +52,7 @@ from fem_accuracy.probability import (
     weak_star_test,
 )
 
-from oracles import polynomial_integral
+from oracles import polynomial_integral, polynomial_product
 
 # Tolerance on an observed convergence order, as in criterion 4.
 ORDER_TOL = 0.15
@@ -140,7 +140,7 @@ def test_criterion_3_seminorm_caps_on_the_tetrahedron():
                     flagged.append((k, l, p))
         # Second route for the L^2 row: the exact rational integral of each
         # shape function squared over the reference tetrahedron.
-        squares = [polynomial_integral(poly * poly, 3) for poly in basis.polynomials]
+        squares = [polynomial_integral(polynomial_product(poly, poly), 3) for poly in basis.polynomials]
         chk = seminorm_bound_check(basis, ref, 0, 2.0)
         assert chk.measured == pytest.approx(math.sqrt(max(squares)), rel=1e-12, abs=0)
     # k + 1 > l + 3/p fails for these five.

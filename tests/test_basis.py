@@ -19,7 +19,7 @@ from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d
 from fem_accuracy.norms import PiecewisePolynomialField, interpolant_field
 from fem_accuracy.quadrature import simplex_rule
 
-from oracles import rational_eval
+from oracles import embedded, polynomial_product, rational_eval
 
 
 class TestMultiIndices:
@@ -78,38 +78,24 @@ class TestAuxiliaryFactor:
 
 
 class TestPolynomialAlgebra:
-    def test_arithmetic_and_degree(self):
-        x = BarycentricPolynomial.variable(2, 0)
-        y = BarycentricPolynomial.variable(2, 1)
-        p = (x + y) * (x - y) + 1
-        assert p.terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1), (0, 0): 1}
-        assert p.degree() == 2
-        assert (p - p).is_zero()
-
-    def test_scalar_operations(self):
-        x = BarycentricPolynomial.variable(1, 0)
-        assert (2 * x - Fraction(1, 2)).evaluate((Fraction(1, 4),)) == 0
-        assert (x * 0).is_zero()
-
     def test_derivative(self):
         p = auxiliary_factor(2, 2)
-        d = p.derivative(0)
+        d = p.lambda_derivative((1,))
         assert d.terms == {(1,): Fraction(4), (0,): Fraction(-1)}
 
     def test_lambda_derivative_mixed(self):
-        x = BarycentricPolynomial.variable(2, 0)
-        y = BarycentricPolynomial.variable(2, 1)
-        p = x * x * y
+        p = BarycentricPolynomial(2, {(2, 1): Fraction(1)})
         assert p.lambda_derivative((1, 1)).terms == {(1, 0): Fraction(2)}
-        assert p.lambda_derivative((3, 0)).is_zero()
+        assert not p.lambda_derivative((3, 0)).terms
+        for orders in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                p.lambda_derivative(orders)
 
     def test_reduced_identity_on_plane(self):
         # lambda_0 + lambda_1 equals one on the barycentric line.
-        x = BarycentricPolynomial.variable(2, 0)
-        y = BarycentricPolynomial.variable(2, 1)
-        assert (x + y).reduced() == {(0,): Fraction(1)}
+        assert BarycentricPolynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(1)}).reduced() == {(0,): Fraction(1)}
         # lambda_1^2 reduces to (1 - lambda_0)^2.
-        assert (y * y).reduced() == {
+        assert BarycentricPolynomial(2, {(0, 2): Fraction(1)}).reduced() == {
             (0,): Fraction(1),
             (1,): Fraction(-2),
             (2,): Fraction(1),
@@ -135,8 +121,6 @@ class TestPolynomialAlgebra:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BarycentricPolynomial(2, {(1,): Fraction(1)})
-        with pytest.raises(ValueError):
-            BarycentricPolynomial.variable(2, 0) + BarycentricPolynomial.variable(3, 0)
 
 
 class TestBasisConstruction:
@@ -160,6 +144,33 @@ class TestBasisConstruction:
         assert by_index[(2, 0)].terms == {(2, 0): Fraction(2), (1, 0): Fraction(-1)}
         # Edge midpoint function: 4*lambda_0*lambda_1.
         assert by_index[(1, 1)].terms == {(1, 1): Fraction(4)}
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in range(1, 7)])
+    def test_shape_functions_are_products_of_embedded_factors(self, n, k):
+        # Second route: the double-loop product of the embedded node factors,
+        # constant one first, then variable 0 outermost.  Comparing item lists
+        # pins the insertion order, which orders coefficient_matrix's columns.
+        basis = build_basis(n, k)
+        for mi, poly in zip(basis.indices, basis.polynomials):
+            want = BarycentricPolynomial(n + 1, {(0,) * (n + 1): Fraction(1)})
+            for var, i in enumerate(mi):
+                want = polynomial_product(want, embedded(auxiliary_factor(i, k), n + 1, var))
+            assert list(poly.terms.items()) == list(want.terms.items()), mi
+
+    @pytest.mark.parametrize("n,k", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 2), (3, 3)])
+    def test_one_pass_derivative_matches_unit_steps(self, n, k):
+        basis = build_basis(n, k)
+        for r in range(4):
+            for orders in multi_indices(n, r):
+                for poly in basis.polynomials:
+                    want = poly
+                    for v, times in enumerate(orders):
+                        for _ in range(times):
+                            want = want.lambda_derivative(tuple(int(u == v) for u in range(n + 1)))
+                    got = poly.lambda_derivative(orders)
+                    assert list(got.terms.items()) == list(want.terms.items()), orders
+                    if r > k:
+                        assert not got.terms
 
     def test_node_coordinates_interval(self):
         basis = build_basis(1, 2)
@@ -191,7 +202,7 @@ def physical_derivative(poly, simplex, alpha, lam):
 class TestSpatialDerivative:
     def test_interval_first_derivative(self):
         s = Simplex([[0.0], [0.25]])
-        lam1 = BarycentricPolynomial.variable(2, 1)
+        lam1 = BarycentricPolynomial(2, {(0, 1): Fraction(1)})
         assert physical_derivative(lam1, s, (1,), (0.3, 0.7)) == pytest.approx(4.0, rel=1e-13)
 
     def test_interval_second_derivative_of_quadratic(self):
@@ -203,13 +214,13 @@ class TestSpatialDerivative:
 
     def test_triangle_gradient_directions(self):
         s = reference_simplex(2)
-        lam1 = BarycentricPolynomial.variable(3, 1)
+        lam1 = BarycentricPolynomial(3, {(0, 1, 0): Fraction(1)})
         lam = (1 / 3, 1 / 3, 1 / 3)
         assert physical_derivative(lam1, s, (1, 0), lam) == pytest.approx(1.0, abs=1e-14)
         assert physical_derivative(lam1, s, (0, 1), lam) == pytest.approx(0.0, abs=1e-14)
 
     def test_order_beyond_degree_is_zero(self):
-        lam1 = BarycentricPolynomial.variable(2, 1)
+        lam1 = BarycentricPolynomial(2, {(0, 1): Fraction(1)})
         table = tabulate([lam1], np.array([[0.3, 0.7], [0.5, 0.5]]), 2)
         assert table.shape == (4, 1, 2)
         assert not table.any()
@@ -217,7 +228,7 @@ class TestSpatialDerivative:
     def test_argument_validation(self):
         s = reference_simplex(2)
         with pytest.raises(ValueError):
-            tabulate([BarycentricPolynomial.variable(2, 0)], s.barycentric(np.array([[0.2, 0.3]])), 1)
+            tabulate([BarycentricPolynomial(2, {(1, 0): Fraction(1)})], s.barycentric(np.array([[0.2, 0.3]])), 1)
         with pytest.raises(ValueError):
             chain_rule_weights(s.barycentric_gradients(), (1,))
 

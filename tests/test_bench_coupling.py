@@ -2,11 +2,12 @@
 
 e2ebench/tracer.py patches library names by module and attribute path, so a
 renamed or deleted name silently drops a layer from traced runs.  These tests
-install the tracer, run one small scan, and check that the kernel layer is
-still counted and that uninstalling puts every original object back.  The
-tracer also reads the element count of a domain by its `simplices` attribute
-when it counts seminorm point evaluations; a test pins that count on a mesh
-and on a Simplex, which is a one-element mesh.
+install the tracer, build a basis and run one small scan, and check that the
+basis constructions and the kernel layer are still counted and that
+uninstalling puts every original object back.  The tracer also reads the
+element count of a domain by its `simplices` attribute when it counts
+seminorm point evaluations; a test pins that count on a mesh and on a
+Simplex, which is a one-element mesh.
 """
 
 import importlib
@@ -50,13 +51,15 @@ def test_tracer_counts_kernel_calls_and_restores_every_name():
         (fem_accuracy, "Bump", fem_accuracy.Bump),
         (fem_accuracy.cli, "Bump", fem_accuracy.cli.Bump),
     ]
-    basis = build_basis(2, 2)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
+        basis = build_basis(2, 2)
+        built = tracer.counts["basis.poly_objects"]
         fem_accuracy.point_bound_check(basis, 1, subdivisions=4, samples=10)
     finally:
         tracer.uninstall()
+    assert built > 0
     assert tracer.counts["kernels.calls"] > 0
     assert tracer.counts["bounds.points_scanned"] > 0
     for owner, attr, original in entries:

@@ -282,7 +282,7 @@ class TestPointScans:
         for vars_ in itertools.combinations_with_replacement(range(n + 1), r):
             for poly in basis.polynomials:
                 for v in vars_:
-                    poly = poly.derivative(v)
+                    poly = poly.lambda_derivative(tuple(int(u == v) for u in range(n + 1)))
                 worst = max([worst] + [abs(poly.evaluate(x)) for x in pts])
         chk = point_bound_check(basis, r, subdivisions=10, samples=200)
         assert chk.measured == pytest.approx(worst, rel=1e-13, abs=0)

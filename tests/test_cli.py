@@ -74,6 +74,10 @@ class TestParser:
             "weakstar --bump-a 2 --bump-b 1",
             "prob --k1 2 --k2 1",
             "prob --ck1 -1 --ck2 1",
+            "prob --ck1 2.0",
+            "prob --ck2 2.0",
+            "prob --seminorm-ratio 1e308 --cea-ratio 100",
+            "prob --ck1 1e308 --ck2 1e-308",
             "prob --n 0",
             "constant --k 0",
             "constant --m 1 --k 2 --lam nan",

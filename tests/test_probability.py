@@ -61,6 +61,15 @@ class TestHStar:
         pair = ElementPair(k1=1, k2=601, c_k1=1e-300, c_k2=1e300)
         assert h_star(pair) == pytest.approx(0.1, rel=1e-12)
 
+    def test_beyond_float_range_is_value_error(self):
+        # Each of these critical sizes exceeds the largest float, about 1.8e308.
+        with pytest.raises(ValueError, match="beyond the float range"):
+            h_star(ElementPair(k1=1, k2=2, c_k1=1e308, c_k2=1e-308))
+        with pytest.raises(ValueError, match="beyond the float range"):
+            h_star_explicit(1, 0, 2.0, 1, 2, seminorm_ratio=1e308, cea_quotient=100.0)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            h_star_sequence(1, 3, GeometricSeminormModel(1e-308))
+
 
 class TestHStarExplicit:
     def test_frozen_linear_quadratic_value(self):
