@@ -19,7 +19,6 @@ All checks return BoundCheck records that serialize to JSON.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +32,9 @@ from .norms import PiecewisePolynomialField, SobolevIndex, element_blocks, semin
 # Lattice refinement and random sample count for the pointwise scans.
 DEFAULT_SUBDIVISIONS = 50
 DEFAULT_SAMPLES = 10_000
+
+# Largest |log| of a ratio taken exactly: its exp is a normal float.
+LOG_FLOAT_RANGE = 700.0
 
 
 @dataclass(frozen=True)
@@ -109,20 +111,58 @@ def log_k_factor(n, m, p, k):
     )
 
 
+def log_k_factor_ratio(n, m, p, k1, k2):
+    """log of K(k1) / K(k2), K the k-factor of log_k_factor.
+
+    The ratio is one exact rational, with p the exact value of its float, and
+    is rounded once, by the integer division, before its log is taken.  Where
+    it is beyond the float range, the difference of the two log_k_factor
+    values stands instead.
+    """
+    log_ratio = log_k_factor(n, m, p, k1) - log_k_factor(n, m, p, k2)
+    if abs(log_ratio) > LOG_FLOAT_RANGE:
+        return log_ratio
+    p_num, p_den = p.as_integer_ratio()
+
+    def parts(k):
+        # K(k) = num / den * p_num, and p_num cancels in the ratio.
+        return (k + n) ** n * k ** (m * (n + 2)), math.factorial(k - m) * ((k + 1 - m) * p_num - n * p_den)
+
+    (num1, den1), (num2, den2) = parts(k1), parts(k2)
+    return math.log(num1 * den2 / (den1 * num2))
+
+
 def log_script_c(bundle):
-    """log of the global error constant script_C(k)."""
-    c = max(c1_constant(bundle), c2_constant(bundle.n))
+    """log of the global error constant script_C(k).
+
+    A ValueError, not an OverflowError or an inf, where a float factor overflows.
+    """
+    try:
+        c = max(c1_constant(bundle), c2_constant(bundle.n))
+        log_xi = math.log(xi(bundle.m, bundle.p, bundle.h_cap))
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:
+        raise ValueError("script_C cannot be formed in floats: its factor c1, c2 or xi overflows")
     return (
         math.log(bundle.cea_ratio)
         + math.log(c)
-        + math.log(xi(bundle.m, bundle.p, bundle.h_cap))
+        + log_xi
         + log_k_factor(bundle.n, bundle.m, bundle.p, bundle.k)
     )
 
 
+def exp_in_float_range(log_value, name):
+    """exp(log_value); a ValueError naming `name`, not an OverflowError, beyond the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"{name} exp({log_value:.6g}) is beyond the float range") from None
+
+
 def script_c(bundle):
     """Global constant multiplying h^{k+1-m} |u|_{k+1,p} in the estimate."""
-    return math.exp(log_script_c(bundle))
+    return exp_in_float_range(log_script_c(bundle), "script_C =")
 
 
 def local_interp_bound(bundle, u_seminorm, h_element, l):
@@ -171,9 +211,6 @@ class BoundCheck:
         if self.note:
             rec["note"] = self.note
         return rec
-
-    def to_json(self):
-        return json.dumps(self.to_record(), sort_keys=True)
 
 
 def barycentric_lattice(n, subdivisions):

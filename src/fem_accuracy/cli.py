@@ -106,6 +106,10 @@ def _model(name, p):
     return SinPiSeminormModel(p) if name == "sinpi" else GeometricSeminormModel(1.0)
 
 
+# Each cmd_* returns (rows, failed): failed names the embedded checks that did
+# not hold, or is None.
+
+
 def cmd_basis(args):
     basis = build_basis(args.n, args.k)
     rows = []
@@ -117,35 +121,20 @@ def cmd_basis(args):
                 "terms": {" ".join(map(str, e)): str(c) for e, c in sorted(poly.terms.items(), reverse=True)},
             }
         )
-    _emit(rows, "json", args.out)
-    return EXIT_OK
+    return rows, None
 
 
 def cmd_bounds(args):
     basis = build_basis(args.n, args.k)
     checks = [point_bound_check(basis, r, samples=args.samples, seed=args.seed) for r in range(args.r + 1)]
     checks.append(seminorm_bound_check(basis, reference_simplex(args.n), args.l, args.p))
-    _emit([c.to_record() for c in checks], args.format, args.out)
     failed = [c.name for c in checks if not c.passed]
-    if failed:
-        print(f"FAIL: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return [c.to_record() for c in checks], ", ".join(failed) or None
 
 
 def cmd_constant(args):
-    bundle = ConstantBundle(
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        p=args.p,
-        sigma=args.sigma,
-        lam=args.lam,
-        cea_ratio=args.cea_ratio,
-        h_cap=args.h_cap,
-    )
-    _emit([{**dataclasses.asdict(bundle), "script_C": script_c(bundle)}], args.format, args.out)
-    return EXIT_OK
+    bundle = ConstantBundle(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ConstantBundle)})
+    return [{**dataclasses.asdict(bundle), "script_C": script_c(bundle)}], None
 
 
 def _h_grid(args):
@@ -170,24 +159,20 @@ def cmd_prob(args):
         {"h": float(h), "probability": float(law(h)), "step": float(step(h)), "h_star": law.h_star}
         for h in _h_grid(args)
     ]
-    _emit(rows, args.format, args.out)
-    return EXIT_OK
+    return rows, None
 
 
 def cmd_hstar_seq(args):
     model = _model(args.model, args.p)
     hs = h_star_sequence(args.k, args.qmax, model, n=args.n, m=args.m, p=args.p)
     rows = [{"q": q, "h_star": float(hs[q - 1]), "h_star_over_q": float(hs[q - 1] / q)} for q in range(1, args.qmax + 1)]
-    _emit(rows, args.format, args.out)
-    return EXIT_OK
+    return rows, None
 
 
 def cmd_weakstar(args):
     model = _model(args.model, args.p)
     bump = Bump(args.bump_a, args.bump_b)
-    rows = weak_star_test(args.k, args.q_list, bump, model, n=args.n, m=args.m, p=args.p)
-    _emit(rows, args.format, args.out)
-    return EXIT_OK
+    return weak_star_test(args.k, args.q_list, bump, model, n=args.n, m=args.m, p=args.p), None
 
 
 def cmd_converge(args):
@@ -195,99 +180,72 @@ def cmd_converge(args):
     rows, slope = fem1d.convergence_study(problem, args.k, args.m, args.p, args.meshes, cea_ratio=args.cea_ratio)
     for row in rows:
         row["slope"] = slope
-    _emit(rows, args.format, args.out)
-    violated = [r for r in rows if r["pass"] is False]
-    if violated:
-        print("FAIL: error exceeded the bound", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    violated = any(r["pass"] is False for r in rows)
+    return rows, "error exceeded the bound" if violated else None
 
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--out", default=None, help="output file (default stdout)")
-    sp.add_argument("--seed", type=int, default=0)
+# The options several subcommands take, each declared once.  Every subparser
+# adds its own action from these, so its set_defaults (k=2 for basis and
+# bounds) leaves the other subcommands alone; argparse parent parsers would
+# share one action between them.
+SHARED_OPTIONS = {
+    "--n": dict(type=_int_at_least(1), default=1),
+    "--k": dict(type=_int_at_least(1), default=1),
+    "--m": dict(type=_int_at_least(0), default=0),
+    "--p": dict(type=_positive_float, default=2.0),
+    "--cea-ratio": dict(type=float, default=1.0),
+    "--model": dict(choices=["sinpi", "exp"], default="sinpi"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--out": dict(default=None, help="output file (default stdout)"),
+    "--seed": dict(type=int, default=0),
+}
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="fem-accuracy", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("basis", help="dump the exact shape functions of one basis")
-    sp.add_argument("--n", type=_int_at_least(1), default=1)
-    sp.add_argument("--k", type=_int_at_least(1), default=2)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_basis)
+    def command(name, fn, shared, help, **defaults):
+        """A subparser taking the SHARED_OPTIONS named in the string `shared`."""
+        sp = sub.add_parser(name, help=help)
+        for option in shared.split() + ["--format", "--out", "--seed"]:
+            sp.add_argument(option, **SHARED_OPTIONS[option])
+        sp.set_defaults(fn=fn, **defaults)
+        return sp
 
-    sp = sub.add_parser("bounds", help="pointwise and seminorm cap checks")
-    sp.add_argument("--n", type=_int_at_least(1), default=1)
-    sp.add_argument("--k", type=_int_at_least(1), default=2)
+    command("basis", cmd_basis, "--n --k", "dump the exact shape functions of one basis", k=2)
+
+    sp = command("bounds", cmd_bounds, "--n --k --p", "pointwise and seminorm cap checks", k=2)
     sp.add_argument("--r", type=_int_at_least(0), default=2, help="max derivative order for the pointwise scan")
     sp.add_argument("--l", type=_int_at_least(0), default=1)
-    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--samples", type=_int_at_least(0), default=10000)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_bounds)
 
-    sp = sub.add_parser("constant", help="evaluate the error constant script_C(k)")
-    sp.add_argument("--n", type=_int_at_least(1), default=1)
-    sp.add_argument("--m", type=_int_at_least(0), default=0)
-    sp.add_argument("--k", type=_int_at_least(1), default=1)
-    sp.add_argument("--p", type=_positive_float, default=2.0)
+    sp = command("constant", cmd_constant, "--n --m --k --p --cea-ratio", "evaluate the error constant script_C(k)")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--lam", type=float, default=1.0)
-    sp.add_argument("--cea-ratio", type=float, default=1.0)
     sp.add_argument("--h-cap", type=float, default=1.0)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_constant)
 
-    sp = sub.add_parser("prob", help="accuracy-probability curve for a degree pair")
+    sp = command("prob", cmd_prob, "--n --m --p --cea-ratio", "accuracy-probability curve for a degree pair")
     sp.add_argument("--k1", type=_int_at_least(1), default=1)
     sp.add_argument("--k2", type=int, default=2)
-    sp.add_argument("--n", type=_int_at_least(1), default=1)
-    sp.add_argument("--m", type=_int_at_least(0), default=0)
-    sp.add_argument("--p", type=_positive_float, default=2.0)
     sp.add_argument("--ck1", type=float, default=None, help="explicit constant for k1")
     sp.add_argument("--ck2", type=float, default=None, help="explicit constant for k2")
     sp.add_argument("--seminorm-ratio", type=float, default=1.0)
-    sp.add_argument("--cea-ratio", type=float, default=1.0)
     sp.add_argument("--hmin", type=float, default=0.01)
     sp.add_argument("--hmax", type=float, default=10.0)
     sp.add_argument("--steps", type=int, default=50)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_prob)
 
-    sp = sub.add_parser("hstar-seq", help="critical mesh sizes for growing degree gap")
-    sp.add_argument("--k", type=_int_at_least(1), default=1)
+    sp = command("hstar-seq", cmd_hstar_seq, "--k --n --m --p --model", "critical mesh sizes for growing degree gap")
     sp.add_argument("--qmax", type=_int_at_least(1), default=200)
-    sp.add_argument("--n", type=_int_at_least(1), default=1)
-    sp.add_argument("--m", type=_int_at_least(0), default=0)
-    sp.add_argument("--p", type=_positive_float, default=2.0)
-    sp.add_argument("--model", choices=["sinpi", "exp"], default="sinpi")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_hstar_seq)
 
-    sp = sub.add_parser("weakstar", help="pairing error of the laws against the step limit")
-    sp.add_argument("--k", type=_int_at_least(1), default=1)
+    sp = command("weakstar", cmd_weakstar, "--k --n --m --p --model", "pairing error of the laws against the step limit")
     sp.add_argument("--q-list", type=_int_list, default="1,2,5,10,20,50,100,200")
     sp.add_argument("--bump-a", type=float, default=1.0)
     sp.add_argument("--bump-b", type=float, default=2.0)
-    sp.add_argument("--n", type=_int_at_least(1), default=1)
-    sp.add_argument("--m", type=_int_at_least(0), default=0)
-    sp.add_argument("--p", type=_positive_float, default=2.0)
-    sp.add_argument("--model", choices=["sinpi", "exp"], default="sinpi")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_weakstar)
 
-    sp = sub.add_parser("converge", help="1D Galerkin convergence study")
-    sp.add_argument("--k", type=_int_at_least(1), default=1)
-    sp.add_argument("--m", type=_int_at_least(0), default=0)
-    sp.add_argument("--p", type=_positive_float, default=2.0)
+    sp = command("converge", cmd_converge, "--k --m --p --cea-ratio", "1D Galerkin convergence study")
     sp.add_argument("--problem", choices=["sine", "cubic"], default="sine")
     sp.add_argument("--meshes", type=_int_list, default="8,16,32,64,128")
-    sp.add_argument("--cea-ratio", type=float, default=1.0)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_converge)
 
     return ap
 
@@ -296,7 +254,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        rows, failed = args.fn(args)
+        # basis rows hold lists and maps, which only JSON lines carry.
+        _emit(rows, "json" if args.command == "basis" else args.format, args.out)
     except AdmissibilityError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INADMISSIBLE
@@ -304,6 +264,10 @@ def main(argv=None):
         raise  # a failed solve is not a usage error
     except ValueError as exc:
         ap.error(str(exc))
+    if failed:
+        print(f"FAIL: {failed}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

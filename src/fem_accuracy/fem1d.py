@@ -289,8 +289,10 @@ def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
 
     Returns (rows, order): rows carry {k, m, p, h, error, bound, order_est}
     with order_est the running two-point slope, and order the least-squares
-    log-log slope across the family.
+    log-log slope across the family.  The element counts must be distinct.
     """
+    if len(set(element_counts)) < len(element_counts):
+        raise ValueError(f"element counts must be distinct, got {','.join(map(str, element_counts))}")
     rows = []
     errors = []
     hs = []

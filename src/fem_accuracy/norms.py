@@ -65,7 +65,7 @@ class SobolevIndex:
         if self.p <= 1:
             warnings.warn(
                 f"p = {self.p} is outside the variational framework (need p > 1)",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the code that builds the index
             )
 
     def seminorm_conditions(self, k):

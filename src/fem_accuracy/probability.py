@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import log_k_factor
+from .bounds import exp_in_float_range, log_k_factor_ratio
 from .functions import log_sin_lp_constant
 from .norms import SobolevIndex
 from .quadrature import interval_rule
@@ -63,10 +63,7 @@ class ElementPair:
 
 def _root_from_log(log_pow, q):
     """exp(log_pow / q); a ValueError, not an OverflowError, beyond the float range."""
-    try:
-        return math.exp(log_pow / q)
-    except OverflowError:
-        raise ValueError(f"critical mesh size exp({log_pow / q:.6g}) is beyond the float range") from None
+    return exp_in_float_range(log_pow / q, "critical mesh size")
 
 
 def h_star(pair):
@@ -96,7 +93,7 @@ def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
     idx.require(k1)
     idx.require(k2)
     # The two ratios enter as two logs: their product can overflow.
-    log_pow = log_k_factor(n, m, p, k1) - log_k_factor(n, m, p, k2) + math.log(seminorm_ratio) + math.log(cea_quotient)
+    log_pow = log_k_factor_ratio(n, m, p, k1, k2) + math.log(seminorm_ratio) + math.log(cea_quotient)
     return _root_from_log(log_pow, k2 - k1)
 
 
@@ -119,8 +116,8 @@ class AccuracyLaw:
             raise ValueError("kind must be 'nonlinear' or 'step'")
 
     @classmethod
-    def from_pair(cls, pair, kind="nonlinear"):
-        return cls(h_star=h_star(pair), exponent=pair.exponent, kind=kind)
+    def from_pair(cls, pair):
+        return cls(h_star=h_star(pair), exponent=pair.exponent)
 
     def __call__(self, h):
         h = np.asarray(h, dtype=np.float64)
@@ -180,24 +177,21 @@ class GeometricSeminormModel:
         return math.log(self.base) + r * math.log(self.ratio)
 
 
-def h_star_sequence(k, q_max, model, n=1, m=0, p=2.0, cea_quotient=None):
+def h_star_sequence(k, q_max, model, n=1, m=0, p=2.0):
     """Critical mesh sizes h_star(q) for degree pairs (k, k+q), q = 1..q_max.
 
-    model supplies log |u|_{r,p}; cea_quotient is an optional callable
-    q -> ratio of quasi-optimality factors (default 1).  Returns an array
-    of length q_max with h_star(q) at index q-1.  Log-space throughout, so
-    q_max of order 10^4 is fine.
+    model supplies log |u|_{r,p}, and both degrees share one quasi-optimality
+    factor.  Returns an array of length q_max with h_star(q) at index q-1.
+    Log-space throughout, so q_max of order 10^4 is fine.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     idx = SobolevIndex(m=m, p=p, n=n)
     idx.require(k)
     out = np.empty(q_max)
-    base = log_k_factor(n, m, p, k) + model.log_seminorm(k + 1)
+    base = model.log_seminorm(k + 1)
     for q in range(1, q_max + 1):
-        log_pow = base - log_k_factor(n, m, p, k + q) - model.log_seminorm(k + q + 1)
-        if cea_quotient is not None:
-            log_pow += math.log(cea_quotient(q))
+        log_pow = log_k_factor_ratio(n, m, p, k, k + q) + base - model.log_seminorm(k + q + 1)
         out[q - 1] = _root_from_log(log_pow, q)
     return out
 
@@ -251,7 +245,7 @@ def weak_star_pairing(law, bump):
     return _panel_integral(lambda h: law(h) * bump(h), lo, bump.b, split=law.h_star)
 
 
-def weak_star_test(k, q_list, bump, model, n=1, m=0, p=2.0, cea_quotient=None):
+def weak_star_test(k, q_list, bump, model, n=1, m=0, p=2.0):
     """Pairing error of the nonlinear laws against the step-law limit.
 
     For each q in q_list the nonlinear law of the pair (k, k+q) is paired
@@ -264,7 +258,7 @@ def weak_star_test(k, q_list, bump, model, n=1, m=0, p=2.0, cea_quotient=None):
     q_list = sorted(set(int(q) for q in q_list))
     if not q_list or q_list[0] < 1:
         raise ValueError("q_list must contain positive integers")
-    hs = h_star_sequence(k, q_list[-1], model, n=n, m=m, p=p, cea_quotient=cea_quotient)
+    hs = h_star_sequence(k, q_list[-1], model, n=n, m=m, p=p)
     lo = max(bump.a, 0.0)
     # The step-law limit pairs to the full bump mass over (0, inf).
     limit_target = _panel_integral(bump, lo, bump.b)

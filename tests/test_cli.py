@@ -20,6 +20,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
 from fem_accuracy.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_main(capsys, argv):
@@ -92,6 +93,13 @@ class TestParser:
             "converge --k 2 --cea-ratio inf --meshes 4,8",
             "weakstar --bump-a=1 --bump-b=inf",
             "weakstar --bump-a=-inf --bump-b=2",
+            "converge --k 1 --meshes 8,8",
+            "constant --n 200 --m 1 --k 300",
+            "constant --n 1 --m 200 --k 300",
+            "constant --m 2 --k 3 --sigma 1e200",
+            "constant --m 1 --k 2 --h-cap 1e300",
+            "constant --m 1 --k 2 --lam 1e308 --sigma 1e10",
+            "converge --k 2 --m 1 --cea-ratio 1e308 --meshes 4,8",
         ],
     )
     def test_bad_argument_is_usage_error(self, capsys, argv):
@@ -142,6 +150,25 @@ class TestParser:
         ]
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
         assert json.loads(out.stdout) == {cmd: [] for cmd in argv}
+
+
+class TestFailedCheck:
+    def test_failed_cap_exits_1(self, capsys):
+        # The r = 1 cap k^3 is false at k = 12 in 1D: 1900.8 > 1728.
+        code, out, err = run_main(capsys, ["bounds", "--n", "1", "--k", "12", "--r", "1", "--samples", "0", "--l", "0"])
+        assert code == 1
+        assert err == "FAIL: pointwise-cap\n"
+        assert [r["pass"] for r in parse_csv(out)] == ["True", "False", "True"]
+
+    def test_violated_bound_exits_1(self, capsys, monkeypatch):
+        from fem_accuracy import fem1d
+
+        row = {"k": 1, "m": 0, "p": 2.0, "h": 0.25, "error": 1.0, "bound": 0.5, "order_est": None, "pass": False}
+        monkeypatch.setattr(fem1d, "convergence_study", lambda *args, **kwargs: ([row], None))
+        code, out, err = run_main(capsys, ["converge", "--meshes", "4"])
+        assert code == 1
+        assert err == "FAIL: error exceeded the bound\n"
+        assert parse_csv(out)[0]["pass"] == "False"
 
 
 class TestBasisCommand:
@@ -280,6 +307,22 @@ class TestOutputHandling:
         json_rows = parse_json_lines(out_json)
         for c, j in zip(csv_rows, json_rows):
             assert float(c["h_star"]) == pytest.approx(j["h_star"], rel=1e-12)
+
+
+def readme_commands():
+    """The `fem-accuracy ...` lines of the README's "Command line" block, as argv lists."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("fem-accuracy ")]
+
+
+class TestReadmeExamples:
+    def test_examples_exit_0(self, capsys):
+        commands = readme_commands()
+        assert len(commands) >= 7
+        for argv in commands:
+            code, out, err = run_main(capsys, argv)
+            assert code == 0, (argv, err)
+            assert out, argv
 
 
 def declared_console_script(name):
