@@ -7,6 +7,12 @@ to right, then the k-1 interior nodes of each element.  The solve is numpy
 only: static condensation of the interior nodes, then cyclic reduction of the
 tridiagonal vertex system.  Error reports measure W^{m,p} seminorms of u - u_h, estimate
 orders from log-log slopes and compare with script_C(k) h^{k+1-m} |u|_{k+1,p}.
+
+Several meshes are solved and measured as one batch: a MeshFamily stacks
+their elements into one mesh, so one element system, one condensation, one
+stacked cyclic reduction, one back-substitution and one seminorm pass per rule
+and order serve them all; only the sums, sizes and bounds are taken per mesh.
+A single mesh is the batch of one.
 """
 
 from __future__ import annotations
@@ -20,8 +26,16 @@ import numpy as np
 from .basis import build_basis, tabulate
 from .bounds import ConstantBundle, script_c
 from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
-from .geometry import uniform_mesh_1d
-from .norms import AnalyticField, DifferenceField, PiecewisePolynomialField, SobolevIndex, seminorm, seminorm_with_estimate
+from .geometry import SimplexMesh, uniform_mesh_1d
+from .norms import (
+    ESTIMATE_DEGREE_STEP,
+    AnalyticField,
+    DifferenceField,
+    PiecewisePolynomialField,
+    SobolevIndex,
+    element_powers,
+    seminorm,
+)
 from .quadrature import interval_rule
 
 # Residual threshold for a solve to count as converged.
@@ -58,15 +72,57 @@ class ModelProblem:
         return cls(u=Polynomial1D([0.0, 1.0, 0.0, -1.0]), name="cubic")
 
 
+class MeshFamily:
+    """1D meshes stacked into one SimplexMesh, so that they are solved and measured as one batch.
+
+    The family's vertex table stacks the meshes' tables, and its connectivity
+    stacks theirs, each offset by the vertices before it; its geometry arrays
+    equal the meshes' arrays element by element.  Mesh j holds the family's
+    elements offsets[j]:offsets[j + 1].  Every mesh must be one chain of
+    elements left to right, the layout element_dofs numbers; anything else
+    raises ValueError.
+    """
+
+    def __init__(self, meshes):
+        self.meshes = tuple(meshes)
+        if not self.meshes or any(mesh.n != 1 for mesh in self.meshes):
+            raise ValueError("the Galerkin solve needs one or more meshes and is restricted to 1D meshes")
+        self.counts = np.array([len(mesh) for mesh in self.meshes])
+        self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
+        starts = np.cumsum([0] + [len(mesh.vertices) for mesh in self.meshes[:-1]])
+        self.mesh = SimplexMesh(
+            np.concatenate([mesh.vertices for mesh in self.meshes]),
+            np.concatenate([mesh.connectivity + start for mesh, start in zip(self.meshes, starts)]),
+        )
+        left, right = self.mesh.element_vertices[:, 0, 0], self.mesh.element_vertices[:, 1, 0]
+        chained = left[1:] == right[:-1]
+        chained[self.offsets[1:-1] - 1] = True  # the last element of one mesh and the first of the next
+        if not (chained.all() and np.all(right > left)):
+            raise ValueError(
+                "a 1D mesh must be one chain of elements left to right: element e + 1 starts where "
+                "element e ends, and each element's second vertex lies right of its first"
+            )
+
+    def sums(self, powers):
+        """math.fsum of each mesh's columns of a (rows, E) array, one float per mesh."""
+        return [math.fsum(powers[:, lo:hi].ravel().tolist()) for lo, hi in zip(self.offsets[:-1], self.offsets[1:])]
+
+    def maxima(self, values):
+        """Largest of each mesh's entries of an (E,) array, one float per mesh."""
+        return np.maximum.reduceat(values, self.offsets[:-1]).tolist()
+
+
 class DiscreteSolution:
     """Galerkin solution: mesh, basis, global coefficient vector and solve quality.
 
     residual is ||A x - b||_2 / ||b||_2 of the uncondensed system; backward_error
-    is the normwise ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).
+    is the normwise ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).  family
+    is the MeshFamily the mesh was solved in.
     """
 
-    def __init__(self, mesh, basis, coefficients, residual, backward_error):
+    def __init__(self, mesh, basis, coefficients, residual, backward_error, family):
         self.mesh = mesh
+        self.family = family
         self.basis = basis
         self.k = basis.k
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
@@ -131,54 +187,83 @@ def _lower_solve(low, y):
     return z
 
 
+def _pad_ends(x):
+    """x with a zero before and after it along the last axis."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 2,))
+    out[..., 1:-1] = x
+    return out
+
+
 def cyclic_reduction(diag, off, rhs):
-    """Solve the symmetric tridiagonal system (diagonal diag, off-diagonal off) by
+    """Solve symmetric tridiagonal systems (diagonal diag, off-diagonal off) by
     odd-even cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7(4),
-    1970) padded to 2^m - 1 unknowns: m array steps.  The eliminated diagonals are
-    LDL^T pivots of the permuted matrix; one that is not positive raises LinAlgError."""
-    n = len(diag)
+    1970) padded to 2^m - 1 unknowns: m array steps.  The systems run along the
+    last axis, so a stack of systems of one size is solved at once; the padding
+    (unit diagonal, zero couplings and right-hand side) leaves each system's
+    values as they are alone.  The eliminated diagonals are LDL^T pivots of the
+    permuted matrix; one that is not positive, in any system, raises LinAlgError."""
+    *stack, n = np.shape(diag)
     size = 2 ** n.bit_length() - 1
-    d, r, e = np.ones(size), np.zeros(size), np.zeros(size + 1)
-    d[:n], r[:n], e[1:n] = diag, rhs, off  # e[i] couples unknowns i - 1 and i
+    d, r, e = np.ones((*stack, size)), np.zeros((*stack, size)), np.zeros((*stack, size + 1))
+    d[..., :n], r[..., :n], e[..., 1:n] = diag, rhs, off  # e[i] couples unknowns i - 1 and i
     levels = []
-    while len(d) > 1 and np.all(d[0::2] > 0):
+    while d.shape[-1] > 1 and np.all(d[..., 0::2] > 0):
         levels.append((d, r, e))
-        left, right = e[1:-1:2] / d[0:-1:2], e[2::2] / d[2::2]
-        d = d[1::2] - left * e[1:-1:2] - right * e[2::2]
-        r = r[1::2] - left * r[0:-1:2] - right * r[2::2]
-        e = np.concatenate([[0.0], -right[:-1] * e[3:-1:2], [0.0]])
-    if not np.all(d[0::2] > 0):
+        left, right = e[..., 1:-1:2] / d[..., 0:-1:2], e[..., 2::2] / d[..., 2::2]
+        d = d[..., 1::2] - left * e[..., 1:-1:2] - right * e[..., 2::2]
+        r = r[..., 1::2] - left * r[..., 0:-1:2] - right * r[..., 2::2]
+        e = _pad_ends(-right[..., :-1] * e[..., 3:-1:2])
+    if not np.all(d[..., 0::2] > 0):
         raise np.linalg.LinAlgError("tridiagonal system is not positive definite")
     x = r / d
     for d, r, e in reversed(levels):
-        known = np.concatenate([[0.0], x, [0.0]])
-        x = np.empty(len(d))
-        x[1::2] = known[1:-1]
-        x[0::2] = (r[0::2] - e[0::2] * known[:-1] - e[1::2] * known[1:]) / d[0::2]
-    return x[:n]
+        known = _pad_ends(x)
+        x = np.empty(d.shape)
+        x[..., 1::2] = known[..., 1:-1]
+        x[..., 0::2] = (r[..., 0::2] - e[..., 0::2] * known[..., :-1] - e[..., 1::2] * known[..., 1:]) / d[..., 0::2]
+    return x[..., :n]
 
 
-def solve_condensed(a, b):
-    """Global coefficients of the element systems (a, b) with zero end values.
+def solve_condensed(a, b, counts):
+    """Global coefficients, with zero end values, of stacked element systems (a, b).
 
-    Each element's interior unknowns are eliminated with a batched Cholesky
-    factor L of its interior block (LinAlgError if not positive definite); the
-    2x2 Schur complements form the tridiagonal vertex system of cyclic_reduction,
-    and the interior values follow by back-substitution with L."""
-    ne, k = a.shape[0], a.shape[1] - 1
+    counts are the element counts of the meshes whose systems a and b stack, in
+    order; one coefficient vector per mesh is returned.  Each element's interior
+    unknowns are eliminated with a batched Cholesky factor L of its interior
+    block (LinAlgError if not positive definite); the 2x2 Schur complements
+    form each mesh's tridiagonal vertex system, one cyclic_reduction call
+    solves them all as a stack padded to the longest, and the interior values
+    follow by back-substitution with L."""
+    k, counts = a.shape[1] - 1, np.asarray(counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     ends, inner = [0, k], slice(1, k)
     chol = np.linalg.cholesky(a[:, inner, inner])
     y = _lower_solve(chol, np.concatenate([a[:, inner][:, :, ends], b[:, inner, None]], axis=2))
     yv, yb = y[:, :, :2], y[:, :, 2:]
     schur = a[:, ends][:, :, ends] - np.einsum("eiv,eiw->evw", yv, yv)
     load = b[:, ends] - np.einsum("eiv,eic->ev", yv, yb)
-    pairs = element_dofs(ne, 1).ravel()
-    diag = np.bincount(pairs, np.diagonal(schur, axis1=1, axis2=2).ravel(), ne + 1)
-    rhs = np.bincount(pairs, load.ravel(), ne + 1)
-    xv = np.concatenate([[0.0], cyclic_reduction(diag[1:ne], schur[1:-1, 0, 1], rhs[1:ne]), [0.0]])
+    # Mesh j numbers its vertices left to right from firsts[j] = offsets[j] + j.
+    firsts = offsets[:-1] + np.arange(len(counts))
+    pairs = (np.arange(len(a)) + np.repeat(np.arange(len(counts)), counts))[:, None] + np.arange(2)
+    nv = len(a) + len(counts)
+    diag = np.bincount(pairs.ravel(), np.diagonal(schur, axis1=1, axis2=2).ravel(), nv)
+    rhs = np.bincount(pairs.ravel(), load.ravel(), nv)
+    # A mesh's unknowns are its inner vertices, coupled through its inner elements.
+    free = np.ones(nv, dtype=bool)
+    free[firsts] = free[firsts + counts] = False
+    coupled = np.ones(len(a), dtype=bool)
+    coupled[offsets[:-1]] = coupled[offsets[1:] - 1] = False
+    rows = np.arange(counts.max() - 1) < (counts - 1)[:, None]
+    d, r, e = np.ones(rows.shape), np.zeros(rows.shape), np.zeros((len(counts), max(rows.shape[1] - 1, 0)))
+    d[rows], r[rows], e[rows[:, 1:]] = diag[free], rhs[free], schur[coupled, 0, 1]
+    xv = np.zeros(nv)
+    xv[free] = cyclic_reduction(d, e, r)[rows]
     # L^T x = z is solved as the lower triangular system of both reversed.
-    xi = _lower_solve(chol.transpose(0, 2, 1)[:, ::-1, ::-1], (yb - yv @ xv[pairs].reshape(ne, 2, 1))[:, ::-1])
-    return np.concatenate([xv, xi[:, ::-1].ravel()])
+    xi = _lower_solve(chol.transpose(0, 2, 1)[:, ::-1, ::-1], (yb - yv @ xv[pairs].reshape(-1, 2, 1))[:, ::-1])
+    return [
+        np.concatenate([xv[first : first + ne + 1], xi[lo:hi, ::-1].ravel()])
+        for first, ne, lo, hi in zip(firsts, counts, offsets[:-1], offsets[1:])
+    ]
 
 
 def solve_quality(a, b, x):
@@ -207,26 +292,110 @@ def _interval_basis(k):
     return build_basis(1, k)
 
 
+def assemble_and_solve_all(problem, meshes, k):
+    """Assemble and solve the P_k Galerkin system on each of some 1D meshes, as one batch.
+
+    The meshes share one MeshFamily, one element_system call and one
+    solve_condensed call.  Returns one DiscreteSolution per mesh, with the
+    relative algebraic residual and the normwise backward error of its own
+    uncondensed system.
+    """
+    family = MeshFamily(meshes)
+    basis = _interval_basis(k)
+    a, b = element_system(problem, family.mesh, basis)
+    solutions = []
+    for mesh, x, lo, hi in zip(family.meshes, solve_condensed(a, b, family.counts), family.offsets, family.offsets[1:]):
+        solutions.append(DiscreteSolution(mesh, basis, x, *solve_quality(a[lo:hi], b[lo:hi], x), family))
+    return solutions
+
+
 def assemble_and_solve(problem, mesh, k):
-    """Assemble and solve the P_k Galerkin system on a 1D mesh.
+    """Assemble and solve the P_k Galerkin system on a 1D mesh: the batch of one.
 
     Returns a DiscreteSolution with its relative algebraic residual and its
     normwise backward error, both taken on the uncondensed system.
     """
-    if mesh.n != 1:
-        raise ValueError("assemble_and_solve is restricted to 1D meshes")
-    basis = _interval_basis(k)
-    a, b = element_system(problem, mesh, basis)
-    coefficients = solve_condensed(a, b)
-    return DiscreteSolution(mesh, basis, coefficients, *solve_quality(a, b, coefficients))
+    return assemble_and_solve_all(problem, [mesh], k)[0]
 
 
 def error_field(solution, problem):
     return DifferenceField(AnalyticField(problem.u), solution.as_field())
 
 
+def error_reports(solutions, problem, m, p, cea_ratio=1.0):
+    """error_report of each of some solutions of one degree, measured as one batch.
+
+    The error fields are stacked over the MeshFamily of the solutions' meshes
+    (the one they were solved in, when they are its meshes in order).  Each
+    seminorm is one element_powers pass over the family per rule and order,
+    summed per mesh; h, sigma and the gradient maximum are maxima over each
+    mesh's elements of the family's geometry.
+    """
+    basis, k = solutions[0].basis, solutions[0].k
+    if any(s.basis is not basis for s in solutions):
+        raise ValueError("error_reports needs solutions of one degree")
+    family = solutions[0].family
+    if family.meshes != tuple(s.mesh for s in solutions):
+        family = MeshFamily([s.mesh for s in solutions])
+    admissible = SobolevIndex(m=m, p=p, n=1).admissible(k)
+    coefficients = np.concatenate([s.as_field().coefficients for s in solutions])
+    err = DifferenceField(AnalyticField(problem.u), PiecewisePolynomialField(basis, coefficients))
+    degree = 2 * k + 6
+    seminorms = [[] for _ in solutions]
+    for l in range(m + 1):
+        coarse, fine = (family.sums(element_powers(err, family.mesh, l, p, d)) for d in (degree, degree + ESTIMATE_DEGREE_STEP))
+        for rows, c, f in zip(seminorms, coarse, fine):
+            value = f ** (1.0 / p)
+            rows.append({"l": l, "p": p, "value": value, "quad_error_estimate": abs(value - c ** (1.0 / p))})
+
+    # An interval's diameter and inscribed diameter are both its length.
+    lengths = family.mesh.element_measures
+    hs, sigmas = family.maxima(lengths), family.maxima(lengths / lengths)
+    lams = family.maxima(np.abs(family.mesh.element_gradients).max(axis=(1, 2)))
+    if admissible:
+        u_powers = family.sums(element_powers(AnalyticField(problem.u), family.mesh, k + 1, p, degree))
+    reports = []
+    for j, solution in enumerate(solutions):
+        total = math.fsum(s["value"] ** p for s in seminorms[j]) ** (1.0 / p)
+        bound = None
+        position = None
+        if admissible:
+            bundle = ConstantBundle(
+                n=1,
+                m=m,
+                k=k,
+                p=p,
+                sigma=max(sigmas[j], 1.0),
+                lam=lams[j],
+                cea_ratio=cea_ratio,
+                h_cap=max(hs[j], 1.0),
+            )
+            bound = script_c(bundle) * hs[j] ** (k + 1 - m) * u_powers[j] ** (1.0 / p)
+            position = total / bound if bound > 0 else math.inf
+        reports.append(
+            {
+                "problem": problem.name,
+                "k": k,
+                "m": m,
+                "p": p,
+                "h": hs[j],
+                "elements": len(solution.mesh),
+                "residual": solution.residual,
+                "residual_ok": solution.residual <= RESIDUAL_REL_TOL,
+                "backward_error": solution.backward_error,
+                "seminorms": seminorms[j],
+                "error": total,
+                "admissible": admissible,
+                "bound": bound,
+                "bound_position": position,
+                "pass": (total <= bound + BOUND_ABS_SLACK) if bound is not None else None,
+            }
+        )
+    return reports
+
+
 def error_report(solution, problem, m, p, cea_ratio=1.0):
-    """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm, and the bound.
+    """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm, and the bound: the batch of one.
 
     The bound side uses script_C(k) built from the mesh quantities (the
     gradient maximum over elements and the regularity max(sigma, 1)) times
@@ -236,52 +405,7 @@ def error_report(solution, problem, m, p, cea_ratio=1.0):
     residual exceeds RESIDUAL_REL_TOL; backward_error is the solve's
     normwise backward error.
     """
-    mesh, k = solution.mesh, solution.k
-    idx = SobolevIndex(m=m, p=p, n=1)
-    admissible = idx.admissible(k)
-    err = error_field(solution, problem)
-    degree = 2 * k + 6
-    seminorms = []
-    powers = []
-    for l in range(m + 1):
-        value, est = seminorm_with_estimate(err, mesh, l, p, degree=degree)
-        seminorms.append({"l": l, "p": p, "value": value, "quad_error_estimate": est})
-        powers.append(value**p)
-    total = math.fsum(powers) ** (1.0 / p)
-
-    bound = None
-    position = None
-    if admissible:
-        bundle = ConstantBundle(
-            n=1,
-            m=m,
-            k=k,
-            p=p,
-            sigma=max(mesh.sigma, 1.0),
-            lam=mesh.gradient_max,
-            cea_ratio=cea_ratio,
-            h_cap=max(mesh.h, 1.0),
-        )
-        u_seminorm = seminorm(problem.u, mesh, k + 1, p, degree=degree)
-        bound = script_c(bundle) * mesh.h ** (k + 1 - m) * u_seminorm
-        position = total / bound if bound > 0 else math.inf
-    return {
-        "problem": problem.name,
-        "k": k,
-        "m": m,
-        "p": p,
-        "h": mesh.h,
-        "elements": len(mesh),
-        "residual": solution.residual,
-        "residual_ok": solution.residual <= RESIDUAL_REL_TOL,
-        "backward_error": solution.backward_error,
-        "seminorms": seminorms,
-        "error": total,
-        "admissible": admissible,
-        "bound": bound,
-        "bound_position": position,
-        "pass": (total <= bound + BOUND_ABS_SLACK) if bound is not None else None,
-    }
+    return error_reports([solution], problem, m, p, cea_ratio)[0]
 
 
 def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
@@ -290,34 +414,29 @@ def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
     Returns (rows, order): rows carry {k, m, p, h, error, bound, order_est}
     with order_est the running two-point slope, and order the least-squares
     log-log slope across the family.  The element counts must be distinct.
+    All meshes are solved and measured as one batch.
     """
     if len(set(element_counts)) < len(element_counts):
         raise ValueError(f"element counts must be distinct, got {','.join(map(str, element_counts))}")
-    rows = []
-    errors = []
-    hs = []
-    for ne in element_counts:
-        mesh = uniform_mesh_1d(0.0, 1.0, ne)
-        sol = assemble_and_solve(problem, mesh, k)
-        rep = error_report(sol, problem, m, p, cea_ratio=cea_ratio)
-        hs.append(mesh.h)
-        errors.append(rep["error"])
-        rows.append(
-            {
-                "k": k,
-                "m": m,
-                "p": p,
-                "h": mesh.h,
-                "error": rep["error"],
-                "bound": rep["bound"],
-                "order_est": (
-                    math.log(errors[-2] / errors[-1]) / math.log(hs[-2] / hs[-1])
-                    if len(errors) > 1 and errors[-1] > 0
-                    else None
-                ),
-                "pass": rep["pass"],
-            }
-        )
+    meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in element_counts]
+    reports = error_reports(assemble_and_solve_all(problem, meshes, k), problem, m, p, cea_ratio=cea_ratio)
+    hs = [rep["h"] for rep in reports]
+    errors = [rep["error"] for rep in reports]
+    rows = [
+        {
+            "k": k,
+            "m": m,
+            "p": p,
+            "h": hs[i],
+            "error": errors[i],
+            "bound": rep["bound"],
+            "order_est": (
+                math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i]) if i > 0 and errors[i] > 0 else None
+            ),
+            "pass": rep["pass"],
+        }
+        for i, rep in enumerate(reports)
+    ]
     slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0]) if len(hs) > 1 else None
     return rows, slope
 
@@ -331,27 +450,23 @@ def empirical_crossover(problem, k1, k2, m, p, element_counts, seminorm_ratio=No
     """
     from .probability import AccuracyLaw, h_star_explicit
 
+    meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in element_counts]
     if seminorm_ratio is None:
-        mesh0 = uniform_mesh_1d(0.0, 1.0, element_counts[0])
         degree = 2 * max(k1, k2) + 8
-        s1 = seminorm(problem.u, mesh0, k1 + 1, p, degree=degree)
-        s2 = seminorm(problem.u, mesh0, k2 + 1, p, degree=degree)
+        s1 = seminorm(problem.u, meshes[0], k1 + 1, p, degree=degree)
+        s2 = seminorm(problem.u, meshes[0], k2 + 1, p, degree=degree)
         seminorm_ratio = s1 / s2
     hs = h_star_explicit(1, m, p, k1, k2, seminorm_ratio=seminorm_ratio)
     law = AccuracyLaw(h_star=hs, exponent=k2 - k1, kind="nonlinear")
-    rows = []
-    for ne in element_counts:
-        mesh = uniform_mesh_1d(0.0, 1.0, ne)
-        e1 = error_report(assemble_and_solve(problem, mesh, k1), problem, m, p)["error"]
-        e2 = error_report(assemble_and_solve(problem, mesh, k2), problem, m, p)["error"]
-        rows.append(
-            {
-                "h": mesh.h,
-                "error_k1": e1,
-                "error_k2": e2,
-                "higher_wins": e2 <= e1,
-                "h_star_model": hs,
-                "probability_model": float(law(mesh.h)),
-            }
-        )
-    return rows
+    reports = [error_reports(assemble_and_solve_all(problem, meshes, k), problem, m, p) for k in (k1, k2)]
+    return [
+        {
+            "h": r1["h"],
+            "error_k1": r1["error"],
+            "error_k2": r2["error"],
+            "higher_wins": r2["error"] <= r1["error"],
+            "h_star_model": hs,
+            "probability_model": float(law(r1["h"])),
+        }
+        for r1, r2 in zip(*reports)
+    ]

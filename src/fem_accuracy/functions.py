@@ -52,10 +52,11 @@ class SinPiProduct(AnalyticFunction):
 
     def deriv_values(self, alpha, x):
         x = self._points(x)
-        out = np.ones(x.shape[0])
-        for i, r in enumerate(alpha):
-            out = out * np.sin(np.pi * x[:, i] + r * np.pi / 2.0)
-        return out * np.pi ** sum(alpha)
+        out = np.sin(np.pi * x[:, 0] + alpha[0] * np.pi / 2.0)
+        for i, r in enumerate(alpha[1:], start=1):
+            out *= np.sin(np.pi * x[:, i] + r * np.pi / 2.0)
+        order = sum(alpha)
+        return out * np.pi**order if order else out
 
 
 class Polynomial1D(AnalyticFunction):

@@ -147,19 +147,27 @@ def _as_mesh(domain):
     return domain
 
 
-def _seminorm_power(field, mesh, l, p, degree):
-    """Sum over elements of sum_{|alpha|=l} integral |d^alpha field|^p."""
+def element_powers(field, mesh, l, p, degree):
+    """Integrals of |d^alpha field|^p per direction alpha (|alpha| = l) and element, shape (directions, E).
+
+    A sum of any subset of these entries by math.fsum is exact, so it does not
+    depend on how the elements are grouped into meshes or blocks.
+    """
     rule = simplex_rule(mesh.n, degree)
     alphas = derivative_multi_indices(mesh.n, l)
     scales = mesh.element_measures / float(rule.weights.sum())
-
-    parts = []
+    out = np.empty((len(alphas), len(mesh)))
     for lo, hi in element_blocks(len(mesh), rule.size):
         phys = rule.points @ mesh.element_vertices[lo:hi]
-        for alpha in alphas:
+        for i, alpha in enumerate(alphas):
             vals = field.deriv_block(mesh, lo, hi, alpha, rule, phys)
-            parts.append(scales[lo:hi] * (np.abs(vals) ** p @ rule.weights))
-    return math.fsum(np.concatenate(parts).tolist())
+            out[i, lo:hi] = scales[lo:hi] * (np.abs(vals) ** p @ rule.weights)
+    return out
+
+
+def _seminorm_power(field, mesh, l, p, degree):
+    """Sum over elements of sum_{|alpha|=l} integral |d^alpha field|^p."""
+    return math.fsum(element_powers(field, mesh, l, p, degree).ravel().tolist())
 
 
 def seminorm(field_or_fn, domain, l, p, degree):

@@ -11,14 +11,17 @@ import pytest
 from fem_accuracy.basis import build_basis
 from fem_accuracy.fem1d import (
     RESIDUAL_REL_TOL,
+    MeshFamily,
     ModelProblem,
     assemble_and_solve,
+    assemble_and_solve_all,
     convergence_study,
     cyclic_reduction,
     element_dofs,
     element_system,
     empirical_crossover,
     error_report,
+    error_reports,
     solve_condensed,
     solve_quality,
 )
@@ -241,7 +244,7 @@ class TestSolver:
         eigs = eigvals_banded(ab)
         cond = eigs.max() / eigs.min()
         sol = assemble_and_solve(ModelProblem.sine(), mesh, k)
-        assert np.array_equal(solve_condensed(a, b), sol.coefficients)
+        assert np.array_equal(solve_condensed(a, b, [len(mesh)])[0], sol.coefficients)
         assert sol.coefficients[0] == sol.coefficients[len(mesh)] == 0.0
         assert np.max(np.abs(sol.coefficients[dof] - want)) <= np.finfo(float).eps * cond * np.max(np.abs(want))
         assert sol.backward_error < 1e-15
@@ -289,6 +292,26 @@ class TestSolver:
         solutions = [assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, ne), 2) for ne in (4, 8, 16)]
         assert calls == [(1, 2)]
         assert solutions[0].basis is solutions[2].basis
+
+    @pytest.mark.parametrize("layout", ["rows reversed", "vertices reversed", "ends swapped"])
+    def test_rejects_mesh_that_is_not_a_left_to_right_chain(self, layout):
+        # The solve numbers element e's ends as dofs e and e + 1.  In chain
+        # order P2 on 16 elements has error 3.1e-5; with the rows reversed it
+        # used to solve to 8e-2 with a residual of 3e-14, and the other two
+        # layouts ended in a Cholesky failure.
+        vertices, cells = np.linspace(0.0, 1.0, 17)[:, None], np.arange(16)[:, None] + np.arange(2)
+        assert error_report(assemble_and_solve(ModelProblem.sine(), SimplexMesh(vertices, cells), 2), ModelProblem.sine(), 0, 2.0)["error"] < 1e-4
+        if layout == "rows reversed":
+            cells = cells[::-1]
+        elif layout == "vertices reversed":
+            vertices = vertices[::-1]
+        else:
+            cells = cells[:, ::-1]
+        with pytest.raises(ValueError, match="one chain of elements left to right"):
+            assemble_and_solve(ModelProblem.sine(), SimplexMesh(vertices, cells), 2)
+        # A batch is checked mesh by mesh: a bad mesh after a good one is refused too.
+        with pytest.raises(ValueError, match="one chain of elements left to right"):
+            MeshFamily([uniform_mesh_1d(0.0, 1.0, 4), SimplexMesh(vertices, cells)])
 
     def test_rejects_2d_mesh(self):
         # Refused up front, before any arithmetic on the 2D vertex table.
@@ -343,12 +366,32 @@ class TestLinearAlgebra:
             warnings.simplefilter("error")
             cyclic_reduction(np.array(diag), np.array(off), np.ones(len(diag)))
 
+    def test_stacked_cyclic_reduction_equals_each_system_alone(self):
+        # Shorter systems are padded with unit diagonal, zero couplings and
+        # zero right-hand side, which only exact zeros couple to theirs.
+        sizes = [1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 100, 127, 128, 255, 256, 300]
+        rng = np.random.default_rng(17)
+        systems = [(2.5 + rng.random(n), rng.uniform(-1.0, 1.0, n - 1), rng.standard_normal(n)) for n in sizes]
+        diag, off, rhs = np.ones((len(sizes), 300)), np.zeros((len(sizes), 299)), np.zeros((len(sizes), 300))
+        for j, (d, e, r) in enumerate(systems):
+            diag[j, : len(d)], off[j, : len(e)], rhs[j, : len(r)] = d, e, r
+        x = cyclic_reduction(diag, off, rhs)
+        assert x.shape == (len(sizes), 300)
+        for j, system in enumerate(systems):
+            assert np.array_equal(x[j, : len(system[0])], cyclic_reduction(*system)), sizes[j]
+            assert not x[j, len(system[0]) :].any()
+        # One system that is not positive definite fails the whole stack.
+        diag[5, :3], off[5, :2] = 2.0, 1.9
+        with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
+            warnings.simplefilter("error")
+            cyclic_reduction(diag, off, rhs)
+
     def test_indefinite_interior_block_rejected(self):
         a, b = element_system(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), build_basis(1, 3))
-        solve_condensed(a, b)
+        solve_condensed(a, b, [8])
         a[5, 1:3, 1:3] = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(np.linalg.LinAlgError):
-            solve_condensed(a, b)
+            solve_condensed(a, b, [8])
 
 
 class TestErrorReport:
@@ -438,3 +481,100 @@ class TestEmpiricalCrossover:
     def test_probability_reflects_fine_mesh(self):
         rows = empirical_crossover(ModelProblem.sine(), 1, 3, 0, 2.0, [32])
         assert rows[0]["probability_model"] > 0.9
+
+
+def per_mesh_reports(problem, meshes, k, m, p, cea_ratio=1.0):
+    """The reference route: each mesh solved and measured on its own."""
+    return [error_report(assemble_and_solve(problem, mesh, k), problem, m, p, cea_ratio) for mesh in meshes]
+
+
+def graded_family():
+    """Graded meshes of 4 to 40 elements, one with repeated vertex coordinates."""
+    nodes = np.linspace(0.0, 1.0, 13) ** 2
+    split = simplex_mesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
+    return [graded_mesh(4), graded_mesh(8), split, graded_mesh(40)]
+
+
+def study_values(rows, slope):
+    return [(r["h"], r["error"], r["bound"], r["order_est"], r["pass"]) for r in rows], slope
+
+
+def per_mesh_study(problem, counts, k, m, p, cea_ratio=1.0):
+    """convergence_study's rows and slope from the per-mesh reports."""
+    reports = per_mesh_reports(problem, [uniform_mesh_1d(0.0, 1.0, ne) for ne in counts], k, m, p, cea_ratio)
+    hs, errors = [r["h"] for r in reports], [r["error"] for r in reports]
+    orders = [None] + [math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i]) for i in range(1, len(counts))]
+    rows = [(r["h"], r["error"], r["bound"], order, r["pass"]) for r, order in zip(reports, orders)]
+    return rows, float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
+
+class TestBatch:
+    """A batch of meshes gives the bits of solving and measuring each alone.
+
+    The solve holds this for any meshes.  The seminorm passes weight each
+    element's values by one (elements x points) @ (points,) product, and
+    OpenBLAS rounds the last rows of such a product differently when their
+    count is not a multiple of 4 (at 8 or more points): a mesh whose elements
+    end a block alone but not in its family moves in its last bits (see the
+    README).  The bitwise cases use element counts that are multiples of 4;
+    the other counts are held to the rounding of those sums.
+    """
+
+    CASES = [(k, m, p) for k in (1, 2, 3) for m in range(min(k, 2) + 1) for p in (1.5, 2.0, 3.0)]
+
+    @pytest.mark.parametrize("k,m,p", CASES)
+    def test_convergence_study_equals_per_mesh_loop(self, k, m, p):
+        counts = [4, 8, 12, 24]
+        got = study_values(*convergence_study(ModelProblem.sine(), k, m, p, counts, cea_ratio=1.5))
+        assert got == per_mesh_study(ModelProblem.sine(), counts, k, m, p, 1.5)
+
+    @pytest.mark.parametrize("k,m,p", CASES)
+    def test_graded_batch_equals_per_mesh_loop(self, k, m, p):
+        meshes = graded_family()
+        solutions = assemble_and_solve_all(QUADRATIC, meshes, k)
+        alone = [assemble_and_solve(QUADRATIC, mesh, k) for mesh in meshes]
+        for batched, single in zip(solutions, alone):
+            assert np.array_equal(batched.coefficients, single.coefficients)
+            assert (batched.residual, batched.backward_error) == (single.residual, single.backward_error)
+        assert error_reports(solutions, QUADRATIC, m, p) == per_mesh_reports(QUADRATIC, meshes, k, m, p)
+
+    @pytest.mark.parametrize("k,m,p", CASES)
+    def test_any_counts_solve_bitwise_and_measure_to_rounding(self, k, m, p):
+        counts = [2, 3, 5, 21]
+        meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in counts]
+        for batched, single in zip(assemble_and_solve_all(ModelProblem.sine(), meshes, k), [assemble_and_solve(ModelProblem.sine(), mesh, k) for mesh in meshes]):
+            assert np.array_equal(batched.coefficients, single.coefficients)
+            assert (batched.residual, batched.backward_error) == (single.residual, single.backward_error)
+        (rows, slope), (want_rows, want_slope) = (
+            study_values(*convergence_study(ModelProblem.sine(), k, m, p, counts)),
+            per_mesh_study(ModelProblem.sine(), counts, k, m, p),
+        )
+        # Sums of at most 9 positive products in another order: within
+        # 9 eps relative, and their p-th roots within that over p.
+        for got, want in zip(rows, want_rows):
+            assert got[0] == want[0] and got[4] == want[4]
+            assert got[1] == pytest.approx(want[1], rel=9 * np.finfo(float).eps)
+            assert got[2] == pytest.approx(want[2], rel=9 * np.finfo(float).eps) if want[2] is not None else got[2] is None
+        assert [r[3] for r in rows[1:]] == pytest.approx([r[3] for r in want_rows[1:]], abs=1e-13)
+        assert slope == pytest.approx(want_slope, abs=1e-13)
+
+    def test_study_over_several_blocks_equals_per_mesh_loop(self):
+        # 4,064 elements: the family's seminorm passes span two blocks.
+        counts = [32, 64, 128, 256, 512, 1024, 2048]
+        assert len(element_blocks(sum(counts), interval_rule(2 * 3 + 6).size)) > 1
+        got = study_values(*convergence_study(ModelProblem.sine(), 3, 1, 2.0, counts))
+        assert got == per_mesh_study(ModelProblem.sine(), counts, 3, 1, 2.0)
+
+    def test_report_of_one_solution_from_a_batch(self):
+        solutions = assemble_and_solve_all(ModelProblem.sine(), graded_family(), 2)
+        assert error_report(solutions[2], ModelProblem.sine(), 1, 2.0) == error_reports(solutions, ModelProblem.sine(), 1, 2.0)[2]
+        with pytest.raises(ValueError, match="one degree"):
+            error_reports([solutions[0], assemble_and_solve(ModelProblem.sine(), solutions[1].mesh, 3)], ModelProblem.sine(), 0, 2.0)
+
+    @pytest.mark.parametrize("k1,k2,m,p", [(1, 2, 0, 2.0), (1, 3, 1, 1.5), (2, 3, 0, 3.0)])
+    def test_empirical_crossover_equals_per_mesh_loop(self, k1, k2, m, p):
+        counts = [4, 8, 16]
+        rows = empirical_crossover(ModelProblem.sine(), k1, k2, m, p, counts)
+        meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in counts]
+        e1, e2 = ([r["error"] for r in per_mesh_reports(ModelProblem.sine(), meshes, k, m, p)] for k in (k1, k2))
+        assert [(r["h"], r["error_k1"], r["error_k2"]) for r in rows] == list(zip([mesh.h for mesh in meshes], e1, e2))

@@ -351,6 +351,24 @@ class TestBlockedEvaluation:
                 parts = math.fsum(seminorm(fn, s, l, p, degree=10) ** p for s in self.mesh.simplices)
                 assert got == pytest.approx(parts, rel=1e-13), (l, p)
 
+    def test_element_powers_sum_to_the_seminorm(self):
+        # One column per element and one row per direction; their fsum is
+        # exact, so it gives the seminorm's bits across the block boundaries.
+        basis = build_basis(2, 3)
+        field = PiecewisePolynomialField(basis, np.random.default_rng(6).uniform(-1.0, 1.0, (len(self.mesh), basis.size)))
+        simplices = self.mesh.simplices
+        for f in (field, AnalyticField(SinPiProduct(2))):
+            for l in (0, 1):
+                for p in (1.5, 2.0, 3.0):
+                    powers = norms.element_powers(f, self.mesh, l, p, 10)
+                    assert powers.shape == (len(derivative_multi_indices(2, l)), len(self.mesh))
+                    assert math.fsum(powers.ravel().tolist()) ** (1.0 / p) == seminorm(f, self.mesh, l, p, degree=10)
+            # Spot checks against one-element domains.
+            for e in (0, 1, 300, len(self.mesh) - 1):
+                single = PiecewisePolynomialField(basis, field.coefficients[e : e + 1]) if f is field else f
+                want = seminorm(single, simplices[e], 1, 2.0, degree=10) ** 2.0
+                assert norms.element_powers(f, self.mesh, 1, 2.0, 10)[:, e].sum() == pytest.approx(want, rel=1e-13)
+
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_analytic_calls_per_block_not_per_element(self, l):
         directions = len(derivative_multi_indices(2, l))
