@@ -318,10 +318,6 @@ def assemble_and_solve(problem, mesh, k):
     return assemble_and_solve_all(problem, [mesh], k)[0]
 
 
-def error_field(solution, problem):
-    return DifferenceField(AnalyticField(problem.u), solution.as_field())
-
-
 def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     """error_report of each of some solutions of one degree, measured as one batch.
 
@@ -343,10 +339,12 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     degree = 2 * k + 6
     seminorms = [[] for _ in solutions]
     for l in range(m + 1):
-        coarse, fine = (family.sums(element_powers(err, family.mesh, l, p, d)) for d in (degree, degree + ESTIMATE_DEGREE_STEP))
-        for rows, c, f in zip(seminorms, coarse, fine):
+        coarse, fine = (
+            family.sums(element_powers(err, family.mesh, l, p, d)) for d in (degree, degree + ESTIMATE_DEGREE_STEP)
+        )
+        for entries, c, f in zip(seminorms, coarse, fine):
             value = f ** (1.0 / p)
-            rows.append({"l": l, "p": p, "value": value, "quad_error_estimate": abs(value - c ** (1.0 / p))})
+            entries.append({"l": l, "p": p, "value": value, "quad_error_estimate": abs(value - c ** (1.0 / p))})
 
     # An interval's diameter and inscribed diameter are both its length.
     lengths = family.mesh.element_measures
