@@ -132,24 +132,40 @@ def log_k_factor_ratio(n, m, p, k1, k2):
     return math.log(num1 * den2 / (den1 * num2))
 
 
+def _log1p_exp(x):
+    """log(1 + e^x) without forming e^x where it overflows."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _log_c_and_xi(bundle):
+    """log max(c1, c2) and log xi in log space: lgamma for the factorials, log-sum-exp for xi."""
+    n, m, p = bundle.n, bundle.m, bundle.p
+    log_c1 = _log1p_exp(
+        m * math.log(n * (n + 1) * bundle.sigma)
+        + max(0.0, m * math.log(bundle.lam))
+        + math.lgamma(m + 1)
+        - math.lgamma(n + 1)
+    )
+    terms = [j * p * math.log(bundle.h_cap) for j in range(m + 1)]
+    top = max(terms)
+    log_xi = (top + math.log(math.fsum(math.exp(t - top) for t in terms))) / p
+    return max(log_c1, _log1p_exp(-math.lgamma(n + 1))), log_xi
+
+
 def log_script_c(bundle):
     """log of the global error constant script_C(k).
 
-    A ValueError, not an OverflowError or an inf, where a float factor overflows.
+    Where a float factor c1, c2 or xi overflows, c1, c2 and xi are formed in
+    log space instead.
     """
     try:
-        c = max(c1_constant(bundle), c2_constant(bundle.n))
+        log_c = math.log(max(c1_constant(bundle), c2_constant(bundle.n)))
         log_xi = math.log(xi(bundle.m, bundle.p, bundle.h_cap))
     except OverflowError:
-        c = math.inf
-    if c == math.inf:
-        raise ValueError("script_C cannot be formed in floats: its factor c1, c2 or xi overflows")
-    return (
-        math.log(bundle.cea_ratio)
-        + math.log(c)
-        + log_xi
-        + log_k_factor(bundle.n, bundle.m, bundle.p, bundle.k)
-    )
+        log_c = math.inf
+    if log_c == math.inf:
+        log_c, log_xi = _log_c_and_xi(bundle)
+    return math.log(bundle.cea_ratio) + log_c + log_xi + log_k_factor(bundle.n, bundle.m, bundle.p, bundle.k)
 
 
 def exp_in_float_range(log_value, name):

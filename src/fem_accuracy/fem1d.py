@@ -10,9 +10,9 @@ orders from log-log slopes and compare with script_C(k) h^{k+1-m} |u|_{k+1,p}.
 
 Several meshes are solved and measured as one batch: a MeshFamily stacks
 their elements into one mesh, so one element system, one condensation, one
-stacked cyclic reduction, one back-substitution and one seminorm pass per rule
-and order serve them all; only the sums, sizes and bounds are taken per mesh.
-A single mesh is the batch of one.
+back-substitution and one seminorm pass per rule and order serve them all.
+Only the O(n) steps are taken per mesh: the cyclic reduction of its vertex
+system, and its sums, sizes and bounds.  A single mesh is the batch of one.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ RESIDUAL_REL_TOL = 1e-10
 # measured error is pure floating-point noise; without the slack that
 # noise would be reported as a bound violation.
 BOUND_ABS_SLACK = 1e-12
+
+# Underflow moves a sum of p-th powers at least this large by at most 2^-105
+# relative for each rounding in the underflow range that fed it.
+UNDERFLOW_SAFE_SUM = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -187,41 +191,31 @@ def _lower_solve(low, y):
     return z
 
 
-def _pad_ends(x):
-    """x with a zero before and after it along the last axis."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 2,))
-    out[..., 1:-1] = x
-    return out
-
-
 def cyclic_reduction(diag, off, rhs):
-    """Solve symmetric tridiagonal systems (diagonal diag, off-diagonal off) by
+    """Solve the symmetric tridiagonal system (diagonal diag, off-diagonal off) by
     odd-even cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7(4),
-    1970) padded to 2^m - 1 unknowns: m array steps.  The systems run along the
-    last axis, so a stack of systems of one size is solved at once; the padding
-    (unit diagonal, zero couplings and right-hand side) leaves each system's
-    values as they are alone.  The eliminated diagonals are LDL^T pivots of the
-    permuted matrix; one that is not positive, in any system, raises LinAlgError."""
-    *stack, n = np.shape(diag)
+    1970) padded to 2^m - 1 unknowns: m array steps.  The eliminated diagonals are
+    LDL^T pivots of the permuted matrix; one that is not positive raises LinAlgError."""
+    n = len(diag)
     size = 2 ** n.bit_length() - 1
-    d, r, e = np.ones((*stack, size)), np.zeros((*stack, size)), np.zeros((*stack, size + 1))
-    d[..., :n], r[..., :n], e[..., 1:n] = diag, rhs, off  # e[i] couples unknowns i - 1 and i
+    d, r, e = np.ones(size), np.zeros(size), np.zeros(size + 1)
+    d[:n], r[:n], e[1:n] = diag, rhs, off  # e[i] couples unknowns i - 1 and i
     levels = []
-    while d.shape[-1] > 1 and np.all(d[..., 0::2] > 0):
+    while len(d) > 1 and np.all(d[0::2] > 0):
         levels.append((d, r, e))
-        left, right = e[..., 1:-1:2] / d[..., 0:-1:2], e[..., 2::2] / d[..., 2::2]
-        d = d[..., 1::2] - left * e[..., 1:-1:2] - right * e[..., 2::2]
-        r = r[..., 1::2] - left * r[..., 0:-1:2] - right * r[..., 2::2]
-        e = _pad_ends(-right[..., :-1] * e[..., 3:-1:2])
-    if not np.all(d[..., 0::2] > 0):
+        left, right = e[1:-1:2] / d[0:-1:2], e[2::2] / d[2::2]
+        d = d[1::2] - left * e[1:-1:2] - right * e[2::2]
+        r = r[1::2] - left * r[0:-1:2] - right * r[2::2]
+        e = np.concatenate([[0.0], -right[:-1] * e[3:-1:2], [0.0]])
+    if not np.all(d[0::2] > 0):
         raise np.linalg.LinAlgError("tridiagonal system is not positive definite")
     x = r / d
     for d, r, e in reversed(levels):
-        known = _pad_ends(x)
-        x = np.empty(d.shape)
-        x[..., 1::2] = known[..., 1:-1]
-        x[..., 0::2] = (r[..., 0::2] - e[..., 0::2] * known[..., :-1] - e[..., 1::2] * known[..., 1:]) / d[..., 0::2]
-    return x[..., :n]
+        known = np.concatenate([[0.0], x, [0.0]])
+        x = np.empty(len(d))
+        x[1::2] = known[1:-1]
+        x[0::2] = (r[0::2] - e[0::2] * known[:-1] - e[1::2] * known[1:]) / d[0::2]
+    return x[:n]
 
 
 def solve_condensed(a, b, counts):
@@ -231,9 +225,8 @@ def solve_condensed(a, b, counts):
     order; one coefficient vector per mesh is returned.  Each element's interior
     unknowns are eliminated with a batched Cholesky factor L of its interior
     block (LinAlgError if not positive definite); the 2x2 Schur complements
-    form each mesh's tridiagonal vertex system, one cyclic_reduction call
-    solves them all as a stack padded to the longest, and the interior values
-    follow by back-substitution with L."""
+    form each mesh's tridiagonal vertex system, which its own cyclic_reduction
+    call solves, and the interior values follow by back-substitution with L."""
     k, counts = a.shape[1] - 1, np.asarray(counts)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     ends, inner = [0, k], slice(1, k)
@@ -249,15 +242,10 @@ def solve_condensed(a, b, counts):
     diag = np.bincount(pairs.ravel(), np.diagonal(schur, axis1=1, axis2=2).ravel(), nv)
     rhs = np.bincount(pairs.ravel(), load.ravel(), nv)
     # A mesh's unknowns are its inner vertices, coupled through its inner elements.
-    free = np.ones(nv, dtype=bool)
-    free[firsts] = free[firsts + counts] = False
-    coupled = np.ones(len(a), dtype=bool)
-    coupled[offsets[:-1]] = coupled[offsets[1:] - 1] = False
-    rows = np.arange(counts.max() - 1) < (counts - 1)[:, None]
-    d, r, e = np.ones(rows.shape), np.zeros(rows.shape), np.zeros((len(counts), max(rows.shape[1] - 1, 0)))
-    d[rows], r[rows], e[rows[:, 1:]] = diag[free], rhs[free], schur[coupled, 0, 1]
     xv = np.zeros(nv)
-    xv[free] = cyclic_reduction(d, e, r)[rows]
+    for first, ne, lo, hi in zip(firsts, counts, offsets[:-1], offsets[1:]):
+        free = slice(first + 1, first + ne)
+        xv[free] = cyclic_reduction(diag[free], schur[lo + 1 : hi - 1, 0, 1], rhs[free])
     # L^T x = z is solved as the lower triangular system of both reversed.
     xi = _lower_solve(chol.transpose(0, 2, 1)[:, ::-1, ::-1], (yb - yv @ xv[pairs].reshape(-1, 2, 1))[:, ::-1])
     return [
@@ -318,14 +306,35 @@ def assemble_and_solve(problem, mesh, k):
     return assemble_and_solve_all(problem, [mesh], k)[0]
 
 
+def _power_sums(family, field, l, p, degree):
+    """Each mesh's sum of element_powers over the family.
+
+    ValueError naming p where float over- or underflow can have moved a sum:
+    on any overflow, and on underflow when a sum is below UNDERFLOW_SAFE_SUM
+    (a zero sum without underflow is exact).
+    """
+    underflows = []
+    try:
+        with np.errstate(over="raise", under="call", call=lambda *_: underflows.append(True)):
+            sums = family.sums(element_powers(field, family.mesh, l, p, degree))
+        if not (underflows and min(sums) < UNDERFLOW_SAFE_SUM):
+            return sums
+    except (FloatingPointError, OverflowError):
+        pass
+    raise ValueError(
+        f"the W^{{m,p}} seminorms cannot be measured in floats at p = {p:g}: their p-th powers over- or underflow"
+    )
+
+
 def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     """error_report of each of some solutions of one degree, measured as one batch.
 
     The error fields are stacked over the MeshFamily of the solutions' meshes
     (the one they were solved in, when they are its meshes in order).  Each
     seminorm is one element_powers pass over the family per rule and order,
-    summed per mesh; h, sigma and the gradient maximum are maxima over each
-    mesh's elements of the family's geometry.
+    summed per mesh; h and the gradient maximum are maxima over each mesh's
+    elements of the family's geometry.  A sum of p-th powers that float over-
+    or underflow can have moved raises ValueError (see _power_sums).
     """
     basis, k = solutions[0].basis, solutions[0].k
     if any(s.basis is not basis for s in solutions):
@@ -339,19 +348,15 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     degree = 2 * k + 6
     seminorms = [[] for _ in solutions]
     for l in range(m + 1):
-        coarse, fine = (
-            family.sums(element_powers(err, family.mesh, l, p, d)) for d in (degree, degree + ESTIMATE_DEGREE_STEP)
-        )
+        coarse, fine = (_power_sums(family, err, l, p, d) for d in (degree, degree + ESTIMATE_DEGREE_STEP))
         for entries, c, f in zip(seminorms, coarse, fine):
             value = f ** (1.0 / p)
             entries.append({"l": l, "p": p, "value": value, "quad_error_estimate": abs(value - c ** (1.0 / p))})
 
-    # An interval's diameter and inscribed diameter are both its length.
-    lengths = family.mesh.element_measures
-    hs, sigmas = family.maxima(lengths), family.maxima(lengths / lengths)
+    hs = family.maxima(family.mesh.element_measures)
     lams = family.maxima(np.abs(family.mesh.element_gradients).max(axis=(1, 2)))
     if admissible:
-        u_powers = family.sums(element_powers(AnalyticField(problem.u), family.mesh, k + 1, p, degree))
+        u_powers = _power_sums(family, AnalyticField(problem.u), k + 1, p, degree)
     reports = []
     for j, solution in enumerate(solutions):
         total = math.fsum(s["value"] ** p for s in seminorms[j]) ** (1.0 / p)
@@ -363,7 +368,7 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
                 m=m,
                 k=k,
                 p=p,
-                sigma=max(sigmas[j], 1.0),
+                sigma=1.0,  # an interval's diameter and inscribed diameter are both its length
                 lam=lams[j],
                 cea_ratio=cea_ratio,
                 h_cap=max(hs[j], 1.0),
@@ -396,8 +401,8 @@ def error_report(solution, problem, m, p, cea_ratio=1.0):
     """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm, and the bound: the batch of one.
 
     The bound side uses script_C(k) built from the mesh quantities (the
-    gradient maximum over elements and the regularity max(sigma, 1)) times
-    h^{k+1-m} |u|_{k+1,p}.  The report states where the measured error lands
+    gradient maximum over elements, and the regularity sigma = 1 of intervals)
+    times h^{k+1-m} |u|_{k+1,p}.  The report states where the measured error lands
     inside the bound interval; nothing stronger than measured <= bound is
     asserted.  residual_ok flags a solve whose relative
     residual exceeds RESIDUAL_REL_TOL; backward_error is the solve's

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fem_accuracy import norms
+from fem_accuracy import bounds, norms
 from fem_accuracy.basis import build_basis
 from fem_accuracy.bounds import (
     BoundCheck,
@@ -136,6 +136,26 @@ class TestScriptC:
             / (math.factorial(k - m) * (k + 1 - m - n / p))
         )
         assert script_c(b) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,m,p,sigma,lam,h_cap",
+        [
+            (1, 0, 2.0, 1.0, 1.0, 1.0),
+            (1, 1, 2.0, 2.0, 1.5, 0.8),
+            (2, 2, 3.0, 1.5, 0.5, 2.0),
+            (3, 1, 1.5, 4.0, 3.0, 1e-3),
+        ],
+    )
+    def test_log_space_factors_match_float_factors(self, monkeypatch, n, m, p, sigma, lam, h_cap):
+        # Dual route: forcing the overflow branch on finite inputs gives the same log to rounding.
+        b = ConstantBundle(n=n, m=m, k=m + 2, p=p, sigma=sigma, lam=lam, h_cap=h_cap)
+        direct = log_script_c(b)
+
+        def overflow(bundle):
+            raise OverflowError
+
+        monkeypatch.setattr(bounds, "c1_constant", overflow)
+        assert log_script_c(b) == pytest.approx(direct, abs=1e-14 * max(1.0, abs(direct)))
 
     def test_rise_then_decay_in_k(self):
         # The factorial denominator wins: the constant peaks at k=3 for

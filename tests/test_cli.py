@@ -97,7 +97,7 @@ class TestParser:
             "constant --n 200 --m 1 --k 300",
             "constant --n 1 --m 200 --k 300",
             "constant --m 2 --k 3 --sigma 1e200",
-            "constant --m 1 --k 2 --h-cap 1e300",
+            "constant --m 3 --k 5 --h-cap 1e200",
             "constant --m 1 --k 2 --lam 1e308 --sigma 1e10",
             "converge --k 2 --m 1 --cea-ratio 1e308 --meshes 4,8",
         ],
@@ -204,6 +204,22 @@ class TestConstantCommand:
         (row,) = parse_json_lines(out)
         assert row["script_C"] == pytest.approx(8.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            # c1 = 3, xi = sqrt(1 + 1e600) and K = 3 * 2^3 / 1.5: 4.8e301, xi overflowing in floats.
+            ("constant --m 1 --k 2 --h-cap 1e300", 4.8e301),
+            # c1 = c2 = 1 + 1/171! with 171! beyond the floats, xi = 1, K = 256^171 / (85! / 2).
+            ("constant --n 171 --k 85", 2 * 256**171 / math.factorial(85)),
+        ],
+    )
+    def test_overflowing_factor_taken_in_log_space(self, capsys, argv, want):
+        code, out, _ = run_main(capsys, argv.split() + ["--format", "json"])
+        assert code == 0
+        (row,) = parse_json_lines(out)
+        # script_C is the exp of a log near 650 (694 for the first): a few hundred eps.
+        assert row["script_C"] == pytest.approx(want, rel=1e-12)
+
     def test_inadmissible_exits_3(self, capsys):
         code, _, err = run_main(capsys, ["constant", "--m", "2", "--k", "1"])
         assert code == 3
@@ -279,6 +295,19 @@ class TestConvergeCommand:
         rows = parse_json_lines(out)
         # Exactly reproduced solution: errors at rounding level.
         assert all(r["error"] < 1e-10 for r in rows)
+
+
+    @pytest.mark.parametrize("p", ["400", "1e300"])
+    def test_p_whose_powers_leave_the_floats_is_usage_error(self, capsys, p):
+        # |u - u_h|^p underflows to 0 and |u|^p overflows: the study cannot be measured.
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--k", "2", "--p", p, "--meshes", "2,4"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"fem-accuracy: error: the W^{{m,p}} seminorms cannot be measured in floats "
+            f"at p = {float(p):g}: their p-th powers over- or underflow"
+        )
 
 
 class TestOutputHandling:

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +28,7 @@ from fem_accuracy.fem1d import (
 )
 from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
-from fem_accuracy.norms import element_blocks
+from fem_accuracy.norms import ESTIMATE_DEGREE_STEP, AnalyticField, DifferenceField, element_blocks, element_powers
 from fem_accuracy.quadrature import interval_rule
 
 from oracles import loglog_slope, rational_eval, simplex_mesh
@@ -205,6 +206,18 @@ class TestSolver:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_study_memory_is_not_meshes_times_largest(self):
+        # Vertex systems padded to the longest of these 41 meshes took 62.9 MB.
+        counts = list(range(1, 41)) + [16384]
+        convergence_study(ModelProblem.sine(), 1, 0, 2.0, [1, 2])  # fills the rule and basis caches
+        tracemalloc.start()
+        try:
+            convergence_study(ModelProblem.sine(), 1, 0, 2.0, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_backward_error_matches_dense_route(self):
         # Dual route: the uncondensed system assembled densely here, norms by numpy.
         mesh = uniform_mesh_1d(0.0, 1.0, 64)
@@ -367,25 +380,15 @@ class TestLinearAlgebra:
             warnings.simplefilter("error")
             cyclic_reduction(np.array(diag), np.array(off), np.ones(len(diag)))
 
-    def test_stacked_cyclic_reduction_equals_each_system_alone(self):
-        # Shorter systems are padded with unit diagonal, zero couplings and
-        # zero right-hand side, which only exact zeros couple to theirs.
-        sizes = [1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 100, 127, 128, 255, 256, 300]
-        rng = np.random.default_rng(17)
-        systems = [(2.5 + rng.random(n), rng.uniform(-1.0, 1.0, n - 1), rng.standard_normal(n)) for n in sizes]
-        diag, off, rhs = np.ones((len(sizes), 300)), np.zeros((len(sizes), 299)), np.zeros((len(sizes), 300))
-        for j, (d, e, r) in enumerate(systems):
-            diag[j, : len(d)], off[j, : len(e)], rhs[j, : len(r)] = d, e, r
-        x = cyclic_reduction(diag, off, rhs)
-        assert x.shape == (len(sizes), 300)
-        for j, system in enumerate(systems):
-            assert np.array_equal(x[j, : len(system[0])], cyclic_reduction(*system)), sizes[j]
-            assert not x[j, len(system[0]) :].any()
-        # One system that is not positive definite fails the whole stack.
-        diag[5, :3], off[5, :2] = 2.0, 1.9
+    def test_one_indefinite_vertex_system_fails_the_batch(self):
+        # The interior blocks stay positive definite; only mesh 1's vertex system is not.
+        meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in (4, 8, 16)]
+        a, b = element_system(ModelProblem.sine(), MeshFamily(meshes).mesh, build_basis(1, 2))
+        solve_condensed(a, b, [4, 8, 16])
+        a[4 + 3, 0, 0] = -1e3
         with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
             warnings.simplefilter("error")
-            cyclic_reduction(diag, off, rhs)
+            solve_condensed(a, b, [4, 8, 16])
 
     def test_indefinite_interior_block_rejected(self):
         a, b = element_system(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), build_basis(1, 3))
@@ -430,6 +433,31 @@ class TestErrorReport:
         rep = error_report(sol, ModelProblem.sine(), 0, 2.0)
         est = rep["seminorms"][0]["quad_error_estimate"]
         assert est < 1e-8
+
+    @pytest.mark.parametrize(
+        "name,k,m,p",
+        [
+            ("sine", 2, 0, 400.0),  # |u - u_h|^p underflows to 0, |u|^p overflows
+            ("sine", 2, 0, 1e300),
+            ("sine", 1, 2, 400.0),  # inadmissible: only the error passes
+            ("cubic", 3, 0, 20.0),  # round-off errors near 1e-16: subnormal p-th powers
+        ],
+    )
+    def test_powers_beyond_the_floats_raise(self, name, k, m, p):
+        problem = getattr(ModelProblem, name)()
+        solutions = assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, ne) for ne in (1, 2, 3, 5, 21)], k)
+        with pytest.raises(ValueError, match=re.escape(f"at p = {p:g}:")):
+            error_reports(solutions, problem, m, p)
+
+    def test_underflow_of_negligible_terms_is_kept(self):
+        # On one P1 element u_h = 0 and (u - u_h)' = pi cos(pi x) is 6e-17 at the
+        # rule's midpoint: its 20th power underflows, yet the sum is near 1e9.
+        problem, sol = ModelProblem.sine(), assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 1), 1)
+        err = DifferenceField(AnalyticField(problem.u), sol.as_field())
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            element_powers(err, sol.mesh, 1, 20.0, 2 * 1 + 6)
+        fine = math.fsum(element_powers(err, sol.mesh, 1, 20.0, 2 * 1 + 6 + ESTIMATE_DEGREE_STEP)[0])
+        assert error_report(sol, problem, 1, 20.0)["seminorms"][1]["value"] == fine ** (1.0 / 20.0)
 
 
 class TestConvergence:
