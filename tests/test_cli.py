@@ -212,6 +212,7 @@ class TestConstantCommand:
             # c1 = c2 = 1 + 1/171! with 171! beyond the floats, xi = 1, K = 256^171 / (85! / 2).
             ("constant --n 171 --k 85", 2 * 256**171 / math.factorial(85)),
         ],
+        ids=["h-cap-1e300", "n-171-k-85"],
     )
     def test_overflowing_factor_taken_in_log_space(self, capsys, argv, want):
         code, out, _ = run_main(capsys, argv.split() + ["--format", "json"])
