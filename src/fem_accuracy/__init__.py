@@ -29,12 +29,11 @@ from .bounds import (
 from .fem1d import (
     DiscreteSolution,
     ModelProblem,
-    assemble_and_solve,
+    assemble_and_solve_all,
     convergence_study,
-    empirical_crossover,
-    error_report,
+    error_reports,
 )
-from .functions import Exp1D, Polynomial1D, SinPiProduct
+from .functions import Polynomial1D, SinPiProduct
 from .geometry import (
     DegenerateSimplexError,
     Simplex,

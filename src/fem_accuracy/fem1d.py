@@ -12,7 +12,7 @@ Several meshes are solved and measured as one batch: a MeshFamily stacks
 their elements into one mesh, so one element system, one condensation, one
 back-substitution and one seminorm pass per rule and order serve them all.
 Only the O(n) steps are taken per mesh: the cyclic reduction of its vertex
-system, and its sums, sizes and bounds.  A single mesh is the batch of one.
+system, and its sums, sizes and bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .basis import build_basis, tabulate
+from .basis import build_basis
 from .bounds import ConstantBundle, script_c
 from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import SimplexMesh, uniform_mesh_1d
@@ -34,7 +34,6 @@ from .norms import (
     PiecewisePolynomialField,
     SobolevIndex,
     element_powers,
-    seminorm,
 )
 from .quadrature import interval_rule
 
@@ -139,15 +138,6 @@ class DiscreteSolution:
             dofs = element_dofs(len(self.mesh), self.k)
             self._field = PiecewisePolynomialField(self.basis, self.coefficients[dofs])
         return self._field
-
-    def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        verts = self.mesh.element_vertices[:, :, 0]
-        x0, h = verts[:, 0], verts[:, 1] - verts[:, 0]
-        idx = np.clip(np.searchsorted(x0, x, side="right") - 1, 0, len(self.mesh) - 1)
-        t = (x - x0[idx]) / h[idx]
-        table = tabulate(self.basis.polynomials, np.stack([1.0 - t, t], axis=1), 0)[0]
-        return np.einsum("pa,ap->p", self.as_field().coefficients[idx], table)
 
 
 def element_dofs(ne, k):
@@ -297,15 +287,6 @@ def assemble_and_solve_all(problem, meshes, k):
     return solutions
 
 
-def assemble_and_solve(problem, mesh, k):
-    """Assemble and solve the P_k Galerkin system on a 1D mesh: the batch of one.
-
-    Returns a DiscreteSolution with its relative algebraic residual and its
-    normwise backward error, both taken on the uncondensed system.
-    """
-    return assemble_and_solve_all(problem, [mesh], k)[0]
-
-
 def _power_sums(family, field, l, p, degree):
     """Each mesh's sum of element_powers over the family.
 
@@ -327,14 +308,16 @@ def _power_sums(family, field, l, p, degree):
 
 
 def error_reports(solutions, problem, m, p, cea_ratio=1.0):
-    """error_report of each of some solutions of one degree, measured as one batch.
+    """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm and the bound
+    script_C(k) h^{k+1-m} |u|_{k+1,p} of each of some solutions of one degree.
 
-    The error fields are stacked over the MeshFamily of the solutions' meshes
-    (the one they were solved in, when they are its meshes in order).  Each
-    seminorm is one element_powers pass over the family per rule and order,
-    summed per mesh; h and the gradient maximum are maxima over each mesh's
-    elements of the family's geometry.  A sum of p-th powers that float over-
-    or underflow can have moved raises ValueError (see _power_sums).
+    script_C(k) takes each mesh's gradient maximum and the regularity sigma = 1
+    of intervals; a report states where the error lands inside the bound, and
+    flags a relative residual above RESIDUAL_REL_TOL (residual_ok).  The error
+    fields are stacked over the MeshFamily of the solutions' meshes (the one
+    they were solved in, when they are its meshes in order): each seminorm is
+    one element_powers pass per rule and order, summed per mesh.  A sum of p-th
+    powers that float over- or underflow can have moved raises ValueError.
     """
     basis, k = solutions[0].basis, solutions[0].k
     if any(s.basis is not basis for s in solutions):
@@ -397,20 +380,6 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     return reports
 
 
-def error_report(solution, problem, m, p, cea_ratio=1.0):
-    """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm, and the bound: the batch of one.
-
-    The bound side uses script_C(k) built from the mesh quantities (the
-    gradient maximum over elements, and the regularity sigma = 1 of intervals)
-    times h^{k+1-m} |u|_{k+1,p}.  The report states where the measured error lands
-    inside the bound interval; nothing stronger than measured <= bound is
-    asserted.  residual_ok flags a solve whose relative
-    residual exceeds RESIDUAL_REL_TOL; backward_error is the solve's
-    normwise backward error.
-    """
-    return error_reports([solution], problem, m, p, cea_ratio)[0]
-
-
 def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
     """Solve on a family of uniform meshes and estimate the order.
 
@@ -442,34 +411,3 @@ def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
     ]
     slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0]) if len(hs) > 1 else None
     return rows, slope
-
-
-def empirical_crossover(problem, k1, k2, m, p, element_counts, seminorm_ratio=None):
-    """Tabulate measured errors of two degrees against the predicted law.
-
-    For each mesh the row records both errors, their ratio, the model
-    critical size from the explicit formula (seminorm ratio measured from
-    the exact solution unless supplied), and the nonlinear-law value at h.
-    """
-    from .probability import AccuracyLaw, h_star_explicit
-
-    meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in element_counts]
-    if seminorm_ratio is None:
-        degree = 2 * max(k1, k2) + 8
-        s1 = seminorm(problem.u, meshes[0], k1 + 1, p, degree=degree)
-        s2 = seminorm(problem.u, meshes[0], k2 + 1, p, degree=degree)
-        seminorm_ratio = s1 / s2
-    hs = h_star_explicit(1, m, p, k1, k2, seminorm_ratio=seminorm_ratio)
-    law = AccuracyLaw(h_star=hs, exponent=k2 - k1, kind="nonlinear")
-    reports = [error_reports(assemble_and_solve_all(problem, meshes, k), problem, m, p) for k in (k1, k2)]
-    return [
-        {
-            "h": r1["h"],
-            "error_k1": r1["error"],
-            "error_k2": r2["error"],
-            "higher_wins": r2["error"] <= r1["error"],
-            "h_star_model": hs,
-            "probability_model": float(law(r1["h"])),
-        }
-        for r1, r2 in zip(*reports)
-    ]

@@ -75,17 +75,3 @@ class Polynomial1D(AnalyticFunction):
             if j >= r and c != 0.0:
                 out += c * math.perm(j, r) * x ** (j - r)
         return out
-
-
-class Exp1D(AnalyticFunction):
-    """exp(a x); derivatives multiply by a^r."""
-
-    n = 1
-
-    def __init__(self, a=1.0):
-        self.a = float(a)
-
-    def deriv_values(self, alpha, x):
-        (r,) = alpha
-        x = self._points(x)[:, 0]
-        return self.a**r * np.exp(self.a * x)

@@ -188,11 +188,6 @@ class Simplex(SimplexMesh):
         """n-dimensional volume."""
         return float(self.element_measures[0])
 
-    @property
-    def diameter(self):
-        """Largest pairwise vertex distance h_K."""
-        return self.h
-
     def barycentric(self, x):
         """Barycentric coordinates of physical points.
 
@@ -213,16 +208,6 @@ class Simplex(SimplexMesh):
             raise ValueError(f"points have dimension {pts.shape[1]}, simplex has {self.n}")
         lam = np.hstack([np.ones((pts.shape[0], 1)), pts]) @ self._geometry[0][0].T
         return lam[0] if single else lam
-
-    def barycentric_gradients(self):
-        """Constant gradients of the barycentric coordinates.
-
-        Returns
-        -------
-        ndarray, shape (n+1, n)
-            Row q holds grad lambda_q; the rows sum to the zero vector.
-        """
-        return self.element_gradients[0]
 
     def inscribed_diameter(self):
         """Diameter rho of the largest inscribed ball (2 * inradius)."""

@@ -53,8 +53,8 @@ class ElementPair:
     def __post_init__(self):
         if not self.k1 < self.k2:
             raise ValueError("need k1 < k2")
-        if not (self.c_k1 > 0 and self.c_k2 > 0):
-            raise ValueError("constants must be positive")
+        if not (0 < self.c_k1 < math.inf and 0 < self.c_k2 < math.inf):
+            raise ValueError("c_k1 and c_k2 must be positive and finite")
 
     @property
     def exponent(self):
@@ -87,8 +87,8 @@ def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
     """
     if not k1 < k2:
         raise ValueError("need k1 < k2")
-    if not (seminorm_ratio > 0 and cea_quotient > 0):
-        raise ValueError("ratios must be positive")
+    if not (0 < seminorm_ratio < math.inf and 0 < cea_quotient < math.inf):
+        raise ValueError("seminorm_ratio and cea_quotient must be positive and finite")
     idx = SobolevIndex(m=m, p=p, n=n)
     idx.require(k1)
     idx.require(k2)
@@ -151,8 +151,6 @@ class SinPiSeminormModel:
     L^p size, so consecutive seminorms have ratio exactly pi.
     """
 
-    ratio_limit = math.pi
-
     def __init__(self, p=2.0):
         if not p > 0:
             raise ValueError("p must be positive")
@@ -171,7 +169,6 @@ class GeometricSeminormModel:
             raise ValueError("ratio and base must be positive")
         self.ratio = float(ratio)
         self.base = float(base)
-        self.ratio_limit = float(ratio)
 
     def log_seminorm(self, r):
         return math.log(self.base) + r * math.log(self.ratio)

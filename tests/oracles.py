@@ -14,7 +14,23 @@ from fractions import Fraction
 import numpy as np
 
 from fem_accuracy.basis import BarycentricPolynomial
+from fem_accuracy.fem1d import element_dofs
+from fem_accuracy.functions import AnalyticFunction
 from fem_accuracy.geometry import SimplexMesh
+
+
+class Exp1D(AnalyticFunction):
+    """exp(a x); derivatives multiply by a^r."""
+
+    n = 1
+
+    def __init__(self, a=1.0):
+        self.a = float(a)
+
+    def deriv_values(self, alpha, x):
+        (r,) = alpha
+        x = self._points(x)[:, 0]
+        return self.a**r * np.exp(self.a * x)
 
 
 def monomial_integral(exps, n, measure=None):
@@ -83,6 +99,31 @@ def interval_geometry(x0, x1):
     length = Fraction(float(Fraction(x1) - Fraction(x0)))
     size = float(abs(length))
     return size, size, np.array([[float(-1 / length)], [float(1 / length)]]), size
+
+
+def solution_values(solution, x):
+    """A 1D Galerkin solution u_h at the points x, without the package's shape functions.
+
+    Each point is taken in the element whose left end is the last one at or
+    below it (the first and last elements take the points beyond the ends).
+    There u_h is the barycentric Lagrange interpolant (Berrut & Trefethen,
+    SIAM Rev. 46(3), 2004) through the element's k+1 nodal values
+    coefficients[element_dofs(ne, k)], taken at the equispaced nodes j/k of
+    the local coordinate, with weights (-1)^j binom(k, j).
+    """
+    k, ends = solution.k, solution.mesh.element_vertices[:, :, 0]
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    e = np.clip(np.searchsorted(ends[:, 0], x, side="right") - 1, 0, len(ends) - 1)
+    t = (x - ends[e, 0]) / (ends[e, 1] - ends[e, 0])
+    values = solution.coefficients[element_dofs(len(ends), k)][e]
+    weights = np.array([(-1) ** j * math.comb(k, j) for j in range(k + 1)], dtype=np.float64)
+    diff = t[:, None] - np.arange(k + 1) / k
+    at_node = diff == 0.0
+    terms = weights / np.where(at_node, 1.0, diff)
+    out = (terms * values).sum(axis=1) / terms.sum(axis=1)
+    rows, cols = np.nonzero(at_node)
+    out[rows] = values[rows, cols]
+    return out
 
 
 def simplex_mesh(simplices):

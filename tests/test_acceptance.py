@@ -38,7 +38,7 @@ from fem_accuracy.bounds import (
     point_bound_check,
     seminorm_bound_check,
 )
-from fem_accuracy.fem1d import ModelProblem, assemble_and_solve, error_report
+from fem_accuracy.fem1d import ModelProblem, assemble_and_solve_all, error_reports
 from fem_accuracy.functions import SinPiProduct
 from fem_accuracy.geometry import SimplexMesh, reference_simplex, uniform_mesh_1d
 from fem_accuracy.norms import interpolation_error, seminorm
@@ -216,7 +216,7 @@ def test_criterion_5_galerkin_convergence_grid():
     problem = ModelProblem.sine()
     counts = (8, 16, 32, 64, 128)
     solutions = {
-        (k, ne): assemble_and_solve(problem, uniform_mesh_1d(0.0, 1.0, ne), k)
+        (k, ne): assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, ne)], k)[0]
         for k in (1, 2, 3)
         for ne in counts
     }
@@ -226,7 +226,7 @@ def test_criterion_5_galerkin_convergence_grid():
             for p in (1.5, 2.0, 3.0):
                 errors, sizes = [], []
                 for ne in counts:
-                    rep = error_report(solutions[(k, ne)], problem, m, p)
+                    rep = error_reports([solutions[(k, ne)]], problem, m, p)[0]
                     assert rep["admissible"], (k, m, p)
                     assert rep["pass"], (k, m, p, ne, rep["error"], rep["bound"])
                     errors.append(rep["error"])

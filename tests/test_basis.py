@@ -196,7 +196,7 @@ class TestBasisConstruction:
 def physical_derivative(poly, simplex, alpha, lam):
     """d^alpha of poly at one barycentric point: derivative table, then chain rule."""
     table = tabulate([poly], np.array([lam], dtype=float), sum(alpha))
-    return np.tensordot(chain_rule_weights(simplex.barycentric_gradients(), alpha), table, axes=1)[0, 0]
+    return np.tensordot(chain_rule_weights(simplex.element_gradients[0], alpha), table, axes=1)[0, 0]
 
 
 class TestSpatialDerivative:
@@ -230,7 +230,7 @@ class TestSpatialDerivative:
         with pytest.raises(ValueError):
             tabulate([BarycentricPolynomial(2, {(1, 0): Fraction(1)})], s.barycentric(np.array([[0.2, 0.3]])), 1)
         with pytest.raises(ValueError):
-            chain_rule_weights(s.barycentric_gradients(), (1,))
+            chain_rule_weights(s.element_gradients[0], (1,))
 
     @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
     def test_block_weights_match_per_simplex(self, alpha):
@@ -239,7 +239,7 @@ class TestSpatialDerivative:
         block = chain_rule_weights(mesh.element_gradients, alpha)
         assert block.shape == (len(mesh), 3 ** sum(alpha))
         for row, simplex in zip(block, mesh.simplices):
-            assert np.array_equal(row, chain_rule_weights(simplex.barycentric_gradients(), alpha))
+            assert np.array_equal(row, chain_rule_weights(simplex.element_gradients[0], alpha))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

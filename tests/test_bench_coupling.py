@@ -7,7 +7,8 @@ basis constructions and the kernel layer are still counted and that
 uninstalling puts every original object back.  The tracer also reads the
 element count of a domain by its `simplices` attribute when it counts
 seminorm point evaluations; a test pins that count on a mesh and on a
-Simplex, which is a one-element mesh.
+Simplex, which is a one-element mesh.  A traced convergence study goes
+through names the tracer does not wrap, so it records no solve to re-run.
 """
 
 import importlib
@@ -15,7 +16,7 @@ import importlib.util
 from pathlib import Path
 
 import fem_accuracy
-from fem_accuracy import build_basis, norms
+from fem_accuracy import build_basis, fem1d, norms
 from fem_accuracy.functions import SinPiProduct
 from fem_accuracy.geometry import reference_simplex, structured_mesh_2d
 from fem_accuracy.quadrature import simplex_rule
@@ -39,18 +40,23 @@ def lookup(modname, path):
     return owner, attr, getattr(owner, attr, None)
 
 
-def test_tracer_counts_kernel_calls_and_restores_every_name():
-    tracer_module = load_tracer()
+def wrapped_entries(tracer_module):
+    """(owner, attribute, original value) of every name the tracer patches."""
     for _, modname, _ in tracer_module.WRAPS:
         importlib.import_module(modname)
     import fem_accuracy.cli
 
     entries = [lookup(modname, path) for _, modname, path in tracer_module.WRAPS]
-    entries += [
+    return entries + [
         (fem_accuracy.BarycentricPolynomial, "__init__", fem_accuracy.BarycentricPolynomial.__init__),
         (fem_accuracy, "Bump", fem_accuracy.Bump),
         (fem_accuracy.cli, "Bump", fem_accuracy.cli.Bump),
     ]
+
+
+def test_tracer_counts_kernel_calls_and_restores_every_name():
+    tracer_module = load_tracer()
+    entries = wrapped_entries(tracer_module)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -81,3 +87,20 @@ def test_tracer_counts_seminorm_points_on_every_element():
     assert len(mesh) == 8 and len(simplex) == 1
     assert mesh_points == 8 * directions * simplex_rule(2, 6).size
     assert tracer.counts["norms.point_evals"] - mesh_points == directions * simplex_rule(2, 6).size
+
+
+def test_traced_convergence_study_restores_every_name():
+    # WRAPS also names attributes the library does not define, such as
+    # fem1d.assemble_and_solve; install skips them.
+    tracer_module = load_tracer()
+    entries = wrapped_entries(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        rows, _ = fem1d.convergence_study(fem1d.ModelProblem.sine(), 2, 1, 2.0, [4, 8])
+    finally:
+        tracer.uninstall()
+    assert len(rows) == 2
+    for owner, attr, original in entries:
+        assert getattr(owner, attr, None) is original, (owner, attr)
+    assert tracer.peak_alloc_mb() == 0.0

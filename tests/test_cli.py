@@ -252,6 +252,23 @@ class TestProbCommand:
         assert code == 3
         assert err.strip()
 
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            ("--ck1 inf --ck2 1", "c_k1 and c_k2"),
+            ("--ck1 1 --ck2 inf", "c_k1 and c_k2"),
+            ("--seminorm-ratio inf", "seminorm_ratio and cea_quotient"),
+            ("--cea-ratio inf", "seminorm_ratio and cea_quotient"),
+        ],
+        ids=["ck1-inf", "ck2-inf", "seminorm-ratio-inf", "cea-ratio-inf"],
+    )
+    def test_infinite_constant_is_named(self, capsys, argv, names):
+        with pytest.raises(SystemExit) as exc:
+            main(["prob", *argv.split()])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == f"fem-accuracy: error: {names} must be positive and finite"
+
 
 class TestHstarSeqCommand:
     def test_sequence_rows(self, capsys):

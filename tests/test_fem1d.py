@@ -14,24 +14,21 @@ from fem_accuracy.fem1d import (
     RESIDUAL_REL_TOL,
     MeshFamily,
     ModelProblem,
-    assemble_and_solve,
     assemble_and_solve_all,
     convergence_study,
     cyclic_reduction,
     element_dofs,
     element_system,
-    empirical_crossover,
-    error_report,
     error_reports,
     solve_condensed,
     solve_quality,
 )
-from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
+from fem_accuracy.functions import Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.norms import ESTIMATE_DEGREE_STEP, AnalyticField, DifferenceField, element_blocks, element_powers
 from fem_accuracy.quadrature import interval_rule
 
-from oracles import loglog_slope, rational_eval, simplex_mesh
+from oracles import Exp1D, loglog_slope, rational_eval, simplex_mesh, solution_values
 
 # x - x^2 vanishes at both ends and lies in P_2.
 QUADRATIC = ModelProblem(u=Polynomial1D([0.0, 1.0, -1.0]), name="quadratic")
@@ -129,9 +126,9 @@ class TestSolver:
         # The exact solution lies in the P_3 trial space, so the Galerkin
         # solution matches it to rounding.
         prob = ModelProblem.cubic()
-        sol = assemble_and_solve(prob, uniform_mesh_1d(0.0, 1.0, 4), 3)
+        sol = assemble_and_solve_all(prob, [uniform_mesh_1d(0.0, 1.0, 4)], 3)[0]
         xs = np.linspace(0.0, 1.0, 37)
-        got = sol(xs)
+        got = solution_values(sol, xs)
         want = xs - xs**3
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -141,9 +138,9 @@ class TestSolver:
         prob = ModelProblem.cubic()
         nodes = np.linspace(0.0, 1.0, 301) ** 2
         mesh = simplex_mesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
-        sol = assemble_and_solve(prob, mesh, 3)
+        sol = assemble_and_solve_all(prob, [mesh], 3)[0]
         xs = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(sol(xs) - (xs - xs**3))) < 1e-11
+        assert np.max(np.abs(solution_values(sol, xs) - (xs - xs**3))) < 1e-11
         # 2500 elements fill one block of the error rule (degree 2k + 6, 7
         # points) and end in a partial one; an offset slip between blocks
         # would leave an O(1) error in the measured W^{1,2} norm (4.4e-10,
@@ -151,16 +148,17 @@ class TestSolver:
         mesh = graded_mesh(2500)
         blocks = element_blocks(len(mesh), interval_rule(2 * 3 + 6).size)
         assert len(blocks) == 2 and 0 < blocks[1][1] - blocks[1][0] < blocks[0][1] - blocks[0][0]
-        assert error_report(assemble_and_solve(prob, mesh, 3), prob, 1, 2.0)["error"] < 1e-8
+        assert error_reports(assemble_and_solve_all(prob, [mesh], 3), prob, 1, 2.0)[0]["error"] < 1e-8
 
     def test_point_values_match_exact_per_element_route(self):
-        # Graded P3 solution evaluated at every node (element boundaries and
-        # both end points) and at points inside elements; the reference
+        # Graded P3 solution evaluated by the solution_values oracle at every
+        # node (element boundaries and both end points) and at points inside
+        # elements, where it locates the element itself; the reference
         # locates each point by its own element and evaluates the element's
         # polynomial at exact rational barycentric coordinates.
         nodes = np.linspace(0.0, 1.0, 301) ** 2
         mesh = SimplexMesh(vertices=nodes.reshape(-1, 1), connectivity=np.arange(300)[:, None] + np.arange(2))
-        sol = assemble_and_solve(ModelProblem.sine(), mesh, 3)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)[0]
         coefficients = sol.as_field().coefficients
         xs = np.concatenate([nodes, np.random.default_rng(2).uniform(0.0, 1.0, 300)])
         expected = []
@@ -170,19 +168,19 @@ class TestSolver:
             t = (Fraction(x) - a) / (b - a)
             value = sum(Fraction(c) * rational_eval(poly, (1 - t, t)) for c, poly in zip(coefficients[e], sol.basis.polynomials))
             expected.append(float(value))
-        assert np.max(np.abs(sol(xs) - np.array(expected))) <= 1e-15
+        assert np.max(np.abs(solution_values(sol, xs) - np.array(expected))) <= 1e-15
 
     def test_reproduces_quadratic_exactly(self):
         prob = QUADRATIC
-        sol = assemble_and_solve(prob, uniform_mesh_1d(0.0, 1.0, 3), 2)
+        sol = assemble_and_solve_all(prob, [uniform_mesh_1d(0.0, 1.0, 3)], 2)[0]
         xs = np.linspace(0.0, 1.0, 23)
-        assert np.max(np.abs(sol(xs) - (xs - xs**2))) < 1e-12
+        assert np.max(np.abs(solution_values(sol, xs) - (xs - xs**2))) < 1e-12
 
     @pytest.mark.parametrize("ne", [1, 2])
     def test_p1_on_one_or_two_elements(self, ne):
         # No unknown and one unknown: the vertex system is empty or 1 x 1.
         mesh = uniform_mesh_1d(0.0, 1.0, ne)
-        sol = assemble_and_solve(ModelProblem.sine(), mesh, 1)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 1)[0]
         a, b = element_system(ModelProblem.sine(), mesh, build_basis(1, 1))
         dense, rhs, free = dense_free_system(a, b)
         assert len(free) == ne - 1
@@ -191,16 +189,17 @@ class TestSolver:
         assert sol.residual < 1e-15 and sol.backward_error < 1e-15
 
     def test_residual_reported_and_small(self):
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 16), 2)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 2)[0]
         assert sol.residual <= RESIDUAL_REL_TOL
 
     def test_solve_memory_is_not_quadratic(self):
         # A dense copy of this 3071-unknown system alone would take 72 MB.
         mesh = uniform_mesh_1d(0.0, 1.0, 1024)
-        assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 2), 3)  # fills the rule and basis caches
+        # Fill the rule and basis caches.
+        assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 2)], 3)
         tracemalloc.start()
         try:
-            assemble_and_solve(ModelProblem.sine(), mesh, 3)
+            assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,7 +234,7 @@ class TestSolver:
         gx = np.random.default_rng(4).standard_normal(len(gfree) + 2)
         assert solve_quality(ga, gb, gx) == pytest.approx(dense_quality(gdense, grhs, gx[gfree]), rel=1e-12)
 
-        sol = assemble_and_solve(ModelProblem.sine(), mesh, 3)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)[0]
         residual, backward = dense_quality(dense, rhs, sol.coefficients[free])
         assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-14)
         assert sol.backward_error < 1e-15
@@ -256,7 +255,7 @@ class TestSolver:
         want = solveh_banded(ab, load)
         eigs = eigvals_banded(ab)
         cond = eigs.max() / eigs.min()
-        sol = assemble_and_solve(ModelProblem.sine(), mesh, k)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0]
         assert np.array_equal(solve_condensed(a, b, [len(mesh)])[0], sol.coefficients)
         assert sol.coefficients[0] == sol.coefficients[len(mesh)] == 0.0
         assert np.max(np.abs(sol.coefficients[dof] - want)) <= np.finfo(float).eps * cond * np.max(np.abs(want))
@@ -269,29 +268,29 @@ class TestSolver:
     @pytest.mark.parametrize("ne,ok", [(256, True), (1024, False)])
     def test_residual_above_tolerance_is_flagged(self, ne, ok):
         # The P3 residual grows with the mesh: 2.5e-11 at 256, 4.3e-10 at 1024 elements.
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, ne), 3)
-        rep = error_report(sol, ModelProblem.sine(), 0, 2.0)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, ne)], 3)[0]
+        rep = error_reports([sol], ModelProblem.sine(), 0, 2.0)[0]
         assert rep["residual_ok"] is ok
         assert rep["residual_ok"] == (rep["residual"] <= RESIDUAL_REL_TOL)
         assert rep["backward_error"] == sol.backward_error < 1e-15
 
     def test_dirichlet_conditions(self):
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), 3)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 3)[0]
         assert sol.coefficients[0] == 0.0
         assert sol.coefficients[8] == 0.0
-        assert sol(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-14)
-        assert sol(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-14)
+        assert solution_values(sol, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
+        assert solution_values(sol, 1.0)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_continuity_across_interfaces(self):
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 5), 2)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 5)], 2)[0]
         for vertex in (0.2, 0.4, 0.6, 0.8):
-            left = sol(np.array([vertex - 1e-12]))[0]
-            right = sol(np.array([vertex + 1e-12]))[0]
+            left = solution_values(sol, vertex - 1e-12)[0]
+            right = solution_values(sol, vertex + 1e-12)[0]
             assert left == pytest.approx(right, abs=1e-9)
 
     def test_global_numbering(self):
         # Vertices left to right, then the interior node of each element.
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 3), 2)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 3)], 2)[0]
         dofs = element_dofs(3, 2)
         assert dofs.tolist() == [[0, 4, 1], [1, 5, 2], [2, 6, 3]]
         assert np.array_equal(sol.as_field().coefficients, sol.coefficients[dofs])
@@ -302,7 +301,8 @@ class TestSolver:
         calls = []
         monkeypatch.setattr(fem1d, "build_basis", lambda n, k: calls.append((n, k)) or build_basis(n, k))
         fem1d._interval_basis.cache_clear()
-        solutions = [assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, ne), 2) for ne in (4, 8, 16)]
+        meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in (4, 8, 16)]
+        solutions = [assemble_and_solve_all(ModelProblem.sine(), [mesh], 2)[0] for mesh in meshes]
         assert calls == [(1, 2)]
         assert solutions[0].basis is solutions[2].basis
 
@@ -313,8 +313,8 @@ class TestSolver:
         # used to solve to 8e-2 with a residual of 3e-14, and the other two
         # layouts ended in a Cholesky failure.
         vertices, cells = np.linspace(0.0, 1.0, 17)[:, None], np.arange(16)[:, None] + np.arange(2)
-        chain = assemble_and_solve(ModelProblem.sine(), SimplexMesh(vertices, cells), 2)
-        assert error_report(chain, ModelProblem.sine(), 0, 2.0)["error"] < 1e-4
+        chain = assemble_and_solve_all(ModelProblem.sine(), [SimplexMesh(vertices, cells)], 2)[0]
+        assert error_reports([chain], ModelProblem.sine(), 0, 2.0)[0]["error"] < 1e-4
         if layout == "rows reversed":
             cells = cells[::-1]
         elif layout == "vertices reversed":
@@ -322,7 +322,7 @@ class TestSolver:
         else:
             cells = cells[:, ::-1]
         with pytest.raises(ValueError, match="one chain of elements left to right"):
-            assemble_and_solve(ModelProblem.sine(), SimplexMesh(vertices, cells), 2)
+            assemble_and_solve_all(ModelProblem.sine(), [SimplexMesh(vertices, cells)], 2)
         # A batch is checked mesh by mesh: a bad mesh after a good one is refused too.
         with pytest.raises(ValueError, match="one chain of elements left to right"):
             MeshFamily([uniform_mesh_1d(0.0, 1.0, 4), SimplexMesh(vertices, cells)])
@@ -331,7 +331,7 @@ class TestSolver:
         # Refused up front, before any arithmetic on the 2D vertex table.
         with warnings.catch_warnings(), pytest.raises(ValueError, match="restricted to 1D meshes"):
             warnings.simplefilter("error")
-            assemble_and_solve(ModelProblem.sine(), structured_mesh_2d(2), 1)
+            assemble_and_solve_all(ModelProblem.sine(), [structured_mesh_2d(2)], 1)
 
     def test_loads_no_scipy(self):
         code = (
@@ -349,9 +349,26 @@ class TestSolver:
         exact = np.sin(np.pi * xs)
         errs = []
         for k in (1, 2, 3):
-            sol = assemble_and_solve(ModelProblem.sine(), mesh, k)
-            errs.append(np.max(np.abs(sol(xs) - exact)))
+            sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0]
+            errs.append(np.max(np.abs(solution_values(sol, xs) - exact)))
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestSolutionValuesOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_the_field_at_rule_points(self, k):
+        # Two routes to u_h: the oracle's barycentric Lagrange formula through
+        # the nodal values, and the field's shape-function tables.  Against
+        # exact rational values of the same polynomials the oracle is within
+        # 9e-16 for k <= 5, while the tables' round-off grows about fourfold
+        # per degree: the routes differ by up to 7e-16 for k <= 3, 1.4e-15 at
+        # k = 4 and 4.8e-15 at k = 5.
+        mesh, rule = graded_mesh(12), interval_rule(2 * k + 6)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0]
+        phys = rule.points @ mesh.element_vertices
+        want = sol.as_field().deriv_block(mesh, 0, len(mesh), (0,), rule, phys)
+        got = solution_values(sol, phys[:, :, 0].ravel()).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestLinearAlgebra:
@@ -400,8 +417,8 @@ class TestLinearAlgebra:
 
 class TestErrorReport:
     def test_report_structure_and_bound(self):
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 16), 2)
-        rep = error_report(sol, ModelProblem.sine(), 1, 2.0)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 2)[0]
+        rep = error_reports([sol], ModelProblem.sine(), 1, 2.0)[0]
         assert rep["problem"] == "sine"
         assert rep["k"] == 2 and rep["m"] == 1
         assert rep["h"] == pytest.approx(1.0 / 16.0, rel=1e-14)
@@ -415,22 +432,22 @@ class TestErrorReport:
         assert 0.0 < rep["bound_position"] <= 1.0
 
     def test_error_combines_seminorms(self):
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), 1)
-        rep = error_report(sol, ModelProblem.sine(), 1, 2.0)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 1)[0]
+        rep = error_reports([sol], ModelProblem.sine(), 1, 2.0)[0]
         via_parts = math.fsum(s["value"] ** 2.0 for s in rep["seminorms"]) ** 0.5
         assert rep["error"] == pytest.approx(via_parts, rel=1e-13)
 
     def test_inadmissible_reports_no_bound(self):
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 4), 1)
-        rep = error_report(sol, ModelProblem.sine(), 2, 2.0)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 4)], 1)[0]
+        rep = error_reports([sol], ModelProblem.sine(), 2, 2.0)[0]
         assert rep["admissible"] is False
         assert rep["bound"] is None
         assert rep["pass"] is None
         assert len(rep["seminorms"]) == 3
 
     def test_quadrature_estimates_reported(self):
-        sol = assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), 2)
-        rep = error_report(sol, ModelProblem.sine(), 0, 2.0)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 2)[0]
+        rep = error_reports([sol], ModelProblem.sine(), 0, 2.0)[0]
         est = rep["seminorms"][0]["quad_error_estimate"]
         assert est < 1e-8
 
@@ -452,12 +469,13 @@ class TestErrorReport:
     def test_underflow_of_negligible_terms_is_kept(self):
         # On one P1 element u_h = 0 and (u - u_h)' = pi cos(pi x) is 6e-17 at the
         # rule's midpoint: its 20th power underflows, yet the sum is near 1e9.
-        problem, sol = ModelProblem.sine(), assemble_and_solve(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 1), 1)
+        problem = ModelProblem.sine()
+        sol = assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 1)], 1)[0]
         err = DifferenceField(AnalyticField(problem.u), sol.as_field())
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
             element_powers(err, sol.mesh, 1, 20.0, 2 * 1 + 6)
         fine = math.fsum(element_powers(err, sol.mesh, 1, 20.0, 2 * 1 + 6 + ESTIMATE_DEGREE_STEP)[0])
-        assert error_report(sol, problem, 1, 20.0)["seminorms"][1]["value"] == fine ** (1.0 / 20.0)
+        assert error_reports([sol], problem, 1, 20.0)[0]["seminorms"][1]["value"] == fine ** (1.0 / 20.0)
 
 
 class TestConvergence:
@@ -491,30 +509,9 @@ class TestConvergence:
         assert len(rows) == 1
 
 
-class TestEmpiricalCrossover:
-    def test_sine_pair_model_value(self):
-        rows = empirical_crossover(ModelProblem.sine(), 1, 2, 0, 2.0, [8, 16])
-        # Measured seminorm ratio is 1/pi, so the crossing sits at (20/9)/pi.
-        assert rows[0]["h_star_model"] == pytest.approx((20.0 / 9.0) / math.pi, rel=1e-6)
-        for row in rows:
-            assert row["higher_wins"] is True
-            assert 0.0 <= row["probability_model"] <= 1.0
-            assert row["error_k2"] <= row["error_k1"]
-
-    def test_explicit_ratio_bypasses_measurement(self):
-        rows = empirical_crossover(
-            ModelProblem.sine(), 1, 2, 0, 2.0, [8], seminorm_ratio=1.0 / math.pi
-        )
-        assert rows[0]["h_star_model"] == pytest.approx((20.0 / 9.0) / math.pi, rel=1e-12)
-
-    def test_probability_reflects_fine_mesh(self):
-        rows = empirical_crossover(ModelProblem.sine(), 1, 3, 0, 2.0, [32])
-        assert rows[0]["probability_model"] > 0.9
-
-
 def per_mesh_reports(problem, meshes, k, m, p, cea_ratio=1.0):
     """The reference route: each mesh solved and measured on its own."""
-    return [error_report(assemble_and_solve(problem, mesh, k), problem, m, p, cea_ratio) for mesh in meshes]
+    return [error_reports(assemble_and_solve_all(problem, [mesh], k), problem, m, p, cea_ratio)[0] for mesh in meshes]
 
 
 def graded_family():
@@ -561,7 +558,7 @@ class TestBatch:
     def test_graded_batch_equals_per_mesh_loop(self, k, m, p):
         meshes = graded_family()
         solutions = assemble_and_solve_all(QUADRATIC, meshes, k)
-        alone = [assemble_and_solve(QUADRATIC, mesh, k) for mesh in meshes]
+        alone = [assemble_and_solve_all(QUADRATIC, [mesh], k)[0] for mesh in meshes]
         for batched, single in zip(solutions, alone):
             assert np.array_equal(batched.coefficients, single.coefficients)
             assert (batched.residual, batched.backward_error) == (single.residual, single.backward_error)
@@ -571,7 +568,7 @@ class TestBatch:
     def test_any_counts_solve_bitwise_and_measure_to_rounding(self, k, m, p):
         counts = [2, 3, 5, 21]
         meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in counts]
-        alone = [assemble_and_solve(ModelProblem.sine(), mesh, k) for mesh in meshes]
+        alone = [assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0] for mesh in meshes]
         for batched, single in zip(assemble_and_solve_all(ModelProblem.sine(), meshes, k), alone):
             assert np.array_equal(batched.coefficients, single.coefficients)
             assert (batched.residual, batched.backward_error) == (single.residual, single.backward_error)
@@ -601,14 +598,6 @@ class TestBatch:
     def test_report_of_one_solution_from_a_batch(self):
         solutions = assemble_and_solve_all(ModelProblem.sine(), graded_family(), 2)
         problem = ModelProblem.sine()
-        assert error_report(solutions[2], problem, 1, 2.0) == error_reports(solutions, problem, 1, 2.0)[2]
+        assert error_reports([solutions[2]], problem, 1, 2.0)[0] == error_reports(solutions, problem, 1, 2.0)[2]
         with pytest.raises(ValueError, match="one degree"):
-            error_reports([solutions[0], assemble_and_solve(problem, solutions[1].mesh, 3)], problem, 0, 2.0)
-
-    @pytest.mark.parametrize("k1,k2,m,p", [(1, 2, 0, 2.0), (1, 3, 1, 1.5), (2, 3, 0, 3.0)])
-    def test_empirical_crossover_equals_per_mesh_loop(self, k1, k2, m, p):
-        counts = [4, 8, 16]
-        rows = empirical_crossover(ModelProblem.sine(), k1, k2, m, p, counts)
-        meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in counts]
-        e1, e2 = ([r["error"] for r in per_mesh_reports(ModelProblem.sine(), meshes, k, m, p)] for k in (k1, k2))
-        assert [(r["h"], r["error_k1"], r["error_k2"]) for r in rows] == list(zip([mesh.h for mesh in meshes], e1, e2))
+            error_reports([solutions[0], assemble_and_solve_all(problem, [solutions[1].mesh], 3)[0]], problem, 0, 2.0)

@@ -31,12 +31,12 @@ class TestSimplex:
         s = reference_simplex(1)
         assert s.n == 1
         assert s.measure == pytest.approx(1.0, abs=COORD_TOL)
-        assert s.diameter == pytest.approx(1.0, abs=COORD_TOL)
+        assert s.h == pytest.approx(1.0, abs=COORD_TOL)
 
     def test_reference_triangle(self):
         s = reference_simplex(2)
         assert s.measure == pytest.approx(0.5, abs=COORD_TOL)
-        assert s.diameter == pytest.approx(math.sqrt(2.0), abs=COORD_TOL)
+        assert s.h == pytest.approx(math.sqrt(2.0), abs=COORD_TOL)
 
     def test_barycentric_vertices_and_centroid(self):
         s = Simplex([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
@@ -56,7 +56,7 @@ class TestSimplex:
 
     def test_gradients_rows_sum_to_zero(self):
         s = Simplex([[0.0, 0.0], [1.3, 0.1], [0.2, 0.9]])
-        g = s.barycentric_gradients()
+        g = s.element_gradients[0]
         assert np.allclose(g.sum(axis=0), 0.0, atol=1e-12)
 
     def test_gradient_scaling_interval(self):
@@ -153,7 +153,7 @@ class TestMesh:
         assert mesh.element_vertices.shape == mesh.element_gradients.shape == (18, 3, 2)
         for e, s in enumerate(mesh.simplices):
             assert np.array_equal(mesh.element_vertices[e], s.vertices)
-            assert np.array_equal(mesh.element_gradients[e], s.barycentric_gradients())
+            assert np.array_equal(mesh.element_gradients[e], s.element_gradients[0])
             assert mesh.element_measures[e] == s.measure
         assert mesh.element_gradients is mesh.element_gradients
         assert not mesh.element_measures.flags.writeable
@@ -321,13 +321,13 @@ class TestBatchedGeometry:
         oracle = (lambda v: interval_geometry(*v[:, 0])) if mesh.n == 1 else loop_geometry
         for e, s in enumerate(singles):
             measure, diameter, gradients, inscribed = oracle(np.array(verts)[conn[e]])
-            assert (s.measure, s.diameter, s.inscribed_diameter()) == (measure, diameter, inscribed)
-            assert np.array_equal(s.barycentric_gradients(), gradients)
+            assert (s.measure, s.h, s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert np.array_equal(s.element_gradients[0], gradients)
             assert np.array_equal(mesh.element_vertices[e], s.vertices)
-            assert np.array_equal(mesh.element_gradients[e], s.barycentric_gradients())
+            assert np.array_equal(mesh.element_gradients[e], s.element_gradients[0])
             assert mesh.element_measures[e] == s.measure
-        assert mesh.h == max(s.diameter for s in singles)
-        assert mesh.sigma == max(s.diameter / s.inscribed_diameter() for s in singles)
+        assert mesh.h == max(s.h for s in singles)
+        assert mesh.sigma == max(s.h / s.inscribed_diameter() for s in singles)
         assert mesh.gradient_max == max(s.gradient_max for s in singles)
         stacked = simplex_mesh(singles)
         assert np.array_equal(stacked.element_gradients, mesh.element_gradients)
@@ -363,8 +363,8 @@ class TestBatchedGeometry:
         assert built == [1]
         ref = Simplex(mesh.element_vertices[5])
         assert np.array_equal(s.vertices, ref.vertices)
-        assert np.array_equal(s.barycentric_gradients(), ref.barycentric_gradients())
-        assert (s.measure, s.diameter, s.inscribed_diameter()) == (ref.measure, ref.diameter, ref.inscribed_diameter())
+        assert np.array_equal(s.element_gradients[0], ref.element_gradients[0])
+        assert (s.measure, s.h, s.inscribed_diameter()) == (ref.measure, ref.h, ref.inscribed_diameter())
         assert np.array_equal(mesh.simplices[-1].vertices, mesh.element_vertices[31])
         assert sum(1 for _ in mesh.simplices) == 32
         with pytest.raises(IndexError):
@@ -397,13 +397,13 @@ class TestIntervalGeometry:
         mesh = SimplexMesh(verts, [c[::-1] for c in conn])
         for e, (c, s) in enumerate(zip(conn, mesh.simplices)):
             measure, diameter, gradients, inscribed = interval_geometry(verts[c[1], 0], verts[c[0], 0])
-            assert (s.measure, s.diameter, s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert (s.measure, s.h, s.inscribed_diameter()) == (measure, diameter, inscribed)
             assert mesh.element_measures[e] == measure
             assert np.array_equal(mesh.element_gradients[e], gradients)
         assert mesh.element_gradients[0, 0, 0] > 0.0 > mesh.element_gradients[0, 1, 0]
         assert mesh.sigma == 1.0
         s = Simplex([[1.0], [0.25]])
-        assert (s.measure, s.diameter, s.inscribed_diameter()) == (0.75, 0.75, 0.75)
+        assert (s.measure, s.h, s.inscribed_diameter()) == (0.75, 0.75, 0.75)
         assert np.allclose(s.barycentric([[1.0], [0.25], [0.4375]]), [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]], atol=1e-15)
 
     def test_zero_length_interval_named(self):

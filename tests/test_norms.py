@@ -8,7 +8,7 @@ import pytest
 from fem_accuracy import basis as basis_module, fem1d, norms
 from fem_accuracy.basis import build_basis, chain_rule_weights
 from fem_accuracy.bounds import seminorm_bound_check
-from fem_accuracy.functions import Exp1D, Polynomial1D, SinPiProduct
+from fem_accuracy.functions import Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.quadrature import QuadratureRule, simplex_rule
 from fem_accuracy.norms import (
@@ -25,7 +25,7 @@ from fem_accuracy.norms import (
     seminorm_with_estimate,
 )
 
-from oracles import rational_eval, simplex_mesh, sin_seminorm_by_quadrature
+from oracles import Exp1D, rational_eval, simplex_mesh, sin_seminorm_by_quadrature, solution_values
 
 
 class TestSobolevIndex:
@@ -187,7 +187,7 @@ class ConstantOneField:
 
 class TestSobolevNorm:
     # The W^{m,p} norm is the p-th root of the summed seminorm powers, as
-    # fem1d.error_report forms it.
+    # fem1d.error_reports forms it.
     def test_combines_orders(self):
         mesh = uniform_mesh_1d(0.0, 1.0, 4)
         fn = Polynomial1D([0.0, 1.0])
@@ -196,8 +196,8 @@ class TestSobolevNorm:
 
     def test_m_zero_matches_seminorm(self):
         problem = fem1d.ModelProblem.sine()
-        solution = fem1d.assemble_and_solve(problem, uniform_mesh_1d(0.0, 1.0, 4), 2)
-        report = fem1d.error_report(solution, problem, 0, 2.0)
+        solution = fem1d.assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 4)], 2)[0]
+        report = fem1d.error_reports([solution], problem, 0, 2.0)[0]
         degree = 2 * 2 + 6 + norms.ESTIMATE_DEGREE_STEP
         error = DifferenceField(AnalyticField(problem.u), solution.as_field())
         direct = seminorm(error, solution.mesh, 0, 2.0, degree=degree)
@@ -270,7 +270,7 @@ class TestTabulatedField:
         vertices = [(Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 3), Fraction(5, 4))]
         simplex = Simplex([[float(c) for c in v] for v in vertices])
         grads = _exact_triangle_gradients(vertices)
-        assert np.allclose(simplex.barycentric_gradients(), np.array(grads, dtype=float), rtol=1e-14, atol=1e-14)
+        assert np.allclose(simplex.element_gradients[0], np.array(grads, dtype=float), rtol=1e-14, atol=1e-14)
 
         basis = build_basis(2, 3)
         coeffs = [Fraction(j - 4, 4) for j in range(basis.size)]
@@ -505,8 +505,8 @@ class TestSharedTables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
-        sol = fem1d.assemble_and_solve(fem1d.ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), 2)
-        fem1d.error_report(sol, fem1d.ModelProblem.sine(), 1, 2.0)
+        sol = fem1d.assemble_and_solve_all(fem1d.ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 2)[0]
+        fem1d.error_reports([sol], fem1d.ModelProblem.sine(), 1, 2.0)
         assert sol.basis.tables and not any(t.flags.writeable for t in sol.basis.tables.values())
 
     def test_only_cached_rules_are_kept(self):
@@ -519,10 +519,11 @@ class TestSharedTables:
         assert list(basis.tables) == [(2, rule.exactness_degree, 0)]
 
     def test_point_evaluation_adds_no_table(self):
-        sol = fem1d.assemble_and_solve(fem1d.ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 16), 3)
-        fem1d.error_report(sol, fem1d.ModelProblem.sine(), 0, 2.0)
+        # The oracle's point values of u_h go through no shape-function table.
+        sol = fem1d.assemble_and_solve_all(fem1d.ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 3)[0]
+        fem1d.error_reports([sol], fem1d.ModelProblem.sine(), 0, 2.0)
         before = dict(sol.basis.tables)
-        values = sol(np.random.default_rng(1).uniform(0.0, 1.0, 300))
+        values = solution_values(sol, np.random.default_rng(1).uniform(0.0, 1.0, 300))
         assert values.shape == (300,)
         assert sol.basis.tables.keys() == before.keys()
         assert all(sol.basis.tables[key] is table for key, table in before.items())

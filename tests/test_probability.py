@@ -36,6 +36,12 @@ class TestElementPair:
         with pytest.raises(ValueError):
             ElementPair(k1=1, k2=2, c_k1=0.0, c_k2=1.0)
 
+    @pytest.mark.parametrize("c_k1,c_k2", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+    def test_nonfinite_constants_rejected(self, c_k1, c_k2):
+        # An infinite constant used to give h* = inf or 0.0 instead of an error.
+        with pytest.raises(ValueError, match="c_k1 and c_k2 must be positive and finite"):
+            ElementPair(k1=1, k2=2, c_k1=c_k1, c_k2=c_k2)
+
     def test_exponent(self):
         assert ElementPair(k1=1, k2=4, c_k1=1.0, c_k2=1.0).exponent == 3
 
@@ -104,6 +110,12 @@ class TestHStarExplicit:
                 h_star_explicit(1, 0, 2.0, 1, 2, **bad)
         with pytest.raises(AdmissibilityError):
             h_star_explicit(1, 2, 2.0, 1, 3)
+
+    @pytest.mark.parametrize("name", ["seminorm_ratio", "cea_quotient"])
+    def test_infinite_ratio_rejected(self, name):
+        # Either ratio at inf used to give h* = inf instead of an error.
+        with pytest.raises(ValueError, match="seminorm_ratio and cea_quotient must be positive and finite"):
+            h_star_explicit(1, 0, 2.0, 1, 2, **{name: math.inf})
 
 
 class TestAccuracyLaw:
@@ -204,13 +216,9 @@ class TestSeminormModels:
                     sin_seminorm_by_quadrature(r, p), rel=1e-13
                 )
 
-    def test_sin_ratio_limit(self):
-        assert SinPiSeminormModel().ratio_limit == math.pi
-
     def test_geometric_model(self):
         m = GeometricSeminormModel(ratio=3.0, base=2.0)
         assert math.exp(m.log_seminorm(2)) == pytest.approx(18.0, rel=1e-13)
-        assert m.ratio_limit == 3.0
         with pytest.raises(ValueError):
             GeometricSeminormModel(ratio=0.0)
 
