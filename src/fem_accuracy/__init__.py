@@ -5,65 +5,42 @@ seminorm caps, the k-explicit constant of the W^{m,p} error estimate,
 critical mesh sizes for comparing two degrees, the probabilistic accuracy
 laws built on them, and a 1D Galerkin study that checks the whole chain
 numerically.
+
+Importing the package loads none of its modules.  Each exported name is
+imported from its module on first access (PEP 562) and kept here, so a
+caller pays only for the layers it uses; only some of them import numpy.
 """
 
-from .basis import (
-    BarycentricPolynomial,
-    PkBasis,
-    auxiliary_factor,
-    build_basis,
-    chain_rule_weights,
-    multi_indices,
-    tabulate,
-)
-from .bounds import (
-    BoundCheck,
-    ConstantBundle,
-    local_interp_bound,
-    log_script_c,
-    point_bound_check,
-    script_c,
-    seminorm_bound_check,
-    xi,
-)
-from .fem1d import (
-    DiscreteSolution,
-    ModelProblem,
-    assemble_and_solve_all,
-    convergence_study,
-    error_reports,
-)
-from .functions import Polynomial1D, SinPiProduct
-from .geometry import (
-    DegenerateSimplexError,
-    Simplex,
-    SimplexMesh,
-    reference_simplex,
-    structured_mesh_2d,
-    uniform_mesh_1d,
-)
-from .norms import (
-    AdmissibilityError,
-    AnalyticField,
-    DifferenceField,
-    PiecewisePolynomialField,
-    SobolevIndex,
-    interpolation_error,
-    seminorm,
-    seminorm_with_estimate,
-)
-from .probability import (
-    AccuracyLaw,
-    Bump,
-    ElementPair,
-    GeometricSeminormModel,
-    SinPiSeminormModel,
-    h_star,
-    h_star_explicit,
-    h_star_sequence,
-    weak_star_pairing,
-    weak_star_test,
-)
-from .quadrature import QuadratureRule, interval_rule, simplex_rule
+import importlib
 
+# The module that defines each exported name.
+_MODULES = {
+    "basis": "BarycentricPolynomial PkBasis auxiliary_factor build_basis chain_rule_weights multi_indices tabulate",
+    "bounds": "BoundCheck point_bound_check seminorm_bound_check",
+    "constants": "AdmissibilityError ConstantBundle SobolevIndex local_interp_bound log_script_c script_c xi",
+    "fem1d": "DiscreteSolution ModelProblem assemble_and_solve_all convergence_study error_reports",
+    "functions": "Polynomial1D SinPiProduct",
+    "geometry": "DegenerateSimplexError Simplex SimplexMesh reference_simplex structured_mesh_2d uniform_mesh_1d",
+    "norms": "AnalyticField DifferenceField PiecewisePolynomialField interpolation_error seminorm seminorm_with_estimate",
+    "probability": (
+        "AccuracyLaw Bump ElementPair GeometricSeminormModel SinPiSeminormModel"
+        " h_star h_star_explicit h_star_sequence weak_star_pairing weak_star_test"
+    ),
+    "quadrature": "QuadratureRule interval_rule simplex_rule",
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return [*__all__, "__version__"]

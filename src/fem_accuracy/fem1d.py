@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from .basis import build_basis
-from .bounds import ConstantBundle, script_c
+from .constants import ConstantBundle, SobolevIndex, script_c
 from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import SimplexMesh, uniform_mesh_1d
 from .norms import (
@@ -32,7 +32,6 @@ from .norms import (
     AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
-    SobolevIndex,
     element_powers,
 )
 from .quadrature import interval_rule

@@ -18,12 +18,11 @@ SimplexMesh; a Simplex is one, with a single element.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import chain_rule_weights, multi_indices
+from .constants import AdmissibilityError, SobolevIndex  # noqa: F401  (importable from norms too)
 from .geometry import SimplexMesh
 from .quadrature import simplex_rule
 
@@ -39,56 +38,6 @@ def element_blocks(count, points):
     """Ranges [lo, hi) covering `count` elements (or points) of `points` values each."""
     size = max(1, BLOCK_POINTS // points)
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
-class AdmissibilityError(ValueError):
-    """A Sobolev/degree combination that the error theory does not cover."""
-
-    def __init__(self, message, inequality):
-        super().__init__(message)
-        self.inequality = inequality
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """W^{m,p} index on an n-dimensional domain.
-
-    p <= 1 is accepted for raw norm computation but flagged: the duality
-    and coercivity arguments behind the error constants need p > 1.
-    """
-
-    m: int
-    p: float
-    n: int
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 1 or not self.p > 0:  # NaN fails p > 0
-            raise ValueError("need m >= 0, n >= 1, p > 0")
-        if self.p <= 1:
-            warnings.warn(
-                f"p = {self.p} is outside the variational framework (need p > 1)",
-                stacklevel=3,  # past the generated __init__, to the code that builds the index
-            )
-
-    def seminorm_conditions(self, k):
-        """Per-order flags: k + 1 > l + n/p for l = 0..m."""
-        return {l: self.k_condition(k, l) for l in range(self.m + 1)}
-
-    def k_condition(self, k, l):
-        return k + 1 > l + self.n / self.p
-
-    def admissible(self, k):
-        """Full admissibility of degree k: the conditions imply m <= k, and m <= k - 1 if n/p >= 1."""
-        return all(self.seminorm_conditions(k).values())
-
-    def require(self, k):
-        """Raise AdmissibilityError naming the first violated inequality."""
-        for l, ok in self.seminorm_conditions(k).items():
-            if not ok:
-                raise AdmissibilityError(
-                    f"k + 1 > l + n/p fails: k={k}, l={l}, n={self.n}, p={self.p}",
-                    inequality="k+1 > l + n/p",
-                )
 
 
 def derivative_multi_indices(n, l):

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import exp_in_float_range, log_k_factor_ratio
+from .constants import SobolevIndex, exp_in_float_range, log_k_factor_ratio
 from .functions import log_sin_lp_constant
-from .norms import SobolevIndex
 from .quadrature import interval_rule
 
 # Absolute tolerance for the weak-* pairing integrals, and the Gauss-Legendre
@@ -152,8 +151,8 @@ class SinPiSeminormModel:
     """
 
     def __init__(self, p=2.0):
-        if not p > 0:
-            raise ValueError("p must be positive")
+        if not 0 < p < math.inf:  # NaN fails it too
+            raise ValueError("p must be positive and finite")
         self.p = p
         self._log_cp = log_sin_lp_constant(p)
 
@@ -165,8 +164,8 @@ class GeometricSeminormModel:
     """|u|_{r,p} = base * ratio^r; covers exp(a x) (ratio a) and friends."""
 
     def __init__(self, ratio, base=1.0):
-        if not (ratio > 0 and base > 0):
-            raise ValueError("ratio and base must be positive")
+        if not (0 < ratio < math.inf and 0 < base < math.inf):  # NaN fails it too
+            raise ValueError("ratio and base must be positive and finite")
         self.ratio = float(ratio)
         self.base = float(base)
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fem_accuracy import bounds, norms
+from fem_accuracy import constants, norms
 from fem_accuracy.basis import build_basis
 from fem_accuracy.bounds import (
     BoundCheck,
@@ -154,7 +154,7 @@ class TestScriptC:
         def overflow(bundle):
             raise OverflowError
 
-        monkeypatch.setattr(bounds, "c1_constant", overflow)
+        monkeypatch.setattr(constants, "c1_constant", overflow)
         assert log_script_c(b) == pytest.approx(direct, abs=1e-14 * max(1.0, abs(direct)))
 
     def test_rise_then_decay_in_k(self):

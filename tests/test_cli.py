@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib.metadata
 import io
@@ -152,6 +153,45 @@ class TestParser:
         assert json.loads(out.stdout) == {cmd: [] for cmd in argv}
 
 
+class TestColdStart:
+    def test_no_numpy_until_a_subcommand_needs_it(self):
+        # Importing the CLI, --help, `constant` (closed form, standard library
+        # only), a usage error and an inadmissible constant load no numpy.
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import fem_accuracy.cli\n"
+            "loaded = {'import': 'numpy' in sys.modules}\n"
+            "for argv in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            rc = fem_accuracy.cli.main(argv.split())\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    loaded[argv] = [rc, 'numpy' in sys.modules, out.getvalue()]\n"
+            "print(json.dumps(loaded))\n"
+        )
+        constant = "constant --n 1 --m 1 --k 4 --p 2.0"
+        converge = "converge --k 1 --meshes 4,8"
+        argv = ["--help", constant, "constant --cea-ratio 0.5", "constant --m 2 --k 1", converge]
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+        loaded = json.loads(out.stdout)
+        assert loaded.pop("import") is False
+        assert {a: v[:2] for a, v in loaded.items()} == {
+            "--help": [0, False],
+            constant: [0, False],
+            "constant --cea-ratio 0.5": [2, False],
+            "constant --m 2 --k 1": [3, False],
+            converge: [0, True],
+        }
+        # The lazily loaded layers print what a process with numpy loaded up front prints.
+        for cmd in (constant, converge):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(cmd.split()) == 0
+            assert loaded[cmd][2] == buf.getvalue()
+
+
 class TestFailedCheck:
     def test_failed_cap_exits_1(self, capsys):
         # The r = 1 cap k^3 is false at k = 12 in 1D: 1900.8 > 1728.
@@ -281,6 +321,13 @@ class TestHstarSeqCommand:
         assert hs[0] == pytest.approx((20.0 / 9.0) / math.pi, rel=1e-10)
         assert float(rows[4]["h_star_over_q"]) == pytest.approx(hs[4] / 5.0, rel=1e-12)
 
+    def test_p_beyond_lgamma_range(self, capsys):
+        # lgamma in the sine model's L^p constant overflows from p of about
+        # 5e305; that used to be an OverflowError traceback with exit 1.
+        code, out, err = run_main(capsys, ["hstar-seq", "--qmax", "2", "--p", "1e306"])
+        assert (code, err) == (0, "")
+        assert out == run_main(capsys, ["hstar-seq", "--qmax", "2", "--p", "5e305"])[1]
+
 
 class TestWeakstarCommand:
     def test_ladder_errors(self, capsys):
@@ -292,6 +339,11 @@ class TestWeakstarCommand:
         rows = parse_json_lines(out)
         assert [r["q"] for r in rows] == [1, 20, 50]
         assert rows[-1]["error"] < 1e-6
+
+    def test_p_beyond_lgamma_range(self, capsys):
+        code, out, err = run_main(capsys, ["weakstar", "--q-list", "1", "--p", "1e308"])
+        assert (code, err) == (0, "")
+        assert out == run_main(capsys, ["weakstar", "--q-list", "1", "--p", "5e305"])[1]
 
 
 class TestConvergeCommand:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from fem_accuracy.bounds import ConstantBundle, script_c
+from fem_accuracy.functions import log_sin_lp_constant
 from fem_accuracy.norms import AdmissibilityError
 from fem_accuracy.probability import (
     PAIRING_ABS_TOL,
@@ -229,6 +230,38 @@ class TestSeminormModels:
             GeometricSeminormModel(ratio=math.nan)
         with pytest.raises(ValueError):
             GeometricSeminormModel(ratio=2.0, base=math.nan)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SinPiSeminormModel(math.inf),
+            lambda: GeometricSeminormModel(ratio=math.inf),
+            lambda: GeometricSeminormModel(ratio=2.0, base=math.inf),
+        ],
+        ids=["sinpi-p", "geometric-ratio", "geometric-base"],
+    )
+    def test_infinite_parameter_rejected(self, make):
+        # Each used to be accepted, and h_star_sequence then returned NaN.
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            make()
+
+    @pytest.mark.parametrize("p", [3.0, 40.0, 1e4, 6e305, 1e306, 1.7e308])
+    def test_sin_constant_within_wendel_bounds(self, p):
+        # Second route: Wendel's inequality (Amer. Math. Monthly 55, 1948) puts
+        # Gamma(x+1/2) / Gamma(x+1) between (x+1/2)^(-1/2) and x^(-1/2), x = p/2,
+        # so p log c_p + log(pi)/2 lies between the two logs.  Above p of about
+        # 5e305, where lgamma overflows, the two bounds meet in floats.
+        x = p / 2.0
+        value = p * log_sin_lp_constant(p) + 0.5 * math.log(math.pi)
+        lo, hi = -0.5 * math.log(x + 0.5), -0.5 * math.log(x)
+        slack = 8 * math.ulp(lo)
+        assert lo - slack <= value <= hi + slack
+
+    def test_sin_model_beyond_lgamma_range(self):
+        # lgamma((p+1)/2) overflows here; the model and its h* stay finite.
+        hs = h_star_sequence(1, 3, SinPiSeminormModel(1.7e308), p=1.7e308)
+        assert np.all(np.isfinite(hs))
+        assert list(hs) == list(h_star_sequence(1, 3, SinPiSeminormModel(5e305), p=5e305))
 
     def test_sin_model_is_geometric(self):
         sin_based = h_star_sequence(1, 50, SinPiSeminormModel(2.0))
