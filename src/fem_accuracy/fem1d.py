@@ -12,7 +12,7 @@ Several meshes are solved and measured as one batch: a MeshFamily stacks
 their elements into one mesh, so one element system, one condensation, one
 back-substitution and one seminorm pass per rule and order serve them all.
 Only the O(n) steps are taken per mesh: the cyclic reduction of its vertex
-system, and its sums, sizes and bounds.
+system, and its sizes and bounds; norms sums its element powers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .norms import (
     AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
-    element_powers,
+    group_seminorms,
 )
 from .quadrature import interval_rule
 
@@ -44,10 +44,6 @@ RESIDUAL_REL_TOL = 1e-10
 # measured error is pure floating-point noise; without the slack that
 # noise would be reported as a bound violation.
 BOUND_ABS_SLACK = 1e-12
-
-# Underflow moves a sum of p-th powers at least this large by at most 2^-105
-# relative for each rounding in the underflow range that fed it.
-UNDERFLOW_SAFE_SUM = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -105,10 +101,6 @@ class MeshFamily:
                 "element e ends, and each element's second vertex lies right of its first"
             )
 
-    def sums(self, powers):
-        """math.fsum of each mesh's columns of a (rows, E) array, one float per mesh."""
-        return [math.fsum(powers[:, lo:hi].ravel().tolist()) for lo, hi in zip(self.offsets[:-1], self.offsets[1:])]
-
     def maxima(self, values):
         """Largest of each mesh's entries of an (E,) array, one float per mesh."""
         return np.maximum.reduceat(values, self.offsets[:-1]).tolist()
@@ -130,13 +122,10 @@ class DiscreteSolution:
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         self.residual = float(residual)
         self.backward_error = float(backward_error)
-        self._field = None
 
     def as_field(self):
-        if self._field is None:
-            dofs = element_dofs(len(self.mesh), self.k)
-            self._field = PiecewisePolynomialField(self.basis, self.coefficients[dofs])
-        return self._field
+        """u_h as a PiecewisePolynomialField on its mesh."""
+        return PiecewisePolynomialField(self.basis, self.coefficients[element_dofs(len(self.mesh), self.k)])
 
 
 def element_dofs(ne, k):
@@ -286,26 +275,6 @@ def assemble_and_solve_all(problem, meshes, k):
     return solutions
 
 
-def _power_sums(family, field, l, p, degree):
-    """Each mesh's sum of element_powers over the family.
-
-    ValueError naming p where float over- or underflow can have moved a sum:
-    on any overflow, and on underflow when a sum is below UNDERFLOW_SAFE_SUM
-    (a zero sum without underflow is exact).
-    """
-    underflows = []
-    try:
-        with np.errstate(over="raise", under="call", call=lambda *_: underflows.append(True)):
-            sums = family.sums(element_powers(field, family.mesh, l, p, degree))
-        if not (underflows and min(sums) < UNDERFLOW_SAFE_SUM):
-            return sums
-    except (FloatingPointError, OverflowError):
-        pass
-    raise ValueError(
-        f"the W^{{m,p}} seminorms cannot be measured in floats at p = {p:g}: their p-th powers over- or underflow"
-    )
-
-
 def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm and the bound
     script_C(k) h^{k+1-m} |u|_{k+1,p} of each of some solutions of one degree.
@@ -315,8 +284,9 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     flags a relative residual above RESIDUAL_REL_TOL (residual_ok).  The error
     fields are stacked over the MeshFamily of the solutions' meshes (the one
     they were solved in, when they are its meshes in order): each seminorm is
-    one element_powers pass per rule and order, summed per mesh.  A sum of p-th
-    powers that float over- or underflow can have moved raises ValueError.
+    one norms.group_seminorms pass per rule and order, with a group per mesh;
+    norms owns the sums and their roots, and its ValueError refuses what
+    floats cannot hold.
     """
     basis, k = solutions[0].basis, solutions[0].k
     if any(s.basis is not basis for s in solutions):
@@ -330,15 +300,16 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     degree = 2 * k + 6
     seminorms = [[] for _ in solutions]
     for l in range(m + 1):
-        coarse, fine = (_power_sums(family, err, l, p, d) for d in (degree, degree + ESTIMATE_DEGREE_STEP))
+        coarse, fine = (
+            group_seminorms(err, family.mesh, l, p, d, family.offsets) for d in (degree, degree + ESTIMATE_DEGREE_STEP)
+        )
         for entries, c, f in zip(seminorms, coarse, fine):
-            value = f ** (1.0 / p)
-            entries.append({"l": l, "p": p, "value": value, "quad_error_estimate": abs(value - c ** (1.0 / p))})
+            entries.append({"l": l, "p": p, "value": f, "quad_error_estimate": abs(f - c)})
 
     hs = family.maxima(family.mesh.element_measures)
     lams = family.maxima(np.abs(family.mesh.element_gradients).max(axis=(1, 2)))
     if admissible:
-        u_powers = _power_sums(family, AnalyticField(problem.u), k + 1, p, degree)
+        u_seminorms = group_seminorms(AnalyticField(problem.u), family.mesh, k + 1, p, degree, family.offsets)
     reports = []
     for j, solution in enumerate(solutions):
         total = math.fsum(s["value"] ** p for s in seminorms[j]) ** (1.0 / p)
@@ -355,7 +326,7 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
                 cea_ratio=cea_ratio,
                 h_cap=max(hs[j], 1.0),
             )
-            bound = script_c(bundle) * hs[j] ** (k + 1 - m) * u_powers[j] ** (1.0 / p)
+            bound = script_c(bundle) * hs[j] ** (k + 1 - m) * u_seminorms[j]
             position = total / bound if bound > 0 else math.inf
         reports.append(
             {

@@ -4,15 +4,18 @@ A field supplies derivative values on blocks of elements; the engine walks
 the mesh in blocks of at most BLOCK_POINTS rule points, applies a rule to
 every element of a block at once (a piecewise polynomial field by one matrix
 product per row of its basis's shared table), and keeps the per-element
-p-th powers (`element_powers`), which exact (fsum) summation adds up, so
+p-th powers (`element_powers`).  `group_seminorms` alone turns them into
+seminorms: it adds each group's powers by exact (fsum) summation, so
 neither the element order nor a split of the elements into meshes changes a
-sum; fem1d measures all meshes of a convergence study in one pass.  For
-integrands that are not polynomial (absolute values with noninteger p,
-analytic error terms) a second rule of higher degree gives a Richardson
-style quadrature error estimate that is reported, never silently dropped.
-The caller names the rule degree: `seminorm` and `seminorm_with_estimate`
-require it, and `interpolation_error` uses 2k + 6.  A domain is a
-SimplexMesh; a Simplex is one, with a single element.
+sum, takes the 1/p-th roots, and refuses (ValueError naming p) what floats
+cannot hold.  `seminorm` measures one group; fem1d measures all meshes of a
+convergence study as groups of one pass.  For integrands that are not
+polynomial (absolute values with noninteger p, analytic error terms) a
+second rule of higher degree gives a Richardson style quadrature error
+estimate that is reported, never silently dropped.  The caller names the
+rule degree: `seminorm` and `seminorm_with_estimate` require it, and
+`interpolation_error` uses 2k + 6.  A domain is a SimplexMesh; a Simplex is
+one, with a single element.
 """
 
 from __future__ import annotations
@@ -32,6 +35,17 @@ ESTIMATE_DEGREE_STEP = 4
 # Rule points evaluated together; bounds the size of the per-block point and
 # value arrays, so memory does not grow with the mesh.
 BLOCK_POINTS = 16_384
+
+# Underflow moves a sum of p-th powers at least this large by at most 2^-105
+# relative for each rounding in the underflow range that fed it.
+UNDERFLOW_SAFE_SUM = np.finfo(float).tiny / np.finfo(float).eps
+
+# Smallest p measured.  A sum of p-th powers carries a relative rounding
+# error of a few eps = 2^-52, and its 1/p-th root multiplies that by 1/p:
+# (s (1 + d))^(1/p) = s^(1/p) (1 + d/p + ...).  Below 2^-20 the root's
+# relative error can pass 2^-32 (about 2e-10), so most printed digits would
+# be noise; at p = 1e-300 a sum that rounds to 1 prints 1.
+MIN_P = 2.0**-20
 
 
 def element_blocks(count, points):
@@ -122,37 +136,44 @@ def element_powers(field, mesh, l, p, degree):
     return out
 
 
-def _seminorm_power(field, mesh, l, p, degree):
-    """Sum over elements of sum_{|alpha|=l} integral |d^alpha field|^p."""
-    return math.fsum(element_powers(field, mesh, l, p, degree).ravel().tolist())
+def group_seminorms(field, mesh, l, p, degree, offsets):
+    """Order-l seminorm in L^p of field over each group of elements offsets[j]:offsets[j + 1] of mesh.
+
+    A group's element_powers are summed by math.fsum, and its seminorm is
+    the sum's 1/p-th root.  ValueError naming p where floats cannot hold the
+    seminorms: p below MIN_P, any overflow, and underflow when a sum is below
+    UNDERFLOW_SAFE_SUM (a zero sum without underflow is exact).
+    """
+    if p < MIN_P:
+        raise _unmeasurable(p, "below p = 2^-20 their 1/p-th roots magnify rounding by over 2^20")
+    underflows = []
+    try:
+        with np.errstate(over="raise", under="call", call=lambda *_: underflows.append(True)):
+            powers = element_powers(field, mesh, l, p, degree)
+        sums = [math.fsum(powers[:, lo:hi].ravel().tolist()) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        if not (underflows and min(sums) < UNDERFLOW_SAFE_SUM):
+            return [s ** (1.0 / p) for s in sums]
+    except (FloatingPointError, OverflowError):
+        pass
+    raise _unmeasurable(p, "their p-th powers over- or underflow")
+
+
+def _unmeasurable(p, reason):
+    return ValueError(f"the W^{{m,p}} seminorms cannot be measured in floats at p = {p:g}: {reason}")
 
 
 def seminorm(field_or_fn, domain, l, p, degree):
-    """Order-l seminorm in L^p over a simplex or mesh.
-
-    Parameters
-    ----------
-    field_or_fn : field object or AnalyticFunction
-    domain : Simplex or SimplexMesh (a Simplex is a one-element mesh)
-    l : int, derivative order (all |alpha| = l summed).
-    p : float > 0.
-    degree : int, the exactness degree of the quadrature rule.
-
-    Returns
-    -------
-    float
-    """
-    field = _as_field(field_or_fn)
-    mesh = _as_mesh(domain)
-    return _seminorm_power(field, mesh, l, p, degree) ** (1.0 / p)
+    """Order-l seminorm in L^p (p > 0, all |alpha| = l summed) of a field or AnalyticFunction over a
+    Simplex or SimplexMesh, by a rule of exactness `degree`; ValueError as in group_seminorms."""
+    field, mesh = _as_field(field_or_fn), _as_mesh(domain)
+    return group_seminorms(field, mesh, l, p, degree, [0, len(mesh)])[0]
 
 
 def seminorm_with_estimate(field_or_fn, domain, l, p, degree):
     """Seminorm with rule degree + ESTIMATE_DEGREE_STEP, and its distance to the one at degree."""
-    field = _as_field(field_or_fn)
-    mesh = _as_mesh(domain)
-    coarse = _seminorm_power(field, mesh, l, p, degree) ** (1.0 / p)
-    fine = _seminorm_power(field, mesh, l, p, degree + ESTIMATE_DEGREE_STEP) ** (1.0 / p)
+    field, mesh = _as_field(field_or_fn), _as_mesh(domain)
+    groups = [0, len(mesh)]
+    coarse, fine = (group_seminorms(field, mesh, l, p, d, groups)[0] for d in (degree, degree + ESTIMATE_DEGREE_STEP))
     return fine, abs(fine - coarse)
 
 

@@ -236,6 +236,26 @@ class TestBoundsCommand:
         names = {r["bound_name"] for r in rows}
         assert names == {"pointwise-cap", "seminorm-cap"}
 
+    @pytest.mark.parametrize(
+        "p,reason",
+        [
+            # 400th powers of the P3 gradients overflow: the cap printed measured inf and FAIL.
+            pytest.param("400", "their p-th powers over- or underflow", id="overflow"),
+            # The cap printed measured 1.0 and True.
+            pytest.param("1e-300", "below p = 2^-20 their 1/p-th roots magnify rounding by over 2^20", id="p-near-0"),
+        ],
+    )
+    def test_unmeasurable_seminorm_cap_is_usage_error(self, capsys, p, reason):
+        hypothesis = pytest.warns(UserWarning, match="outside") if float(p) < 1 else contextlib.nullcontext()
+        with hypothesis, pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "1", "--k", "3", "--p", p])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"fem-accuracy: error: the W^{{m,p}} seminorms cannot be measured in floats at p = {float(p):g}: {reason}"
+        ]
+
 
 class TestConstantCommand:
     def test_default_value(self, capsys):
@@ -378,6 +398,25 @@ class TestConvergeCommand:
             f"fem-accuracy: error: the W^{{m,p}} seminorms cannot be measured in floats "
             f"at p = {float(p):g}: their p-th powers over- or underflow"
         )
+
+    def test_p_near_zero_is_usage_error(self, capsys):
+        # The 1/p-th root magnifies rounding by 1/p: at p = 1e-300 every error printed 1.0.
+        with pytest.warns(UserWarning, match="outside the variational framework"), pytest.raises(SystemExit) as exc:
+            main(["converge", "--k", "2", "--p", "1e-300", "--meshes", "2,4"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "at p = 1e-300:" in errors[0]
+
+    def test_small_p_above_the_floor_is_measured(self, capsys):
+        with pytest.warns(UserWarning, match="outside the variational framework"):
+            code, out, _ = run_main(capsys, ["converge", "--k", "2", "--p", "1e-3", "--meshes", "2,4"])
+        assert code == 0
+        rows = parse_csv(out)
+        # The errors as printed before the floor on p; the least-squares slope's
+        # last digits depend on the BLAS core.
+        assert [r["error"] for r in rows] == ["0.012231297007076218", "0.0013521468326783306"]
+        assert float(rows[0]["slope"]) == pytest.approx(3.1772536646470404, rel=1e-13)
 
 
 class TestOutputHandling:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,48 @@ class TestSeminormValues:
             seminorm(SinPiProduct(), [0.0, 1.0], 0, 2.0, degree=16)
         with pytest.raises(TypeError):
             seminorm(lambda x: x, uniform_mesh_1d(0.0, 1.0, 2), 0, 2.0, degree=16)
+
+
+def float_range_refusal(p):
+    return pytest.raises(ValueError, match=re.escape(f"cannot be measured in floats at p = {p:g}:"))
+
+
+class TestFloatRange:
+    """Every seminorm route refuses what floats cannot hold, as the 1D error reports do."""
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    def test_scaled_fields_raise(self, scale):
+        # Squares of values near 2^600 overflow; near 2^-600 they underflow to a zero sum.
+        mesh = structured_mesh_2d(2)
+        basis = build_basis(2, 3)
+        coefficients = np.random.default_rng(4).uniform(-1.0, 1.0, (len(mesh), basis.size))
+        field = PiecewisePolynomialField(basis, scale * coefficients)
+        assert seminorm(PiecewisePolynomialField(basis, coefficients), mesh, 1, 2.0, degree=6) > 0
+        with float_range_refusal(2.0):
+            seminorm(field, mesh, 1, 2.0, degree=6)
+        with float_range_refusal(2.0):
+            seminorm_with_estimate(field, mesh, 1, 2.0, 6)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    @pytest.mark.parametrize("with_estimate", [False, True])
+    def test_scaled_interpolation_errors_raise(self, scale, with_estimate):
+        # x^4 is not in P_3, so its interpolation error is scale times a nonzero field.
+        mesh, basis = uniform_mesh_1d(0.0, 1.0, 4), build_basis(1, 3)
+        assert interpolation_error(Polynomial1D([0.0, 0.0, 0.0, 0.0, 1.0]), mesh, basis, 0, 2.0) > 0
+        with float_range_refusal(2.0):
+            interpolation_error(Polynomial1D([0.0, 0.0, 0.0, 0.0, scale]), mesh, basis, 0, 2.0, with_estimate)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-12, 2.0**-21])
+    def test_p_near_zero_raises(self, p):
+        # At p = 1e-300 the sum of p-th powers rounds to 1 or below and the root to 1.0 or 0.0.
+        mesh = uniform_mesh_1d(0.0, 1.0, 3)
+        with float_range_refusal(p):
+            seminorm(SinPiProduct(1), mesh, 0, p, 8)
+        with float_range_refusal(p):
+            seminorm_with_estimate(SinPiProduct(1), mesh, 0, p, 8)
+
+    def test_smallest_p_is_measured(self):
+        assert 0 < seminorm(SinPiProduct(1), uniform_mesh_1d(0.0, 1.0, 3), 0, 2.0**-20, 8) < 1
 
 
 class ConstantOneField:
