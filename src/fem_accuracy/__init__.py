@@ -15,12 +15,13 @@ import importlib
 
 # The module that defines each exported name.
 _MODULES = {
-    "basis": "BarycentricPolynomial PkBasis auxiliary_factor build_basis chain_rule_weights multi_indices tabulate",
+    "basis": "BarycentricPolynomial PkBasis auxiliary_factor build_basis multi_indices",
     "bounds": "BoundCheck point_bound_check seminorm_bound_check",
     "constants": "AdmissibilityError ConstantBundle SobolevIndex local_interp_bound log_script_c script_c xi",
     "fem1d": "DiscreteSolution ModelProblem assemble_and_solve_all convergence_study error_reports",
     "functions": "Polynomial1D SinPiProduct",
     "geometry": "DegenerateSimplexError Simplex SimplexMesh reference_simplex structured_mesh_2d uniform_mesh_1d",
+    "kernels": "chain_rule_weights tabulate",
     "norms": "AnalyticField DifferenceField PiecewisePolynomialField interpolation_error seminorm seminorm_with_estimate",
     "probability": (
         "AccuracyLaw Bump ElementPair GeometricSeminormModel SinPiSeminormModel"

@@ -1,4 +1,4 @@
-"""Lagrange shape functions of degree k on an n-simplex.
+"""Lagrange shape functions of degree k on an n-simplex, in exact arithmetic.
 
 The basis is indexed by multi-indices (i_1, ..., i_{n+1}) with |i| = k; the
 node of index i has barycentric coordinates (i_1/k, ..., i_{n+1}/k).  Each
@@ -7,16 +7,9 @@ node factors built from the node spacing 1/k, kept as an immutable term map
 with exact rational coefficients: its terms are the products of one term per
 factor, and derivatives in the barycentric variables take one pass over the
 terms.  There are no arithmetic operators on polynomials.  Construction,
-differentiation and evaluation at rational points are exact; floating point
-enters only when evaluating at float points.  Float work goes through one
-route: `coefficient_matrix` turns a polynomial list into one float
-coefficient matrix over its distinct monomials, `tabulate` evaluates the
-exact barycentric derivatives of a list at float points with one
-`kernels.eval_terms` call per derivative order, `PkBasis.table` keeps the
-table of a basis read-only per quadrature rule and order, so every element
-and field of the basis shares it, and `chain_rule_weights` turns a table into
-physical derivatives on a whole block of elements at once, given the (float)
-barycentric gradients of the block as one array.
+differentiation and evaluation at rational points are exact, and the module
+uses the standard library alone; floats enter in `kernels`, which tabulates
+these term maps at float points.
 """
 
 from __future__ import annotations
@@ -24,13 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
-
-from . import kernels
-from .quadrature import simplex_rule
 
 # Refuse bases whose size would be absurd to materialize.
 MAX_BASIS_SIZE = 200_000
@@ -151,7 +138,7 @@ class PkBasis:
     indices : list of multi-index tuples, descending lex order.
     nodes : list of barycentric node coordinates as Fraction tuples.
     polynomials : list of BarycentricPolynomial with Fraction coefficients.
-    tables : the read-only derivative tables of `table` at the cached rules.
+    tables : storage for the read-only derivative tables of `kernels.table`.
     """
 
     n: int
@@ -164,27 +151,6 @@ class PkBasis:
     @property
     def size(self):
         return len(self.indices)
-
-    @cached_property
-    def node_array(self):
-        """Barycentric node coordinates as floats, shape (N, n+1)."""
-        lam = np.array(self.nodes, dtype=np.float64)
-        lam.setflags(write=False)
-        return lam
-
-    def table(self, rule, order):
-        """tabulate(polynomials, rule.points, order), read-only.  For a cached rule
-        of simplex_rule it is built once and kept in `tables`, under (n,
-        exactness degree, order); any other rule is tabulated on every call."""
-        key = (rule.n, rule.exactness_degree, order)
-        shared = rule is simplex_rule(rule.n, rule.exactness_degree)
-        table = self.tables.get(key) if shared else None
-        if table is None:
-            table = tabulate(self.polynomials, rule.points, order)
-            table.setflags(write=False)
-            if shared:
-                self.tables[key] = table
-        return table
 
     def evaluation_matrix(self):
         """Exact values polynomials[i] at nodes[j]; identity iff unisolvent."""
@@ -213,7 +179,7 @@ def build_basis(n, k):
         raise ValueError(f"basis of dimension {size} exceeds cap {MAX_BASIS_SIZE}")
     idx = multi_indices(n, k)
     nodes = [tuple(Fraction(i, k) for i in mi) for mi in idx]
-    # One term per choice of a term from each factor, variable 0 outermost for coefficient_matrix's column order.
+    # One term per choice of a term from each factor, variable 0 outermost (kernels.coefficient_matrix's column order).
     factors = [list(auxiliary_factor(i, k).terms.items()) for i in range(k + 1)]
     polys = []
     for mi in idx:
@@ -223,62 +189,3 @@ def build_basis(n, k):
         polys.append(BarycentricPolynomial(n + 1, terms))
     return PkBasis(n=n, k=k, indices=idx, nodes=nodes, polynomials=polys)
 
-
-def tabulate(polynomials, points, order):
-    """Barycentric derivatives of order `order` of each polynomial at the points.
-
-    Returns an array of shape ((nvars)^order, N, npts): row s holds
-    d/dlambda_{q_1} ... d/dlambda_{q_order} of every polynomial, where q is
-    the s-th sequence of itertools.product(range(nvars), repeat=order).
-    Derivatives are taken exactly; only the evaluation is in floats.  Orders
-    beyond the degree give zeros.
-    """
-    nvars = polynomials[0].nvars
-    rows = {}
-    table = []
-    for seq in itertools.product(range(nvars), repeat=order):
-        orders = tuple(seq.count(v) for v in range(nvars))
-        if orders not in rows:
-            exps, coeffs = coefficient_matrix([p.lambda_derivative(orders) for p in polynomials])
-            rows[orders] = kernels.eval_terms(points, exps, coeffs).T
-        table.append(rows[orders])
-    return np.array(table)
-
-
-def coefficient_matrix(polynomials):
-    """A polynomial list as the (exps, coeffs) pair of kernels.eval_terms.
-
-    exps, (nterms, nvars) int64, holds the distinct exponent tuples of the
-    list in order of first appearance; coeffs, (nterms, len(polynomials)),
-    holds polynomial j's coefficients, as floats, in column j.
-    """
-    rows = {}
-    for p in polynomials:
-        for e in p.terms:
-            rows.setdefault(e, len(rows))
-    exps = np.array(list(rows), dtype=np.int64).reshape(-1, polynomials[0].nvars)
-    coeffs = np.zeros((len(rows), len(polynomials)))
-    for j, p in enumerate(polynomials):
-        for e, c in p.terms.items():
-            coeffs[rows[e], j] = float(c)
-    return exps, coeffs
-
-
-def chain_rule_weights(gradients, alpha):
-    """Weights turning a barycentric derivative table into d^alpha in x.
-
-    gradients is an array of barycentric gradients G of shape (..., n+1, n),
-    for instance one row per element of a block.  With the directions
-    (j_1, ..., j_l) of alpha, sequence q of `tabulate` has the weight
-    prod_s G[q_s, j_s]; this is d/dx_j = sum_q G[q, j] d/dlambda_q applied
-    once per unit of alpha[j].  Returns shape (..., (n+1)^l).
-    """
-    grads = np.asarray(gradients)
-    lead = grads.shape[:-2]
-    if len(alpha) != grads.shape[-1]:
-        raise ValueError(f"alpha must have {grads.shape[-1]} entries")
-    weights = np.ones(lead + (1,))
-    for j, times in enumerate(alpha):
-        for _ in range(times):
-            weights = (weights[..., :, None] * grads[..., None, :, j]).reshape(lead + (-1,))
-    return weights

@@ -4,8 +4,8 @@ Three layers, each checkable against direct computation:
 
 * pointwise caps on the shape functions and their barycentric derivatives,
   k^{n+1} for values and k^{r(n+2)} for order-r derivatives, scanned with
-  one coefficient matrix per derivative over blocks of points holding at
-  most BLOCK_POINTS monomial values;
+  `kernels.derivative_matrices`, one coefficient matrix per derivative, over
+  blocks of points holding at most BLOCK_POINTS monomial values;
 * seminorm caps combining the pointwise caps with element geometry
   (measure, inscribed diameter rho, gradient constant);
 * the k-explicit global constant script_C(k) multiplying
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import coefficient_matrix, multi_indices
 from .constants import (  # noqa: F401  (the constant layer, importable from bounds too)
     LOG_FLOAT_RANGE,
     ConstantBundle,
@@ -104,11 +103,10 @@ def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAU
         pts = np.vstack([pts, simplex_samples(n, samples, seed)])
 
     bound = float(k) ** (r * (n + 2) if r else n + 1)
-    # One coefficient matrix per derivative order, scanned in blocks of at most
-    # BLOCK_POINTS monomial values; orders above k leave no terms to scan.
+    # Each derivative's matrix is scanned in blocks of at most BLOCK_POINTS monomial values (none past
+    # order k); kernels.eval_terms is read at call time, where the benchmark's tracer patches it.
     worst = 0.0
-    for orders in multi_indices(n, r):
-        exps, coeffs = coefficient_matrix([p.lambda_derivative(orders) for p in basis.polynomials])
+    for exps, coeffs in kernels.derivative_matrices(basis.polynomials, r).values():
         if len(exps):
             for lo, hi in element_blocks(len(pts), len(exps)):
                 worst = max(worst, float(np.abs(kernels.eval_terms(pts[lo:hi], exps, coeffs)).max()))

@@ -27,6 +27,7 @@ from .basis import build_basis
 from .constants import ConstantBundle, SobolevIndex, script_c
 from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import SimplexMesh, uniform_mesh_1d
+from .kernels import table
 from .norms import (
     ESTIMATE_DEGREE_STEP,
     AnalyticField,
@@ -142,10 +143,10 @@ def element_dofs(ne, k):
 def _reference_system(k):
     """Reference mass and stiffness (exactness 2k), the load rule (exactness 2k + 8) and its value table."""
     basis, rule, load_rule = _interval_basis(k), interval_rule(2 * k), interval_rule(2 * k + 8)
-    vals, dlam = basis.table(rule, 0), basis.table(rule, 1)
+    vals, dlam = table(basis, rule, 0), table(basis, rule, 1)
     # On the reference interval lambda_1 = x = 1 - lambda_0, so d/dx = d/dlambda_1 - d/dlambda_0.
     mass, stiff = (np.einsum("q,aq,bq->ab", rule.weights, v, v) for v in (vals[0], dlam[1] - dlam[0]))
-    return mass, stiff, load_rule, basis.table(load_rule, 0)[0]
+    return mass, stiff, load_rule, table(basis, load_rule, 0)[0]
 
 
 def element_system(problem, mesh, basis):

@@ -24,9 +24,10 @@ import math
 
 import numpy as np
 
-from .basis import chain_rule_weights, multi_indices
+from .basis import multi_indices
 from .constants import AdmissibilityError, SobolevIndex  # noqa: F401  (importable from norms too)
 from .geometry import SimplexMesh
+from .kernels import chain_rule_weights, table
 from .quadrature import simplex_rule
 
 # Extra rule degree used for the Richardson quadrature error estimate.
@@ -74,7 +75,7 @@ class PiecewisePolynomialField:
     """The shape functions of a PkBasis combined per element by an (E, N) coefficient array.
 
     Element e holds sum_i coefficients[e, i] * basis.polynomials[i].  A block
-    contracts the basis's shared table at the rule (PkBasis.table) with its
+    contracts the basis's shared table at the rule (kernels.table) with its
     elements' coefficients and the chain-rule weights of their gradients.
     """
 
@@ -86,12 +87,12 @@ class PiecewisePolynomialField:
 
     def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
         """d^alpha on elements [lo, hi) at the points of the quadrature rule, (hi - lo, npts)."""
-        table = self.basis.table(rule, sum(alpha))
+        rows = table(self.basis, rule, sum(alpha))
         weights = chain_rule_weights(mesh.element_gradients[lo:hi], alpha)
         coefficients = self.coefficients[lo:hi]
         # One (B, N) @ (N, npts) product per table row s, weighted by
         # weights[:, s] and summed over s left to right.
-        return sum(weights[:, s, None] * (coefficients @ row) for s, row in enumerate(table))
+        return sum(weights[:, s, None] * (coefficients @ row) for s, row in enumerate(rows))
 
 
 class DifferenceField:
@@ -190,7 +191,7 @@ def interpolant_field(fn, mesh, basis):
 
     The nodes of all elements are mapped at once and fn is sampled in one call.
     """
-    nodes = basis.node_array @ mesh.element_vertices
+    nodes = np.array(basis.nodes, dtype=np.float64) @ mesh.element_vertices
     values = np.asarray(fn(nodes.reshape(-1, mesh.n)), dtype=np.float64).reshape(len(mesh), basis.size)
     return PiecewisePolynomialField(basis, values)
 

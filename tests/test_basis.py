@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fem_accuracy.basis import (
-    BarycentricPolynomial,
-    auxiliary_factor,
-    build_basis,
-    chain_rule_weights,
-    coefficient_matrix,
-    multi_indices,
-    tabulate,
-)
+from fem_accuracy.basis import BarycentricPolynomial, auxiliary_factor, build_basis, multi_indices
 from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d
+from fem_accuracy.kernels import chain_rule_weights, coefficient_matrix, tabulate
 from fem_accuracy.norms import PiecewisePolynomialField, interpolant_field
 from fem_accuracy.quadrature import simplex_rule
 
@@ -174,15 +167,16 @@ class TestBasisConstruction:
 
     def test_node_coordinates_interval(self):
         basis = build_basis(1, 2)
-        pts = basis.node_array @ Simplex([[0.0], [1.0]]).vertices
+        pts = np.array(basis.nodes, dtype=float) @ Simplex([[0.0], [1.0]]).vertices
         assert np.allclose(pts.ravel(), [0.0, 0.5, 1.0], atol=1e-15)
 
-    def test_float_nodes_built_once(self):
+    def test_interpolant_samples_the_float_nodes(self):
+        # On the reference triangle x = (lambda_1, lambda_2) exactly, so the sampled
+        # points are the exact nodes rounded coordinate by coordinate.
         basis = build_basis(2, 3)
-        nodes = basis.node_array
-        assert nodes is basis.node_array
-        assert not nodes.flags.writeable
-        assert nodes.tolist() == [[float(x) for x in node] for node in basis.nodes]
+        sampled = []
+        interpolant_field(lambda x: sampled.append(x.copy()) or x[:, 0], reference_simplex(2), basis)
+        assert sampled[0].tolist() == [[float(x) for x in node[1:]] for node in basis.nodes]
 
     def test_size_cap_and_validation(self):
         with pytest.raises(ValueError):
@@ -291,7 +285,7 @@ class TestInterpolation:
         basis = build_basis(1, 3)
         values = np.array([3.0, -1.0, 0.5, 2.0])
         interp = PiecewisePolynomialField(basis, values[None])
-        assert np.allclose(one_element_values(interp, s, basis.node_array @ s.vertices), values, rtol=0.0, atol=1e-12)
+        assert np.allclose(one_element_values(interp, s, np.array(basis.nodes, dtype=float) @ s.vertices), values, rtol=0.0, atol=1e-12)
 
     def test_value_count_validation(self):
         basis = build_basis(1, 1)

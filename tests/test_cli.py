@@ -156,7 +156,8 @@ class TestParser:
 class TestColdStart:
     def test_no_numpy_until_a_subcommand_needs_it(self):
         # Importing the CLI, --help, `constant` (closed form, standard library
-        # only), a usage error and an inadmissible constant load no numpy.
+        # only), a usage error, an inadmissible constant and `basis` (exact
+        # arithmetic, standard library only) load no numpy.
         code = (
             "import contextlib, io, json, sys\n"
             "import fem_accuracy.cli\n"
@@ -172,8 +173,9 @@ class TestColdStart:
             "print(json.dumps(loaded))\n"
         )
         constant = "constant --n 1 --m 1 --k 4 --p 2.0"
+        basis = "basis --n 2 --k 3"
         converge = "converge --k 1 --meshes 4,8"
-        argv = ["--help", constant, "constant --cea-ratio 0.5", "constant --m 2 --k 1", converge]
+        argv = ["--help", constant, "constant --cea-ratio 0.5", "constant --m 2 --k 1", basis, converge]
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
         loaded = json.loads(out.stdout)
         assert loaded.pop("import") is False
@@ -182,10 +184,11 @@ class TestColdStart:
             constant: [0, False],
             "constant --cea-ratio 0.5": [2, False],
             "constant --m 2 --k 1": [3, False],
+            basis: [0, False],
             converge: [0, True],
         }
         # The lazily loaded layers print what a process with numpy loaded up front prints.
-        for cmd in (constant, converge):
+        for cmd in (constant, basis, converge):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 assert main(cmd.split()) == 0

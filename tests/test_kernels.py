@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fem_accuracy import kernels
-from fem_accuracy.basis import build_basis, tabulate
+from fem_accuracy.basis import build_basis
+from fem_accuracy.kernels import tabulate
 
 
 def _random_problem(seed, npts=200, nterms=12, nvars=3, max_exp=6):

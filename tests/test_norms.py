@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fem_accuracy import basis as basis_module, fem1d, norms
-from fem_accuracy.basis import build_basis, chain_rule_weights
+from fem_accuracy import fem1d, kernels, norms
+from fem_accuracy.basis import build_basis
+from fem_accuracy.kernels import chain_rule_weights
 from fem_accuracy.bounds import seminorm_bound_check
 from fem_accuracy.functions import Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
@@ -444,7 +445,7 @@ class TestBlockedEvaluation:
 def contraction_loop(field, mesh, alpha, rule):
     """Element by element, weights @ (coefficients @ table), and the same with
     absolute values: the magnitude that bounds the rounding error."""
-    table = field.basis.table(rule, sum(alpha))
+    table = kernels.table(field.basis, rule, sum(alpha))
     weights = chain_rule_weights(mesh.element_gradients, alpha)
     values = np.array([w @ (c @ table) for w, c in zip(weights, field.coefficients)])
     magnitude = np.array([np.abs(w) @ (np.abs(c) @ np.abs(table)) for w, c in zip(weights, field.coefficients)])
@@ -515,13 +516,13 @@ class TestSharedTables:
     def count_tabulate(monkeypatch):
         """Every tabulate call as (polynomial objects, points, order)."""
         built = []
-        tabulate = basis_module.tabulate
+        tabulate = kernels.tabulate
 
         def counting(polynomials, points, order):
             built.append((tuple(map(id, polynomials)), points.tobytes(), order))
             return tabulate(polynomials, points, order)
 
-        monkeypatch.setattr(basis_module, "tabulate", counting)
+        monkeypatch.setattr(kernels, "tabulate", counting)
         return built
 
     def test_each_rule_table_built_once(self, monkeypatch):
@@ -543,8 +544,8 @@ class TestSharedTables:
     def test_tables_are_read_only(self):
         basis = build_basis(2, 2)
         rule = simplex_rule(2, 4)
-        table = basis.table(rule, 1)
-        assert basis.table(rule, 1) is table
+        table = kernels.table(basis, rule, 1)
+        assert kernels.table(basis, rule, 1) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
@@ -556,9 +557,9 @@ class TestSharedTables:
         basis = build_basis(2, 2)
         rule = simplex_rule(2, 4)
         copy = QuadratureRule(2, rule.points.copy(), rule.weights, rule.exactness_degree)
-        table = basis.table(copy, 0)
+        table = kernels.table(basis, copy, 0)
         assert not basis.tables and not table.flags.writeable
-        assert np.array_equal(table, basis.table(rule, 0))
+        assert np.array_equal(table, kernels.table(basis, rule, 0))
         assert list(basis.tables) == [(2, rule.exactness_degree, 0)]
 
     def test_point_evaluation_adds_no_table(self):

@@ -88,3 +88,16 @@ def test_constant_layer_imports_only_the_standard_library():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == ["fem_accuracy.constants"]
+
+
+def test_exact_layer_imports_only_the_standard_library():
+    code = (
+        "import json, sys\n"
+        "from fem_accuracy.basis import build_basis\n"
+        "basis = build_basis(2, 3)\n"
+        "basis.evaluation_matrix()\n"
+        "basis.sum_polynomial().reduced()\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fem_accuracy.') or m.split('.')[0] == 'numpy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == ["fem_accuracy.basis"]
