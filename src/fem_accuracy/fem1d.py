@@ -34,6 +34,7 @@ from .norms import (
     DifferenceField,
     PiecewisePolynomialField,
     group_seminorms,
+    sobolev_norm,
 )
 from .quadrature import interval_rule
 
@@ -286,8 +287,8 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     fields are stacked over the MeshFamily of the solutions' meshes (the one
     they were solved in, when they are its meshes in order): each seminorm is
     one norms.group_seminorms pass per rule and order, with a group per mesh;
-    norms owns the sums and their roots, and its ValueError refuses what
-    floats cannot hold.
+    norms owns the sums, their roots and the W^{m,p} total (sobolev_norm),
+    and its ValueError refuses what floats cannot hold.
     """
     basis, k = solutions[0].basis, solutions[0].k
     if any(s.basis is not basis for s in solutions):
@@ -313,7 +314,7 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
         u_seminorms = group_seminorms(AnalyticField(problem.u), family.mesh, k + 1, p, degree, family.offsets)
     reports = []
     for j, solution in enumerate(solutions):
-        total = math.fsum(s["value"] ** p for s in seminorms[j]) ** (1.0 / p)
+        total = sobolev_norm([s["value"] for s in seminorms[j]], p)
         bound = None
         position = None
         if admissible:

@@ -8,7 +8,8 @@ p-th powers (`element_powers`).  `group_seminorms` alone turns them into
 seminorms: it adds each group's powers by exact (fsum) summation, so
 neither the element order nor a split of the elements into meshes changes a
 sum, takes the 1/p-th roots, and refuses (ValueError naming p) what floats
-cannot hold.  `seminorm` measures one group; fem1d measures all meshes of a
+cannot hold; `sobolev_norm` forms a W^{m,p} norm from the seminorms under the
+same refusal.  `seminorm` measures one group; fem1d measures all meshes of a
 convergence study as groups of one pass.  For integrands that are not
 polynomial (absolute values with noninteger p, analytic error terms) a
 second rule of higher degree gives a Richardson style quadrature error
@@ -142,8 +143,9 @@ def group_seminorms(field, mesh, l, p, degree, offsets):
 
     A group's element_powers are summed by math.fsum, and its seminorm is
     the sum's 1/p-th root.  ValueError naming p where floats cannot hold the
-    seminorms: p below MIN_P, any overflow, and underflow when a sum is below
-    UNDERFLOW_SAFE_SUM (a zero sum without underflow is exact).
+    seminorms: p below MIN_P, any overflow, underflow when a sum is below
+    UNDERFLOW_SAFE_SUM (a zero sum without underflow is exact), and a root of
+    a positive sum that overflows or falls below the normal floats.
     """
     if p < MIN_P:
         raise _unmeasurable(p, "below p = 2^-20 their 1/p-th roots magnify rounding by over 2^20")
@@ -152,11 +154,32 @@ def group_seminorms(field, mesh, l, p, degree, offsets):
         with np.errstate(over="raise", under="call", call=lambda *_: underflows.append(True)):
             powers = element_powers(field, mesh, l, p, degree)
         sums = [math.fsum(powers[:, lo:hi].ravel().tolist()) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        if not (underflows and min(sums) < UNDERFLOW_SAFE_SUM):
-            return [s ** (1.0 / p) for s in sums]
     except (FloatingPointError, OverflowError):
-        pass
-    raise _unmeasurable(p, "their p-th powers over- or underflow")
+        sums = None
+    if sums is None or (underflows and min(sums) < UNDERFLOW_SAFE_SUM):
+        raise _unmeasurable(p, "their p-th powers over- or underflow")
+    return [_root(s, p, "their 1/p-th roots over- or underflow") for s in sums]
+
+
+def sobolev_norm(seminorms, p):
+    """The W^{m,p} norm (sum_l seminorms[l]^p)^(1/p) of a field from its group_seminorms of
+    orders l = 0..m, summed by math.fsum; ValueError naming p where floats cannot hold it."""
+    try:
+        total = math.fsum(s**p for s in seminorms)
+    except OverflowError:
+        total = math.inf
+    return _root(total, p, "their total or its 1/p-th root over- or underflows")
+
+
+def _root(total, p, reason):
+    """total^(1/p); ValueError with `reason` where a positive total's root over- or underflows."""
+    try:
+        root = total ** (1.0 / p)
+    except OverflowError:
+        root = math.inf
+    if total > 0 and not np.finfo(float).tiny <= root < math.inf:
+        raise _unmeasurable(p, reason)
+    return root
 
 
 def _unmeasurable(p, reason):

@@ -411,6 +411,24 @@ class TestConvergeCommand:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "at p = 1e-300:" in errors[0]
 
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_total_whose_root_leaves_the_floats_is_usage_error(self, capsys, k):
+        # Each seminorm is finite at p = 1e-3, but the 1/p-th root of their W^{2,p}
+        # total overflows; this was an OverflowError traceback with exit 1.
+        with pytest.warns(UserWarning, match="outside the variational framework"), pytest.raises(SystemExit) as exc:
+            main(["converge", "--k", k, "--m", "2", "--p", "1e-3", "--meshes", "8,16"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "fem-accuracy: error: the W^{m,p} seminorms cannot be measured in floats "
+            "at p = 0.001: their total or its 1/p-th root over- or underflows"
+        )
+        # A total inside the float range prints as before.
+        with pytest.warns(UserWarning, match="outside the variational framework"):
+            code, out, _ = run_main(capsys, ["converge", "--k", "2", "--m", "1", "--p", "1e-3", "--meshes", "8,16"])
+        assert code == 0
+        assert [r["error"] for r in parse_csv(out)] == ["9.902172322465407e+297", "1.7413485399564797e+297"]
+
     def test_small_p_above_the_floor_is_measured(self, capsys):
         with pytest.warns(UserWarning, match="outside the variational framework"):
             code, out, _ = run_main(capsys, ["converge", "--k", "2", "--p", "1e-3", "--meshes", "2,4"])

@@ -25,6 +25,7 @@ from fem_accuracy.norms import (
     interpolation_error,
     seminorm,
     seminorm_with_estimate,
+    sobolev_norm,
 )
 
 from oracles import Exp1D, rational_eval, simplex_mesh, sin_seminorm_by_quadrature, solution_values
@@ -219,6 +220,13 @@ class TestFloatRange:
     def test_smallest_p_is_measured(self):
         assert 0 < seminorm(SinPiProduct(1), uniform_mesh_1d(0.0, 1.0, 3), 0, 2.0**-20, 8) < 1
 
+    @pytest.mark.parametrize("value,length", [(1.0, 0.4), (1e6, 3.0)], ids=["underflow", "overflow"])
+    def test_root_out_of_range_raises(self, value, length):
+        # The p-th powers sum to 0.4 and about 3.04, but 0.4^1000 underflows (it
+        # was returned as 0.0) and 3.04^1000 overflows.
+        with pytest.raises(ValueError, match=re.escape("at p = 0.001: their 1/p-th roots over- or underflow")):
+            seminorm(Polynomial1D([value]), uniform_mesh_1d(0.0, length, 4), 0, 1e-3, 4)
+
 
 class ConstantOneField:
     """Constant-one field on any mesh, for measure checks."""
@@ -232,6 +240,20 @@ class ConstantOneField:
 class TestSobolevNorm:
     # The W^{m,p} norm is the p-th root of the summed seminorm powers, as
     # fem1d.error_reports forms it.
+    def test_is_the_root_of_the_summed_powers(self):
+        values = [0.3, 1e-3, 2.5, 0.0]
+        for p in (1.5, 2.0, 3.0):
+            assert sobolev_norm(values, p) == math.fsum(v**p for v in values) ** (1.0 / p)
+        assert sobolev_norm([0.0, 0.0], 2.0) == 0.0
+
+    def test_total_out_of_range_raises(self):
+        # Each power is about 2, but the root of their sum, about 6^1000, overflows;
+        # at p = 2 the powers themselves overflow.
+        with pytest.raises(ValueError, match=re.escape("at p = 0.001: their total or its 1/p-th root over-")):
+            sobolev_norm([1e297, 1e297, 1e297], 1e-3)
+        with float_range_refusal(2.0):
+            sobolev_norm([1e300, 1e300], 2.0)
+
     def test_combines_orders(self):
         mesh = uniform_mesh_1d(0.0, 1.0, 4)
         fn = Polynomial1D([0.0, 1.0])
