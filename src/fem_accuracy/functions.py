@@ -10,18 +10,7 @@ import math
 
 import numpy as np
 
-
-def log_sin_lp_constant(p):
-    """log c_p, where c_p^p is the integral of |sin(pi t)|^p over (0, 1).
-
-    c_p^p = Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2+1)).  Where lgamma overflows
-    (p above about 5e305) the Gamma ratio is (p/2)^(-1/2) (1 - 1/(4p) + ...),
-    whose correction is far below rounding there.
-    """
-    try:
-        return (math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi) - math.lgamma(p / 2.0 + 1.0)) / p
-    except OverflowError:
-        return (-0.5 * math.log(math.pi) - 0.5 * math.log(p / 2.0)) / p
+from .constants import log_sin_lp_constant  # noqa: F401  (importable from functions too)
 
 
 class AnalyticFunction:

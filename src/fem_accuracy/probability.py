@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SobolevIndex, exp_in_float_range, log_k_factor_ratio
-from .functions import log_sin_lp_constant
+from .constants import SobolevIndex, exp_in_float_range, log_k_factor_ratio, log_sin_lp_constant
 from .quadrature import interval_rule
 
 # Absolute tolerance for the weak-* pairing integrals, and the Gauss-Legendre

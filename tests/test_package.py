@@ -49,12 +49,13 @@ def test_export_is_the_defining_modules_object(name):
 
 
 def test_moved_names_keep_their_old_import_paths():
-    from fem_accuracy import bounds, constants, norms
+    from fem_accuracy import bounds, constants, functions, norms
 
     for name in ("ConstantBundle", "script_c", "log_script_c", "local_interp_bound", "xi", "log_k_factor"):
         assert getattr(bounds, name) is getattr(constants, name)
     for name in ("AdmissibilityError", "SobolevIndex"):
         assert getattr(norms, name) is getattr(constants, name)
+    assert functions.log_sin_lp_constant is constants.log_sin_lp_constant
 
 
 def test_unknown_name_is_attribute_error():

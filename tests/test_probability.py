@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from fem_accuracy.bounds import ConstantBundle, script_c
-from fem_accuracy.functions import log_sin_lp_constant
+from fem_accuracy.constants import log_sin_lp_constant
 from fem_accuracy.norms import AdmissibilityError
 from fem_accuracy.probability import (
     PAIRING_ABS_TOL,
@@ -256,6 +256,21 @@ class TestSeminormModels:
         lo, hi = -0.5 * math.log(x + 0.5), -0.5 * math.log(x)
         slack = 8 * math.ulp(lo)
         assert lo - slack <= value <= hi + slack
+
+    @pytest.mark.parametrize("p", [64, 66, 100, 2 * 10**4, 2 * 10**5])
+    def test_sin_constant_at_even_p_matches_the_binomial(self, p):
+        # Second route: at p = 2N, c_p^p = C(2N, N) / 4^N exactly.  The integer
+        # quotient rounds correctly to a float, so this oracle does not cancel; the
+        # lgamma difference lost 24 ulps at p = 64 and about 60 at p = 2e4.
+        n = p // 2
+        exact = math.log(math.comb(2 * n, n) / 4**n) / p
+        assert abs(log_sin_lp_constant(float(p)) - exact) <= 4 * math.ulp(exact)
+
+    def test_sin_constant_keeps_its_digits_at_large_p(self):
+        # x = p/2: log c_p = -(log(pi x) / 2 + 1/(4p)) / p to far below rounding at
+        # p = 1e17, where the lgamma difference returned 0.0.
+        value = log_sin_lp_constant(1e17)
+        assert value == pytest.approx(-(0.5 * math.log(math.pi * 5e16) + 0.25e-17) / 1e17, rel=4e-16, abs=0.0)
 
     def test_sin_model_beyond_lgamma_range(self):
         # lgamma((p+1)/2) overflows here; the model and its h* stay finite.
