@@ -285,7 +285,8 @@ class TestInterpolation:
         basis = build_basis(1, 3)
         values = np.array([3.0, -1.0, 0.5, 2.0])
         interp = PiecewisePolynomialField(basis, values[None])
-        assert np.allclose(one_element_values(interp, s, np.array(basis.nodes, dtype=float) @ s.vertices), values, rtol=0.0, atol=1e-12)
+        nodes = np.array(basis.nodes, dtype=float) @ s.vertices
+        assert np.allclose(one_element_values(interp, s, nodes), values, rtol=0.0, atol=1e-12)
 
     def test_value_count_validation(self):
         basis = build_basis(1, 1)

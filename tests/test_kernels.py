@@ -5,7 +5,6 @@ import pytest
 
 from fem_accuracy import kernels
 from fem_accuracy.basis import build_basis
-from fem_accuracy.kernels import tabulate
 
 
 def _random_problem(seed, npts=200, nterms=12, nvars=3, max_exp=6):
@@ -54,7 +53,7 @@ class TestAgreement:
         basis = build_basis(2, 3)
         lam = (Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
         pts = np.array([[float(c) for c in lam]])
-        got = tabulate(basis.polynomials, pts, 0)[0, :, 0]
+        got = kernels.tabulate(basis.polynomials, pts, 0)[0, :, 0]
         for poly, value in zip(basis.polynomials, got):
             assert value == pytest.approx(float(poly.evaluate(lam)), rel=1e-13, abs=1e-13)
 
