@@ -10,7 +10,7 @@ Three layers, each checkable against direct computation:
   (measure, inscribed diameter rho, gradient constant);
 * the k-explicit global constant script_C(k) multiplying
   h^{k+1-m} |u|_{k+1,p} in the error estimate, defined in `constants`
-  (standard library only) and importable from here too.
+  (standard library only).
 
 All checks return BoundCheck records that serialize to JSON.
 """
@@ -24,20 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constants import (  # noqa: F401  (the constant layer, importable from bounds too)
-    LOG_FLOAT_RANGE,
-    ConstantBundle,
-    SobolevIndex,
-    c1_constant,
-    c2_constant,
-    exp_in_float_range,
-    local_interp_bound,
-    log_k_factor,
-    log_k_factor_ratio,
-    log_script_c,
-    script_c,
-    xi,
-)
+from .constants import SobolevIndex
 from .norms import PiecewisePolynomialField, element_blocks, seminorm
 
 # Lattice refinement and random sample count for the pointwise scans.

@@ -5,8 +5,7 @@ k (k + 1 > l + n/p for l = 0..m), and the k-explicit global constant
 script_C(k) multiplying h^{k+1-m} |u|_{k+1,p} in the error estimate,
 assembled from the shape regularity sigma, the gradient cap, the
 geometric-sum factor xi, and a ratio of factorial terms.  Factorials are
-handled in log space so large k stays finite.  Also the L^p size c_p of
-sin(pi t) on (0, 1), which the closed-form seminorm model of sin(pi x) uses.
+handled in log space so large k stays finite.
 
 Standard library only: the `constant` subcommand and the critical-size
 formulas need no numpy.
@@ -20,14 +19,6 @@ from dataclasses import dataclass
 
 # Largest |log| of a ratio taken exactly: its exp is a normal float.
 LOG_FLOAT_RANGE = 700.0
-
-# From this p on log_sin_lp_constant takes the asymptotic series: there its
-# truncation error is below 2e-16 relative, while the lgamma difference loses
-# about eps * p (5e-15 relative at p = 64, 7e-7 at 1e10).
-SIN_SERIES_P = 64.0
-
-# Coefficients of p^-7, p^-5, p^-3 and p^-1 in that series.
-_SIN_SERIES = (17 / 112, -1 / 20, 1 / 24, -1 / 4)
 
 
 class AdmissibilityError(ValueError):
@@ -246,21 +237,3 @@ def local_interp_bound(bundle, u_seminorm, h_element, l):
         + power * math.log(h_element)
     )
     return math.exp(log_rhs)
-
-
-def log_sin_lp_constant(p):
-    """log c_p, where c_p^p is the integral of |sin(pi t)|^p over (0, 1).
-
-    c_p^p = Gamma(x + 1/2) / (sqrt(pi) Gamma(x + 1)) with x = p/2, taken by
-    lgamma below SIN_SERIES_P.  From there on, where the lgamma values cancel,
-    the Gamma ratio's asymptotic series (Tricomi and Erdelyi, Pacific J. Math.
-    1, 1951; term j is (-1)^(j+1) (B_{j+1}(1/2) - B_{j+1}(1)) / (j (j+1) x^j))
-    gives p log c_p = -log(pi p / 2) / 2 - 1/(4p) + 1/(24p^3) - 1/(20p^5) + 17/(112p^7) - ...
-    """
-    if p < SIN_SERIES_P:
-        return (math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi) - math.lgamma(p / 2.0 + 1.0)) / p
-    q = 1.0 / p
-    series = 0.0
-    for c in _SIN_SERIES:
-        series = series * q * q + c
-    return (series * q - 0.5 * (math.log(math.pi) + math.log(0.5 * p))) / p

@@ -293,6 +293,8 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     basis, k = solutions[0].basis, solutions[0].k
     if any(s.basis is not basis for s in solutions):
         raise ValueError("error_reports needs solutions of one degree")
+    if not 1.0 <= cea_ratio < math.inf:  # ConstantBundle's rule and message, also where no bundle is built
+        raise ValueError("need finite lam > 0, cea_ratio >= 1, h_cap > 0")
     family = solutions[0].family
     if family.meshes != tuple(s.mesh for s in solutions):
         family = MeshFamily([s.mesh for s in solutions])

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from .constants import log_sin_lp_constant  # noqa: F401  (importable from functions too)
-
 
 class AnalyticFunction:
     """Scalar function on R^n with closed-form partial derivatives.

@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from .basis import multi_indices
-from .constants import AdmissibilityError, SobolevIndex  # noqa: F401  (importable from norms too)
 from .geometry import SimplexMesh
 from .kernels import chain_rule_weights, table
 from .quadrature import simplex_rule

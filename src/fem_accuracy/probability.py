@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SobolevIndex, exp_in_float_range, log_k_factor_ratio, log_sin_lp_constant
+from .constants import SobolevIndex, exp_in_float_range, log_k_factor_ratio
 from .quadrature import interval_rule
 
 # Absolute tolerance for the weak-* pairing integrals, and the Gauss-Legendre
@@ -142,53 +142,51 @@ class AccuracyLaw:
         return float(out[0]) if scalar else out
 
 
-class SinPiSeminormModel:
-    """Seminorm sequence of u(x) = sin(pi x) on (0,1) in closed form.
+class GeometricSeminormModel:
+    """|u|_{r+1,p} / |u|_{r,p} = ratio at every r; covers exp(a x) (ratio a) and friends.
 
-    |u|_{r,p} = pi^r c_p: every derivative is a shifted sine with the same
-    L^p size, so consecutive seminorms have ratio exactly pi.
+    The ratio is all an h_star uses: a factor common to all seminorms cancels.
+    """
+
+    def __init__(self, ratio):
+        if not 0 < ratio < math.inf:  # NaN fails it too
+            raise ValueError("ratio must be positive and finite")
+        self.ratio = float(ratio)
+        self.log_ratio = math.log(self.ratio)
+
+
+class SinPiSeminormModel(GeometricSeminormModel):
+    """Seminorms of u(x) = sin(pi x) on (0,1) in closed form.
+
+    Every derivative is a shifted sine with the same L^p size, so consecutive
+    seminorms have ratio exactly pi at every p.
     """
 
     def __init__(self, p=2.0):
         if not 0 < p < math.inf:  # NaN fails it too
             raise ValueError("p must be positive and finite")
+        super().__init__(math.pi)
         self.p = p
-        self._log_cp = log_sin_lp_constant(p)
-
-    def log_seminorm(self, r):
-        return r * math.log(math.pi) + self._log_cp
 
 
-class GeometricSeminormModel:
-    """|u|_{r,p} = base * ratio^r; covers exp(a x) (ratio a) and friends."""
+def _h_stars(k, qs, model, n, m, p):
+    """h_star(q) of the pair (k, k+q) for each q in qs, each on its own.
 
-    def __init__(self, ratio, base=1.0):
-        if not (0 < ratio < math.inf and 0 < base < math.inf):  # NaN fails it too
-            raise ValueError("ratio and base must be positive and finite")
-        self.ratio = float(ratio)
-        self.base = float(base)
-
-    def log_seminorm(self, r):
-        return math.log(self.base) + r * math.log(self.ratio)
+    model supplies log(|u|_{r+1,p} / |u|_{r,p}), and both degrees share one
+    quasi-optimality factor.  Log-space throughout, so q of order 10^4 is fine.
+    """
+    SobolevIndex(m=m, p=p, n=n).require(k)
+    return [_root_from_log(log_k_factor_ratio(n, m, p, k, k + q) - q * model.log_ratio, q) for q in qs]
 
 
 def h_star_sequence(k, q_max, model, n=1, m=0, p=2.0):
     """Critical mesh sizes h_star(q) for degree pairs (k, k+q), q = 1..q_max.
 
-    model supplies log |u|_{r,p}, and both degrees share one quasi-optimality
-    factor.  Returns an array of length q_max with h_star(q) at index q-1.
-    Log-space throughout, so q_max of order 10^4 is fine.
+    Returns an array of length q_max with h_star(q) at index q-1.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    idx = SobolevIndex(m=m, p=p, n=n)
-    idx.require(k)
-    out = np.empty(q_max)
-    base = model.log_seminorm(k + 1)
-    for q in range(1, q_max + 1):
-        log_pow = log_k_factor_ratio(n, m, p, k, k + q) + base - model.log_seminorm(k + q + 1)
-        out[q - 1] = _root_from_log(log_pow, q)
-    return out
+    return np.array(_h_stars(k, range(1, q_max + 1), model, n, m, p))
 
 
 class Bump:
@@ -253,21 +251,11 @@ def weak_star_test(k, q_list, bump, model, n=1, m=0, p=2.0):
     q_list = sorted(set(int(q) for q in q_list))
     if not q_list or q_list[0] < 1:
         raise ValueError("q_list must contain positive integers")
-    hs = h_star_sequence(k, q_list[-1], model, n=n, m=m, p=p)
-    lo = max(bump.a, 0.0)
+    hs = _h_stars(k, q_list, model, n, m, p)
     # The step-law limit pairs to the full bump mass over (0, inf).
-    limit_target = _panel_integral(bump, lo, bump.b)
+    target = _panel_integral(bump, max(bump.a, 0.0), bump.b)
     records = []
-    for q in q_list:
-        law = AccuracyLaw(h_star=float(hs[q - 1]), exponent=q, kind="nonlinear")
-        pairing = weak_star_pairing(law, bump)
-        records.append(
-            {
-                "q": q,
-                "h_star": float(hs[q - 1]),
-                "pairing": pairing,
-                "target": limit_target,
-                "error": abs(pairing - limit_target),
-            }
-        )
+    for q, h_q in zip(q_list, hs):
+        pairing = weak_star_pairing(AccuracyLaw(h_star=h_q, exponent=q), bump)
+        records.append({"q": q, "h_star": h_q, "pairing": pairing, "target": target, "error": abs(pairing - target)})
     return records

@@ -32,12 +32,8 @@ import numpy as np
 import pytest
 
 from fem_accuracy.basis import build_basis
-from fem_accuracy.bounds import (
-    ConstantBundle,
-    local_interp_bound,
-    point_bound_check,
-    seminorm_bound_check,
-)
+from fem_accuracy.bounds import point_bound_check, seminorm_bound_check
+from fem_accuracy.constants import ConstantBundle, local_interp_bound
 from fem_accuracy.fem1d import ModelProblem, assemble_and_solve_all, error_reports
 from fem_accuracy.functions import SinPiProduct
 from fem_accuracy.geometry import SimplexMesh, reference_simplex, uniform_mesh_1d

@@ -7,23 +7,19 @@ import pytest
 
 from fem_accuracy import constants, norms
 from fem_accuracy.basis import build_basis
-from fem_accuracy.bounds import (
-    BoundCheck,
+from fem_accuracy.bounds import BoundCheck, barycentric_lattice, point_bound_check, simplex_samples, seminorm_bound_check
+from fem_accuracy.constants import (
+    AdmissibilityError,
     ConstantBundle,
-    barycentric_lattice,
     c1_constant,
     c2_constant,
     local_interp_bound,
     log_k_factor,
     log_script_c,
-    point_bound_check,
     script_c,
-    simplex_samples,
-    seminorm_bound_check,
     xi,
 )
 from fem_accuracy.geometry import reference_simplex
-from fem_accuracy.norms import AdmissibilityError
 
 from oracles import lattice_by_combinations
 

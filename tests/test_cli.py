@@ -92,6 +92,8 @@ class TestParser:
             "constant --m 1 --k 2 --h-cap inf",
             "constant --m 1 --k 2 --cea-ratio inf",
             "converge --k 2 --cea-ratio inf --meshes 4,8",
+            "converge --k 1 --m 1 --p 1.0 --cea-ratio -5 --meshes 4,8",
+            "converge --k 1 --m 1 --p 1.0 --cea-ratio nan --meshes 4,8",
             "weakstar --bump-a=1 --bump-b=inf",
             "weakstar --bump-a=-inf --bump-b=2",
             "converge --k 1 --meshes 8,8",
@@ -345,8 +347,8 @@ class TestHstarSeqCommand:
         assert float(rows[4]["h_star_over_q"]) == pytest.approx(hs[4] / 5.0, rel=1e-12)
 
     def test_p_beyond_lgamma_range(self, capsys):
-        # lgamma in the sine model's L^p constant overflows from p of about
-        # 5e305; that used to be an OverflowError traceback with exit 1.
+        # The sine model's seminorm ratio does not depend on p, so a p near the
+        # float limit runs (it once was an OverflowError traceback with exit 1).
         code, out, err = run_main(capsys, ["hstar-seq", "--qmax", "2", "--p", "1e306"])
         assert (code, err) == (0, "")
         assert out == run_main(capsys, ["hstar-seq", "--qmax", "2", "--p", "5e305"])[1]

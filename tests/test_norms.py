@@ -10,16 +10,15 @@ from fem_accuracy import fem1d, kernels, norms
 from fem_accuracy.basis import build_basis
 from fem_accuracy.kernels import chain_rule_weights
 from fem_accuracy.bounds import seminorm_bound_check
+from fem_accuracy.constants import AdmissibilityError, SobolevIndex
 from fem_accuracy.functions import Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.quadrature import QuadratureRule, simplex_rule
 from fem_accuracy.norms import (
     BLOCK_POINTS,
-    AdmissibilityError,
     AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
-    SobolevIndex,
     derivative_multi_indices,
     element_blocks,
     interpolation_error,

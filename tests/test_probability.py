@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fem_accuracy.bounds import ConstantBundle, script_c
-from fem_accuracy.constants import log_sin_lp_constant
-from fem_accuracy.norms import AdmissibilityError
+from fem_accuracy import probability
+from fem_accuracy.constants import AdmissibilityError, ConstantBundle, script_c
 from fem_accuracy.probability import (
     PAIRING_ABS_TOL,
     AccuracyLaw,
@@ -25,7 +24,7 @@ from fem_accuracy.probability import (
     weak_star_test,
 )
 
-from oracles import h_star_power, root_relative_error, sin_seminorm_by_quadrature
+from oracles import h_star_power, root_relative_error
 
 
 class TestElementPair:
@@ -207,19 +206,12 @@ def test_law_scale_invariance_power_of_two(j, t, e):
 
 
 class TestSeminormModels:
-    def test_sin_model_matches_function_module(self):
-        # Dual route: the model's gamma-function closed form against adaptive
-        # quadrature of |sin(pi t)|^p.
-        for p in (1.5, 2.0, 3.0):
-            model = SinPiSeminormModel(p)
-            for r in (0, 1, 4):
-                assert math.exp(model.log_seminorm(r)) == pytest.approx(
-                    sin_seminorm_by_quadrature(r, p), rel=1e-13
-                )
-
     def test_geometric_model(self):
-        m = GeometricSeminormModel(ratio=3.0, base=2.0)
-        assert math.exp(m.log_seminorm(2)) == pytest.approx(18.0, rel=1e-13)
+        # h*^q carries the seminorm ratio to the power -q, so h* scales by 1/ratio.
+        m = GeometricSeminormModel(ratio=3.0)
+        assert (m.ratio, m.log_ratio) == (3.0, math.log(3.0))
+        unit = h_star_sequence(1, 20, GeometricSeminormModel(1.0))
+        np.testing.assert_allclose(h_star_sequence(1, 20, m), unit / 3.0, rtol=1e-15, atol=0.0)
         with pytest.raises(ValueError):
             GeometricSeminormModel(ratio=0.0)
 
@@ -228,61 +220,29 @@ class TestSeminormModels:
             SinPiSeminormModel(math.nan)
         with pytest.raises(ValueError):
             GeometricSeminormModel(ratio=math.nan)
-        with pytest.raises(ValueError):
-            GeometricSeminormModel(ratio=2.0, base=math.nan)
 
     @pytest.mark.parametrize(
         "make",
-        [
-            lambda: SinPiSeminormModel(math.inf),
-            lambda: GeometricSeminormModel(ratio=math.inf),
-            lambda: GeometricSeminormModel(ratio=2.0, base=math.inf),
-        ],
-        ids=["sinpi-p", "geometric-ratio", "geometric-base"],
+        [lambda: SinPiSeminormModel(math.inf), lambda: GeometricSeminormModel(ratio=math.inf)],
+        ids=["sinpi-p", "geometric-ratio"],
     )
     def test_infinite_parameter_rejected(self, make):
         # Each used to be accepted, and h_star_sequence then returned NaN.
         with pytest.raises(ValueError, match="must be positive and finite"):
             make()
 
-    @pytest.mark.parametrize("p", [3.0, 40.0, 1e4, 6e305, 1e306, 1.7e308])
-    def test_sin_constant_within_wendel_bounds(self, p):
-        # Second route: Wendel's inequality (Amer. Math. Monthly 55, 1948) puts
-        # Gamma(x+1/2) / Gamma(x+1) between (x+1/2)^(-1/2) and x^(-1/2), x = p/2,
-        # so p log c_p + log(pi)/2 lies between the two logs.  Above p of about
-        # 5e305, where lgamma overflows, the two bounds meet in floats.
-        x = p / 2.0
-        value = p * log_sin_lp_constant(p) + 0.5 * math.log(math.pi)
-        lo, hi = -0.5 * math.log(x + 0.5), -0.5 * math.log(x)
-        slack = 8 * math.ulp(lo)
-        assert lo - slack <= value <= hi + slack
-
-    @pytest.mark.parametrize("p", [64, 66, 100, 2 * 10**4, 2 * 10**5])
-    def test_sin_constant_at_even_p_matches_the_binomial(self, p):
-        # Second route: at p = 2N, c_p^p = C(2N, N) / 4^N exactly.  The integer
-        # quotient rounds correctly to a float, so this oracle does not cancel; the
-        # lgamma difference lost 24 ulps at p = 64 and about 60 at p = 2e4.
-        n = p // 2
-        exact = math.log(math.comb(2 * n, n) / 4**n) / p
-        assert abs(log_sin_lp_constant(float(p)) - exact) <= 4 * math.ulp(exact)
-
-    def test_sin_constant_keeps_its_digits_at_large_p(self):
-        # x = p/2: log c_p = -(log(pi x) / 2 + 1/(4p)) / p to far below rounding at
-        # p = 1e17, where the lgamma difference returned 0.0.
-        value = log_sin_lp_constant(1e17)
-        assert value == pytest.approx(-(0.5 * math.log(math.pi * 5e16) + 0.25e-17) / 1e17, rel=4e-16, abs=0.0)
-
     def test_sin_model_beyond_lgamma_range(self):
-        # lgamma((p+1)/2) overflows here; the model and its h* stay finite.
+        # lgamma((p+1)/2) overflows here, and the model needs none of it.
         hs = h_star_sequence(1, 3, SinPiSeminormModel(1.7e308), p=1.7e308)
         assert np.all(np.isfinite(hs))
         assert list(hs) == list(h_star_sequence(1, 3, SinPiSeminormModel(5e305), p=5e305))
 
     def test_sin_model_is_geometric(self):
-        sin_based = h_star_sequence(1, 50, SinPiSeminormModel(2.0))
-        geo = GeometricSeminormModel(ratio=math.pi, base=math.sqrt(0.5))
-        geo_based = h_star_sequence(1, 50, geo)
-        assert np.allclose(sin_based, geo_based, rtol=1e-12)
+        # Consecutive seminorms of sin(pi x) have ratio pi at every p.
+        for p in (1.5, 2.0, 3.0, 100.0):
+            sin_based = h_star_sequence(1, 50, SinPiSeminormModel(p), p=p)
+            assert sin_based.tobytes() == h_star_sequence(1, 50, GeometricSeminormModel(math.pi), p=p).tobytes()
+        assert SinPiSeminormModel().p == 2.0
 
 
 class TestHStarSequence:
@@ -454,6 +414,18 @@ class TestWeakStarTest:
             weak_star_test(1, [], bump, SinPiSeminormModel())
         with pytest.raises(ValueError):
             weak_star_test(1, [0, 3], bump, SinPiSeminormModel())
+
+    def test_h_star_only_at_the_requested_q(self, monkeypatch):
+        # One log_k_factor_ratio per distinct q, not a whole sequence up to
+        # max(q), and each h* has the bytes of the sequence entry.
+        hs = h_star_sequence(1, 20, SinPiSeminormModel())
+        calls = []
+        real = probability.log_k_factor_ratio
+        monkeypatch.setattr(probability, "log_k_factor_ratio", lambda *args: calls.append(args) or real(*args))
+        recs = weak_star_test(1, [20, 1, 5, 20, 10**6], Bump(1.0, 2.0), SinPiSeminormModel())
+        assert len(calls) == 4
+        assert [r["h_star"] for r in recs[:3]] == [hs[0], hs[4], hs[19]]
+        assert recs[3]["q"] == 10**6 and math.isfinite(recs[3]["h_star"])
 
     def test_record_shape_and_dedup(self):
         bump = Bump(0.5, 2.0)
