@@ -25,7 +25,7 @@ _MODULES = {
     "norms": "AnalyticField DifferenceField PiecewisePolynomialField interpolation_error seminorm seminorm_with_estimate",
     "probability": (
         "AccuracyLaw Bump ElementPair GeometricSeminormModel SinPiSeminormModel"
-        " h_star h_star_explicit h_star_sequence weak_star_pairing weak_star_test"
+        " h_star h_star_explicit h_star_sequence h_stars weak_star_pairing weak_star_test"
     ),
     "quadrature": "QuadratureRule interval_rule simplex_rule",
 }

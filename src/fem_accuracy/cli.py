@@ -125,11 +125,12 @@ def cmd_constant(args):
 
 
 def _h_grid(args):
-    import numpy as np
-
+    """numpy.geomspace(hmin, hmax, steps), built as numpy builds it: evenly spaced log10 values."""
     if not 0 < args.hmin < args.hmax < math.inf or args.steps < 2:
         raise ValueError("need 0 < hmin < hmax and steps >= 2")
-    return np.geomspace(args.hmin, args.hmax, args.steps)
+    lo = math.log10(args.hmin)
+    step = (math.log10(args.hmax) - lo) / (args.steps - 1)
+    return [args.hmin, *(10.0 ** (i * step + lo) for i in range(1, args.steps - 1)), args.hmax]
 
 
 def cmd_prob(args):
@@ -144,18 +145,13 @@ def cmd_prob(args):
         )
         law = fa.AccuracyLaw(h_star=hs, exponent=args.k2 - args.k1)
     step = fa.AccuracyLaw(h_star=law.h_star, exponent=law.exponent, kind="step")
-    rows = [
-        {"h": float(h), "probability": float(law(h)), "step": float(step(h)), "h_star": law.h_star}
-        for h in _h_grid(args)
-    ]
-    return rows, None
+    return [{"h": h, "probability": law(h), "step": step(h), "h_star": law.h_star} for h in _h_grid(args)], None
 
 
 def cmd_hstar_seq(args):
-    model = _model(args.model, args.p)
-    hs = fa.h_star_sequence(args.k, args.qmax, model, n=args.n, m=args.m, p=args.p)
-    rows = [{"q": q, "h_star": float(hs[q - 1]), "h_star_over_q": float(hs[q - 1] / q)} for q in range(1, args.qmax + 1)]
-    return rows, None
+    qs = range(1, args.qmax + 1)
+    hs = fa.h_stars(args.k, qs, _model(args.model, args.p), n=args.n, m=args.m, p=args.p)
+    return [{"q": q, "h_star": h, "h_star_over_q": h / q} for q, h in zip(qs, hs)], None
 
 
 def cmd_weakstar(args):

@@ -277,6 +277,11 @@ def assemble_and_solve_all(problem, meshes, k):
     return solutions
 
 
+def _require_cea_ratio(cea_ratio):
+    if not 1.0 <= cea_ratio < math.inf:  # ConstantBundle's rule and message, also where no bundle is built
+        raise ValueError("need finite lam > 0, cea_ratio >= 1, h_cap > 0")
+
+
 def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm and the bound
     script_C(k) h^{k+1-m} |u|_{k+1,p} of each of some solutions of one degree.
@@ -293,8 +298,7 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     basis, k = solutions[0].basis, solutions[0].k
     if any(s.basis is not basis for s in solutions):
         raise ValueError("error_reports needs solutions of one degree")
-    if not 1.0 <= cea_ratio < math.inf:  # ConstantBundle's rule and message, also where no bundle is built
-        raise ValueError("need finite lam > 0, cea_ratio >= 1, h_cap > 0")
+    _require_cea_ratio(cea_ratio)
     family = solutions[0].family
     if family.meshes != tuple(s.mesh for s in solutions):
         family = MeshFamily([s.mesh for s in solutions])
@@ -364,6 +368,7 @@ def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
     """
     if len(set(element_counts)) < len(element_counts):
         raise ValueError(f"element counts must be distinct, got {','.join(map(str, element_counts))}")
+    _require_cea_ratio(cea_ratio)  # before the solves, not after them
     meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in element_counts]
     reports = error_reports(assemble_and_solve_all(problem, meshes, k), problem, m, p, cea_ratio=cea_ratio)
     hs = [rep["h"] for rep in reports]

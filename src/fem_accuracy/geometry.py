@@ -188,27 +188,6 @@ class Simplex(SimplexMesh):
         """n-dimensional volume."""
         return float(self.element_measures[0])
 
-    def barycentric(self, x):
-        """Barycentric coordinates of physical points.
-
-        Parameters
-        ----------
-        x : array_like, shape (n,) or (npts, n)
-
-        Returns
-        -------
-        ndarray, shape (n+1,) or (npts, n+1)
-            Coordinates summing to one; nonnegative iff the point lies
-            inside the simplex.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        pts = x.reshape(1, -1) if single else x
-        if pts.shape[1] != self.n:
-            raise ValueError(f"points have dimension {pts.shape[1]}, simplex has {self.n}")
-        lam = np.hstack([np.ones((pts.shape[0], 1)), pts]) @ self._geometry[0][0].T
-        return lam[0] if single else lam
-
     def inscribed_diameter(self):
         """Diameter rho of the largest inscribed ball (2 * inradius)."""
         return float(self._geometry[3][0])

@@ -21,13 +21,12 @@ to 10^4 stays finite.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import SobolevIndex, exp_in_float_range, log_k_factor_ratio
-from .quadrature import interval_rule
+from .quadrature import legendre_factor
 
 # Absolute tolerance for the weak-* pairing integrals, and the Gauss-Legendre
 # nodes per panel that meet it.
@@ -95,8 +94,15 @@ def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
     return _root_from_log(log_pow, k2 - k1)
 
 
+class _Pointwise:
+    """Called with a float h, gives a float; with a sequence of h, a list of floats."""
+
+    def __call__(self, h):
+        return self._value(float(h)) if isinstance(h, numbers.Real) else [self._value(float(x)) for x in h]
+
+
 @dataclass(frozen=True)
-class AccuracyLaw:
+class AccuracyLaw(_Pointwise):
     """Probability that the higher degree is at least as accurate at h.
 
     kind is "nonlinear" (smooth decay with the stated exponent) or "step"
@@ -117,29 +123,16 @@ class AccuracyLaw:
     def from_pair(cls, pair):
         return cls(h_star=h_star(pair), exponent=pair.exponent)
 
-    def __call__(self, h):
-        h = np.asarray(h, dtype=np.float64)
-        scalar = h.ndim == 0
-        h = np.atleast_1d(h)
-        if np.any(np.isnan(h)):
-            raise ValueError("mesh size must not be NaN")
-        if np.any(h < 0):
-            raise ValueError("mesh size must be nonnegative")
-        out = np.empty_like(h)
+    def _value(self, h):
+        if not h >= 0.0:
+            raise ValueError("mesh size must not be NaN" if math.isnan(h) else "mesh size must be nonnegative")
         if self.kind == "step":
-            out[h < self.h_star] = 1.0
-            out[h > self.h_star] = 0.0
-            out[h == self.h_star] = 0.5
-        else:
-            below = h <= self.h_star
-            # log/exp form so huge exponents underflow to 0 instead of
-            # overflowing; at h = h_star both branches give exactly 1/2.
-            with np.errstate(divide="ignore"):
-                logr = np.log(h / self.h_star)
-            decay = np.exp(self.exponent * np.where(below, logr, -logr))
-            out[below] = 1.0 - 0.5 * decay[below]
-            out[~below] = 0.5 * decay[~below]
-        return float(out[0]) if scalar else out
+            return 1.0 if h < self.h_star else 0.0 if h > self.h_star else 0.5
+        # log/exp form so huge exponents underflow to 0 instead of overflowing;
+        # at h = h_star both branches give exactly 1/2, and at h = 0 one.
+        ratio = h / self.h_star
+        decay = math.exp(-self.exponent * abs(math.log(ratio))) if ratio else 0.0
+        return 1.0 - 0.5 * decay if h <= self.h_star else 0.5 * decay
 
 
 class GeometricSeminormModel:
@@ -169,7 +162,7 @@ class SinPiSeminormModel(GeometricSeminormModel):
         self.p = p
 
 
-def _h_stars(k, qs, model, n, m, p):
+def h_stars(k, qs, model, n=1, m=0, p=2.0):
     """h_star(q) of the pair (k, k+q) for each q in qs, each on its own.
 
     model supplies log(|u|_{r+1,p} / |u|_{r,p}), and both degrees share one
@@ -180,16 +173,15 @@ def _h_stars(k, qs, model, n, m, p):
 
 
 def h_star_sequence(k, q_max, model, n=1, m=0, p=2.0):
-    """Critical mesh sizes h_star(q) for degree pairs (k, k+q), q = 1..q_max.
+    """Critical mesh sizes h_star(q) of the pairs (k, k+q), q = 1..q_max, as a numpy array."""
+    import numpy as np
 
-    Returns an array of length q_max with h_star(q) at index q-1.
-    """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    return np.array(_h_stars(k, range(1, q_max + 1), model, n, m, p))
+    return np.array(h_stars(k, range(1, q_max + 1), model, n, m, p))
 
 
-class Bump:
+class Bump(_Pointwise):
     """Smooth bump exp(-1/(1-u^2)) rescaled to the support (a, b).
 
     The declared support is part of the object; pairings integrate over it
@@ -202,28 +194,25 @@ class Bump:
         self.a = float(a)
         self.b = float(b)
 
-    def __call__(self, h):
-        h = np.asarray(h, dtype=np.float64)
+    def _value(self, h):
         u = (2.0 * h - self.a - self.b) / (self.b - self.a)
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out if out.ndim else float(out)
+        return math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
 
     def integral(self):
         return _panel_integral(self, self.a, self.b)
 
 
 def _panel_integral(f, lo, hi, split=None):
-    """Integral of the vectorised f over (lo, hi) by PAIRING_POINTS-point Gauss-Legendre
-    panels, split at split if it lies inside; twice as many nodes per panel
-    check it, and a gap above PAIRING_ABS_TOL is a RuntimeWarning."""
-    edges = np.array([lo, split, hi] if split is not None and lo < split < hi else [lo, hi])
-    width = np.diff(edges)[:, None]
+    """Integral over (lo, hi) of f, which maps a list of points to a list of values, by
+    PAIRING_POINTS-point Gauss-Legendre panels split at split if it lies inside; twice
+    as many nodes per panel check it, and a gap above PAIRING_ABS_TOL warns."""
+    edges = [lo, split, hi] if split is not None and lo < split < hi else [lo, hi]
+    panels = [(start, end - start) for start, end in zip(edges, edges[1:])]
     values = []
     for npts in (PAIRING_POINTS, 2 * PAIRING_POINTS):
-        rule = interval_rule(2 * npts - 1)
-        values.append(math.fsum((width * rule.weights * f(edges[:-1, None] + width * rule.points[:, 1])).ravel()))
+        nodes, weights = legendre_factor(npts)
+        fx = iter(f([start + width * x for start, width in panels for x in nodes]))
+        values.append(math.fsum(width * w * next(fx) for _, width in panels for w in weights))
     gap = abs(values[1] - values[0])
     if gap > PAIRING_ABS_TOL:
         warnings.warn(f"Gauss rules on ({lo}, {hi}) differ by {gap:.2e}", RuntimeWarning, stacklevel=3)
@@ -235,7 +224,7 @@ def weak_star_pairing(law, bump):
     lo = max(bump.a, 0.0)
     if bump.b <= lo:
         return 0.0
-    return _panel_integral(lambda h: law(h) * bump(h), lo, bump.b, split=law.h_star)
+    return _panel_integral(lambda hs: [p * b for p, b in zip(law(hs), bump(hs))], lo, bump.b, split=law.h_star)
 
 
 def weak_star_test(k, q_list, bump, model, n=1, m=0, p=2.0):
@@ -251,7 +240,7 @@ def weak_star_test(k, q_list, bump, model, n=1, m=0, p=2.0):
     q_list = sorted(set(int(q) for q in q_list))
     if not q_list or q_list[0] < 1:
         raise ValueError("q_list must contain positive integers")
-    hs = _h_stars(k, q_list, model, n, m, p)
+    hs = h_stars(k, q_list, model, n, m, p)
     # The step-law limit pairs to the full bump mass over (0, inf).
     target = _panel_integral(bump, max(bump.a, 0.0), bump.b)
     records = []

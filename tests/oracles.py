@@ -126,6 +126,13 @@ def solution_values(solution, x):
     return out
 
 
+def barycentric(simplex, x):
+    """Barycentric coordinates of physical points x, (n,) or (npts, n), in a Simplex, from its
+    gradients G: lambda(x) = e_0 + G (x - v_0), since lambda(v_0) = e_0."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.eye(simplex.n + 1)[0] + (x - simplex.vertices[0]) @ simplex.element_gradients[0].T
+
+
 def simplex_mesh(simplices):
     """Mesh of separately built Simplex objects: their vertex stacks one after
     another, each element indexing its own n+1 rows."""

@@ -244,7 +244,7 @@ def test_criterion_6_law_shape_and_scaling():
         assert law(law.h_star) == 0.5
         # Strict decrease across a thousand-point grid.
         grid = np.linspace(1e-3, 8.0, 1000)
-        vals = law(grid)
+        vals = np.array(law(grid))
         assert np.all(np.diff(vals) < 0.0)
         # Limits 1 and 0, approached from inside.
         assert 1.0 - law(law.h_star * 1e-9) < 1e-8

@@ -125,6 +125,20 @@ class TestParser:
         with pytest.raises(np.linalg.LinAlgError):
             main(["converge", "--meshes", "4"])
 
+    @pytest.mark.parametrize("ratio", ["-5", "0.5", "nan", "inf"])
+    def test_bad_cea_ratio_refused_before_any_solve(self, capsys, monkeypatch, ratio):
+        # A usage error must not cost a study: nothing is assembled or solved.
+        from fem_accuracy import fem1d
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("assembled before the arguments were checked")
+
+        monkeypatch.setattr(fem1d, "assemble_and_solve_all", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--k", "3", "--cea-ratio", ratio, "--meshes", "20000,40000,80000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith("need finite lam > 0, cea_ratio >= 1, h_cap > 0")
+
     def test_import_loads_no_scipy(self):
         # scipy is imported by the functions that use it, not at start-up.
         code = "import sys, fem_accuracy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -132,8 +146,8 @@ class TestParser:
         assert out.stdout.strip() == "[]"
 
     def test_subcommands_load_only_the_scipy_they_need(self):
-        # None of them needs scipy: quadrature, the weak-* integrals and the
-        # Galerkin solve are numpy only.
+        # None of them needs scipy: quadrature and the weak-* integrals are
+        # standard library, the Galerkin solve numpy only.
         code = (
             "import contextlib, io, json, sys\n"
             "from fem_accuracy.cli import main\n"
@@ -158,8 +172,9 @@ class TestParser:
 class TestColdStart:
     def test_no_numpy_until_a_subcommand_needs_it(self):
         # Importing the CLI, --help, `constant` (closed form, standard library
-        # only), a usage error, an inadmissible constant and `basis` (exact
-        # arithmetic, standard library only) load no numpy.
+        # only), a usage error, an inadmissible constant, `basis` (exact
+        # arithmetic, standard library only) and the closed forms and 1D
+        # integrals of `prob`, `hstar-seq` and `weakstar` load no numpy.
         code = (
             "import contextlib, io, json, sys\n"
             "import fem_accuracy.cli\n"
@@ -177,7 +192,8 @@ class TestColdStart:
         constant = "constant --n 1 --m 1 --k 4 --p 2.0"
         basis = "basis --n 2 --k 3"
         converge = "converge --k 1 --meshes 4,8"
-        argv = ["--help", constant, "constant --cea-ratio 0.5", "constant --m 2 --k 1", basis, converge]
+        closed_forms = ["prob --k1 1 --k2 2 --steps 20", "hstar-seq --qmax 50", "weakstar --q-list 1,5,20"]
+        argv = ["--help", constant, "constant --cea-ratio 0.5", "constant --m 2 --k 1", basis, *closed_forms, converge]
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
         loaded = json.loads(out.stdout)
         assert loaded.pop("import") is False
@@ -187,10 +203,11 @@ class TestColdStart:
             "constant --cea-ratio 0.5": [2, False],
             "constant --m 2 --k 1": [3, False],
             basis: [0, False],
+            **{cmd: [0, False] for cmd in closed_forms},
             converge: [0, True],
         }
         # The lazily loaded layers print what a process with numpy loaded up front prints.
-        for cmd in (constant, basis, converge):
+        for cmd in (constant, basis, *closed_forms, converge):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 assert main(cmd.split()) == 0
@@ -429,16 +446,16 @@ class TestConvergeCommand:
         with pytest.warns(UserWarning, match="outside the variational framework"):
             code, out, _ = run_main(capsys, ["converge", "--k", "2", "--m", "1", "--p", "1e-3", "--meshes", "8,16"])
         assert code == 0
-        assert [r["error"] for r in parse_csv(out)] == ["9.902172322465407e+297", "1.7413485399564797e+297"]
+        assert [r["error"] for r in parse_csv(out)] == ["9.902172322465407e+297", "1.7413485399566745e+297"]
 
     def test_small_p_above_the_floor_is_measured(self, capsys):
         with pytest.warns(UserWarning, match="outside the variational framework"):
             code, out, _ = run_main(capsys, ["converge", "--k", "2", "--p", "1e-3", "--meshes", "2,4"])
         assert code == 0
         rows = parse_csv(out)
-        # The errors as printed before the floor on p; the least-squares slope's
-        # last digits depend on the BLAS core.
-        assert [r["error"] for r in rows] == ["0.012231297007076218", "0.0013521468326783306"]
+        # The errors as printed before the floor on p (on the Gauss rule by Newton);
+        # the least-squares slope's last digits depend on the BLAS core.
+        assert [r["error"] for r in rows] == ["0.012231297007076218", "0.0013521468326784818"]
         assert float(rows[0]["slope"]) == pytest.approx(3.1772536646470404, rel=1e-13)
 
 

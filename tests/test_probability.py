@@ -123,6 +123,16 @@ class TestAccuracyLaw:
         for kind in ("nonlinear", "step"):
             law = AccuracyLaw(h_star=0.7303, exponent=3, kind=kind)
             assert law(0.7303) == 0.5
+            assert law([0.7303]) == [0.5]
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "step"])
+    def test_one_at_zero_mesh_size(self, kind):
+        # math.log(0) raises where numpy's log gave -inf and then 1.0; so does
+        # an h / h_star that underflows to 0.
+        law = AccuracyLaw(h_star=2.0, exponent=4, kind=kind)
+        assert law(0.0) == 1.0
+        assert law([0.0, 5e-324]) == [1.0, 1.0]
+        assert AccuracyLaw(h_star=1e300, exponent=1, kind=kind)(5e-324) == 1.0
 
     def test_frozen_nonlinear_values(self):
         law = AccuracyLaw(h_star=1.0, exponent=1)
@@ -139,20 +149,25 @@ class TestAccuracyLaw:
 
     def test_strictly_decreasing(self):
         law = AccuracyLaw(h_star=1.3, exponent=2)
-        h = np.linspace(0.01, 6.0, 1000)
-        vals = law(h)
-        assert np.all(np.diff(vals) < 0.0)
+        vals = law([0.01 + i * (5.99 / 999) for i in range(1000)])
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_step_kind(self):
         law = AccuracyLaw(h_star=1.5, exponent=2, kind="step")
-        vals = law(np.array([0.5, 1.5, 2.5]))
-        assert vals.tolist() == [1.0, 0.5, 0.0]
+        assert law([0.5, 1.5, 2.5]) == [1.0, 0.5, 0.0]
+        assert [law(h) for h in (0.5, 1.5, 2.5)] == [1.0, 0.5, 0.0]
 
     def test_vector_and_scalar_forms(self):
-        law = AccuracyLaw(h_star=1.0, exponent=2)
-        assert isinstance(law(0.5), float)
-        out = law(np.array([0.5, 1.0]))
-        assert out.shape == (2,)
+        # A float gives a float, any sequence a list of the same floats.
+        for kind in ("nonlinear", "step"):
+            law = AccuracyLaw(h_star=1.0, exponent=2, kind=kind)
+            assert type(law(0.5)) is float and type(law(np.float64(0.5))) is float
+            h = [0.5, 1.0, 3.0]
+            want = [law(x) for x in h]
+            for seq in (h, tuple(h), np.array(h)):
+                out = law(seq)
+                assert type(out) is list and out == want
+            assert law([]) == []
 
     def test_extreme_exponent_underflows_cleanly(self):
         law = AccuracyLaw(h_star=1.0, exponent=10_000)
@@ -168,12 +183,17 @@ class TestAccuracyLaw:
             AccuracyLaw(h_star=1.0, exponent=1, kind="smooth")
         with pytest.raises(ValueError):
             AccuracyLaw(h_star=1.0, exponent=1)(-0.5)
+        for kind in ("nonlinear", "step"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                AccuracyLaw(h_star=1.0, exponent=1, kind=kind)([0.5, -0.5])
 
     @pytest.mark.parametrize("kind", ["nonlinear", "step"])
     def test_nan_mesh_size_rejected(self, kind):
         law = AccuracyLaw(h_star=0.1, exponent=2, kind=kind)
         with pytest.raises(ValueError, match="NaN"):
-            law(np.array([np.nan, 0.05]))
+            law([math.nan, 0.05])
+        with pytest.raises(ValueError, match="NaN"):
+            law([0.05, math.nan])
         with pytest.raises(ValueError, match="NaN"):
             law(math.nan)
 
@@ -312,6 +332,12 @@ class TestBump:
         assert bump(np.array([2.1]))[0] == 0.0
         assert bump(np.array([1.25]))[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
         assert bump(np.array([1.0]))[0] > 0.0
+
+    def test_float_and_list_forms(self):
+        bump = Bump(0.5, 2.0)
+        assert type(bump(1.25)) is float and bump(1.25) == math.exp(-1.0)
+        assert bump([0.4, 1.25, 2.1]) == [0.0, math.exp(-1.0), 0.0]
+        assert bump((0.5, 2.0)) == [0.0, 0.0]
 
     def test_symmetry(self):
         bump = Bump(-1.0, 3.0)

@@ -1,10 +1,13 @@
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fem_accuracy import quadrature
 from fem_accuracy.quadrature import interval_rule, simplex_rule
 
 from oracles import monomial_integral
@@ -188,3 +191,117 @@ class TestSimplexRule:
             rule.points[0, 0] = 0.5
         with pytest.raises(ValueError):
             rule.weights[0] = 0.5
+
+
+def golub_welsch_01(g, a):
+    """The Gauss-Jacobi(a, 0) factor on [0, 1] by the route the package used before
+    its Newton construction: eigenvalues of the Jacobi matrix (Golub and Welsch,
+    Math. Comp. 23, 1969), one Newton step, then Christoffel weights, all in numpy."""
+    s = 2.0 * np.arange(g) + a
+    diag = -(a * a) / (s * (s + 2.0)) if a else np.zeros(g)
+    off = (s[1:] ** 2 - a * a) / (2.0 * s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    off = np.concatenate([[0.0], off, [1.0]])
+
+    def recurrence(x):
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        dprev, dcur, squares = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+        for k in range(g):
+            squares += cur**2
+            nxt = ((x - diag[k]) * cur - off[k] * prev) / off[k + 1]
+            dprev, dcur = dcur, (cur + (x - diag[k]) * dcur - off[k] * dprev) / off[k + 1]
+            prev, cur = cur, nxt
+        return cur, dcur, squares
+
+    p, dp, _ = recurrence(x)
+    x = x - p / dp
+    w = 1.0 / recurrence(x)[2]
+    if a == 0:
+        x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    return (x + 1.0) / 2.0, w / ((a + 1.0) * w.sum())
+
+
+FACTORS = [(g, a) for a in range(4) for g in range(1, 41)] + [(80, 0), (160, 0)]
+
+
+class TestNewtonFactors:
+    # Measured against golub_welsch_01 on these factors: nodes within 1.0 * 2^-53
+    # on [0, 1], weights within 304 ulp (relative; the largest sit at the node
+    # nearest u = 0, where a node half an ulp apart moves the weight that much).
+    NODE_TOL = 2.0 * 2.0**-53
+    WEIGHT_ULPS = 400
+
+    @pytest.mark.parametrize("g,a", FACTORS)
+    def test_matches_eigenvalue_route(self, g, a):
+        x, w = quadrature._gauss_jacobi_01(g, a)
+        rx, rw = golub_welsch_01(g, a)
+        assert np.max(np.abs(np.array(x) - rx)) <= self.NODE_TOL
+        assert np.max(np.abs(np.array(w) - rw) / rw) <= self.WEIGHT_ULPS * 2.0**-52
+
+    @pytest.mark.parametrize("g,a", FACTORS)
+    def test_increasing_interior_positive(self, g, a):
+        x, w = quadrature._gauss_jacobi_01(g, a)
+        assert type(x) is tuple and type(w) is tuple and len(x) == len(w) == g
+        assert all(lo < hi for lo, hi in zip((0.0, *x), (*x, 1.0)))
+        assert all(v > 0.0 for v in w)
+        assert math.fsum(w) == pytest.approx(1.0 / (a + 1), rel=1e-15, abs=0)
+
+    def test_legendre_factor_is_the_cached_rule_factor(self):
+        nodes, weights = quadrature.legendre_factor(80)
+        assert quadrature.legendre_factor(80) is quadrature._gauss_jacobi_01(80, 0)
+        rule = interval_rule(159)
+        assert rule.points[:, 1].tolist() == list(nodes) and rule.weights.tolist() == list(weights)
+
+    def test_no_numpy_for_factors_and_no_linear_algebra_for_rules(self):
+        # The factors load no numpy; the arrays of every rule are built with no numpy.linalg call.
+        code = (
+            "import sys\n"
+            "from fem_accuracy import quadrature\n"
+            "quadrature.legendre_factor(160)\n"
+            "quadrature._gauss_jacobi_01(40, 3)\n"
+            "print('numpy' in sys.modules)\n"
+            "import numpy\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('numpy.linalg called')\n"
+            "for name in dir(numpy.linalg):\n"
+            "    if callable(getattr(numpy.linalg, name)) and not isinstance(getattr(numpy.linalg, name), type):\n"
+            "        setattr(numpy.linalg, name, refuse)\n"
+            "for n in (1, 2, 3, 4):\n"
+            "    quadrature.simplex_rule(n, 11)\n"
+            "print('ok')\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "ok"]
+
+    @pytest.mark.parametrize("a", [5, 8, 12, 20])
+    @pytest.mark.parametrize("g", [1, 2, 5, 10, 20, 30])
+    def test_high_jacobi_exponents(self, g, a):
+        # The n-simplex rule needs a = n - 1; asymptotic starting zeros fail from
+        # a = 5 on, the deflated sweep does not.  Moments of (1 - u)^a u^j are
+        # the Beta function j! a! / (j + a + 1)!.
+        x, w = quadrature._gauss_jacobi_01(g, a)
+        rx, _ = golub_welsch_01(g, a)
+        assert np.max(np.abs(np.array(x) - rx)) <= self.NODE_TOL
+        for j in range(2 * g):
+            want = math.factorial(j) * math.factorial(a) / math.factorial(j + a + 1)
+            assert math.fsum(wi * xi**j for xi, wi in zip(x, w)) == pytest.approx(want, rel=1e-12, abs=0), j
+
+    @pytest.mark.parametrize("n,degree", [(6, 5), (9, 3)])
+    def test_high_dimensional_rules_exact_on_every_monomial(self, n, degree):
+        # Factors with a = n - 1 up to 8; the eigenvalue route built these too.
+        rule = simplex_rule(n, degree)
+        assert np.all(rule.points >= 0.0) and np.all(rule.weights > 0.0)
+        for exps in _monomials(n, rule.exactness_degree):
+            got = rule.weights @ _monomial_values(rule, exps)
+            assert got == pytest.approx(float(monomial_integral(exps, n)), rel=1e-12, abs=0), exps
+
+    def test_nodes_that_fail_to_increase_are_refused(self, monkeypatch):
+        # Newton from guesses that all start at one zero converges to it.
+        monkeypatch.setattr(quadrature.math, "cos", lambda theta: 0.5)
+        with pytest.raises(RuntimeError, match="not increasing"):
+            quadrature._gauss_jacobi_01.__wrapped__(5, 0)
+
+    def test_newton_that_does_not_converge_is_refused(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_recurrence", lambda x, diag, off: (1.0, 1.0, 1.0))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            quadrature._gauss_jacobi_01.__wrapped__(3, 1)
