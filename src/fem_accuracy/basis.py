@@ -9,7 +9,7 @@ factor, and derivatives in the barycentric variables take one pass over the
 terms.  There are no arithmetic operators on polynomials.  Construction,
 differentiation and evaluation at rational points are exact, and the module
 uses the standard library alone; floats enter in `kernels`, which tabulates
-these term maps at float points.
+the same products of node factors at float points.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def build_basis(n, k):
         raise ValueError(f"basis of dimension {size} exceeds cap {MAX_BASIS_SIZE}")
     idx = multi_indices(n, k)
     nodes = [tuple(Fraction(i, k) for i in mi) for mi in idx]
-    # One term per choice of a term from each factor, variable 0 outermost (kernels.coefficient_matrix's column order).
+    # One term per choice of a term from each factor, variable 0 outermost.
     factors = [list(auxiliary_factor(i, k).terms.items()) for i in range(k + 1)]
     polys = []
     for mi in idx:

@@ -3,9 +3,9 @@
 Three layers, each checkable against direct computation:
 
 * pointwise caps on the shape functions and their barycentric derivatives,
-  k^{n+1} for values and k^{r(n+2)} for order-r derivatives, scanned with
-  `kernels.derivative_matrices`, one coefficient matrix per derivative, over
-  blocks of points holding at most BLOCK_POINTS monomial values;
+  k^{n+1} for values and k^{r(n+2)} for order-r derivatives, scanned over
+  the rows of `kernels.derivative_rows`, in blocks of points holding at most
+  BLOCK_POINTS values of node factors and shape functions;
 * seminorm caps combining the pointwise caps with element geometry
   (measure, inscribed diameter rho, gradient constant);
 * the k-explicit global constant script_C(k) multiplying
@@ -90,13 +90,11 @@ def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAU
         pts = np.vstack([pts, simplex_samples(n, samples, seed)])
 
     bound = float(k) ** (r * (n + 2) if r else n + 1)
-    # Each derivative's matrix is scanned in blocks of at most BLOCK_POINTS monomial values (none past
-    # order k); kernels.eval_terms is read at call time, where the benchmark's tracer patches it.
+    # A block of points holds its factor tables and one derivative's rows: (r + 1)(k + 1)(n + 1) + N values a point.
     worst = 0.0
-    for exps, coeffs in kernels.derivative_matrices(basis.polynomials, r).values():
-        if len(exps):
-            for lo, hi in element_blocks(len(pts), len(exps)):
-                worst = max(worst, float(np.abs(kernels.eval_terms(pts[lo:hi], exps, coeffs)).max()))
+    for lo, hi in element_blocks(len(pts), (r + 1) * (k + 1) * (n + 1) + basis.size):
+        for _, rows in kernels.derivative_rows(basis, pts[lo:hi], r):
+            worst = max(worst, float(rows.max()), -float(rows.min()))
     return BoundCheck(
         name="pointwise-cap",
         params={"n": n, "k": k, "r": r, "points": int(pts.shape[0])},

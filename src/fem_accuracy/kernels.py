@@ -1,16 +1,17 @@
-"""The package's one float layer: polynomial lists evaluated at float points.
+"""The package's one float layer: shape-function tables at float points.
 
-A list of polynomials in nvars variables is one exponent array of its
-distinct monomials prod_v x_v ** exps[t, v] and one coefficient matrix C with
-a column per polynomial (`coefficient_matrix`; `derivative_matrices` gives
-one per exact barycentric derivative of an order).  Its values at a point
-set are V @ C, V being the (npts, nterms) table of the monomials' values:
-`eval_terms`, the one float evaluation routine.  `tabulate` makes one
-`eval_terms` call per derivative, `table` keeps a basis's table read-only per
-cached quadrature rule and order, shared by every element and field of the
-basis, and `chain_rule_weights` turns a table into physical derivatives on a
-whole block of elements, given the block's barycentric gradients as one
-array.  The term maps themselves are exact, in `basis`.
+Each shape function of a PkBasis is the product phi_i = prod_v a_{i_v}(lambda_v)
+of univariate node factors (`basis`), so its barycentric derivative with
+orders[v] derivatives in variable v is prod_v a_{i_v}^{(orders[v])}(lambda_v),
+exactly.  `factor_tables` evaluates every a_i^{(r)} at the points by the
+recurrence over the linear factors, and `derivative_rows`, the one generator
+of table rows, multiplies them into the values of one derivative at a time:
+`tabulate` gathers its rows into the table layout and `bounds` scans them.
+Only basis.n, basis.k and basis.indices are read; the exact term maps stay in
+`basis`.  `table` keeps a basis's table read-only per cached quadrature rule
+and order, shared by every element and field of the basis, and
+`chain_rule_weights` turns a table into physical derivatives on a whole block
+of elements, given the block's barycentric gradients as one array.
 """
 
 import itertools
@@ -21,78 +22,63 @@ from .basis import multi_indices
 from .quadrature import simplex_rule
 
 
-def eval_terms(points, exps, coeffs):
-    """Values V @ coeffs of a polynomial list at many points.
+def factor_tables(k, t, order):
+    """a_i^{(r)}(t) for r <= order and i <= k, shape (order + 1, k + 1) + t.shape.
 
-    points : (npts, nvars) float64
-    exps   : (nterms, nvars) int64, the monomials of the whole list
-    coeffs : (nterms, npolys) float64, or (nterms,) for one polynomial
-    returns (npts, npolys) float64, or (npts,)
+    a_0 = 1 and a_c(t) = a_{c-1}(t) (k t - c + 1) / c, so by Leibniz's rule
+    factor c sends a^{(r)} to a^{(r)} (k t - c + 1) / c + r a^{(r-1)} k / c.
+    Derivatives past a factor's degree are zeros.
+    """
+    values = np.zeros((order + 1, k + 1) + t.shape)
+    values[0, 0] = 1.0
+    for c in range(1, k + 1):
+        values[:, c] = values[:, c - 1] * ((k * t - (c - 1)) / c)
+        for r in range(1, order + 1):
+            values[r, c] += (r * k / c) * values[r - 1, c - 1]
+    return values
+
+
+def derivative_rows(basis, points, order):
+    """Yield (orders, rows) for each barycentric derivative of total order `order`.
+
+    points is (npts, n+1); rows, (N, npts), holds d^orders phi_i of shape
+    function i at the points, the product of its factor values taken
+    variable 0 first.
     """
     pts = np.asarray(points, dtype=np.float64)
-    nterms, nvars = exps.shape
-    if pts.shape[1] != nvars:
-        raise ValueError(f"points have {pts.shape[1]} coordinates, expected {nvars}")
-    # powers[v, :, e] = x_v ** e; V gathers one column of it per variable.
-    powers = pts.T[:, :, None] ** np.arange(exps.max(initial=0) + 1)
-    monomials = np.ones((len(pts), nterms))
-    for v in range(nvars):
-        monomials *= powers[v][:, exps[:, v]]
-    return monomials @ coeffs
+    if pts.ndim != 2 or pts.shape[1] != basis.n + 1:
+        raise ValueError(f"points must have shape (npts, {basis.n + 1}), got {pts.shape}")
+    factors = factor_tables(basis.k, pts.T, order)
+    indices = np.array(basis.indices)
+    for orders in multi_indices(basis.n, order):
+        rows = factors[orders[0], indices[:, 0], 0]
+        for v in range(1, basis.n + 1):
+            rows = rows * factors[orders[v], indices[:, v], v]
+        yield orders, rows
 
 
-def coefficient_matrix(polynomials):
-    """A polynomial list as the (exps, coeffs) pair of eval_terms.
+def tabulate(basis, points, order):
+    """Barycentric derivatives of order `order` of each shape function at the points.
 
-    exps, (nterms, nvars) int64, holds the distinct exponent tuples of the
-    list in order of first appearance; coeffs, (nterms, len(polynomials)),
-    holds polynomial j's coefficients, as floats, in column j.
+    Returns an array of shape ((n+1)^order, N, npts): row s holds
+    d/dlambda_{q_1} ... d/dlambda_{q_order} of every shape function, where q
+    is the s-th sequence of itertools.product(range(n+1), repeat=order).
+    Orders beyond the degree give zeros.
     """
-    rows = {}
-    for p in polynomials:
-        for e in p.terms:
-            rows.setdefault(e, len(rows))
-    exps = np.array(list(rows), dtype=np.int64).reshape(-1, polynomials[0].nvars)
-    coeffs = np.zeros((len(rows), len(polynomials)))
-    for j, p in enumerate(polynomials):
-        for e, c in p.terms.items():
-            coeffs[rows[e], j] = float(c)
-    return exps, coeffs
-
-
-def derivative_matrices(polynomials, order):
-    """The coefficient_matrix of each exact barycentric derivative of total order `order` of a
-    list, keyed by orders (orders[v] derivatives in variable v); past the degree it has no terms."""
-    return {
-        orders: coefficient_matrix([p.lambda_derivative(orders) for p in polynomials])
-        for orders in multi_indices(polynomials[0].nvars - 1, order)
-    }
-
-
-def tabulate(polynomials, points, order):
-    """Barycentric derivatives of order `order` of each polynomial at the points.
-
-    Returns an array of shape ((nvars)^order, N, npts): row s holds
-    d/dlambda_{q_1} ... d/dlambda_{q_order} of every polynomial, where q is
-    the s-th sequence of itertools.product(range(nvars), repeat=order).
-    Derivatives are taken exactly; only the evaluation is in floats.  Orders
-    beyond the degree give zeros.
-    """
-    nvars = polynomials[0].nvars
-    rows = {orders: eval_terms(points, *matrix).T for orders, matrix in derivative_matrices(polynomials, order).items()}
-    sequences = itertools.product(range(nvars), repeat=order)
-    return np.array([rows[tuple(map(seq.count, range(nvars)))] for seq in sequences])
+    rows = dict(derivative_rows(basis, points, order))
+    sequences = itertools.product(range(basis.n + 1), repeat=order)
+    return np.array([rows[tuple(map(seq.count, range(basis.n + 1)))] for seq in sequences])
 
 
 def table(basis, rule, order):
-    """tabulate(basis.polynomials, rule.points, order), read-only.  For a cached
-    rule of simplex_rule it is built once and kept in basis.tables, under (n,
+    """tabulate(basis, rule.points, order), read-only.  For a cached rule of
+    simplex_rule it is built once and kept in basis.tables, under (n,
     exactness degree, order); any other rule is tabulated on every call."""
     key = (rule.n, rule.exactness_degree, order)
     shared = rule is simplex_rule(rule.n, rule.exactness_degree)
     values = basis.tables.get(key) if shared else None
     if values is None:
-        values = tabulate(basis.polynomials, rule.points, order)
+        values = tabulate(basis, rule.points, order)
         values.setflags(write=False)
         if shared:
             basis.tables[key] = values

@@ -84,6 +84,90 @@ def rational_eval(poly, lam):
     return total
 
 
+def exact_derivative_values(basis, orders, shape_functions, points):
+    """d^orders phi_i of the listed shape functions i at float barycentric points, exactly.
+
+    Each derivative is the exact term map of lambda_derivative, evaluated in
+    rational arithmetic at the exact values of the float coordinates: a float
+    coordinate is a / 2^b, so every term is an integer over the least common
+    denominator of the coefficients times a power of two.  Returns a list (one
+    per shape function) of lists of Fractions (one per point).
+    """
+    lam = [[Fraction(x).as_integer_ratio() for x in row] for row in np.asarray(points, dtype=np.float64).tolist()]
+    out = []
+    for i in shape_functions:
+        terms = basis.polynomials[i].lambda_derivative(orders).terms
+        common = math.lcm(*(c.denominator for c in terms.values()))
+        values = []
+        for point in lam:
+            shifts = {e: sum(p * (den.bit_length() - 1) for p, (_, den) in zip(e, point)) for e in terms}
+            top = max(shifts.values(), default=0)
+            total = sum(
+                c.numerator * (common // c.denominator) * math.prod(num**p for p, (num, _) in zip(e, point)) << (top - shifts[e])
+                for e, c in terms.items()
+            )
+            values.append(Fraction(total, common << top))
+        out.append(values)
+    return out
+
+
+def factor_magnitudes(k, t, order):
+    """m[r][i] for i <= k and r <= order: the r-th derivative of the node factor a_i at t >= 0, with
+    every linear factor's two terms taken in absolute value.  m[0][0] = 1, and factor c sends
+    m^{(r)} to m^{(r)} (k t + c - 1) / c + r m^{(r-1)} k / c, exactly.  It bounds |a_i^{(r)}(t)|
+    and scales the rounding of the float recurrence of kernels.factor_tables."""
+    t = Fraction(t)
+    m = [[Fraction(int(r == 0))] for r in range(order + 1)]
+    for c in range(1, k + 1):
+        for r in range(order, -1, -1):
+            m[r].append(m[r][-1] * (k * t + c - 1) / c + (r * m[r - 1][-1] * Fraction(k, c) if r else 0))
+    return m
+
+
+def exact_solve(matrix, rhs):
+    """The solution of a nonsingular system, lists of Fractions, by Gaussian elimination in exact
+    arithmetic.  Rows are kept as maps of their nonzero entries, so a banded matrix stays cheap."""
+    n = len(rhs)
+    rows = [{j: v for j, v in enumerate(row) if v != 0} for row in matrix]
+    rhs = list(rhs)
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i].get(col, 0) != 0)
+        rows[col], rows[pivot], rhs[col], rhs[pivot] = rows[pivot], rows[col], rhs[pivot], rhs[col]
+        for i in range(col + 1, n):
+            if col in rows[i]:
+                f = rows[i].pop(col) / rows[col][col]
+                for j, v in rows[col].items():
+                    if j != col:
+                        rows[i][j] = rows[i].get(j, 0) - f * v
+                rhs[i] -= f * rhs[col]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rhs[i] - sum(v * x[j] for j, v in rows[i].items() if j != i)) / rows[i][i]
+    return x
+
+
+def exact_residual(a, b, x):
+    """The residual A x - b of a 1D Galerkin system on its free dofs, exactly, from float element
+    matrices a (ne, k+1, k+1), loads b (ne, k+1) and global coefficients x, whose values at the
+    two end vertices are ignored.  A and b are assembled exactly from the element entries.
+
+    Returns (r, scale, load), lists of Fractions over the free dofs in global order: r = A x - b,
+    scale = sum_e |a_e||x| + |b_e| (at least |A||x| + |b|) and load = b.
+    """
+    ne, k = a.shape[0], a.shape[1] - 1
+    xs = [Fraction(v) for v in np.asarray(x, dtype=np.float64).tolist()]
+    xs[0] = xs[ne] = Fraction(0)
+    r, scale, load = ([Fraction(0)] * len(xs) for _ in range(3))
+    for dofs, element, loads in zip(element_dofs(ne, k).tolist(), a.tolist(), b.tolist()):
+        for i, row, value in zip(dofs, element, loads):
+            terms = [Fraction(entry) * xs[j] for entry, j in zip(row, dofs)]
+            r[i] += sum(terms) - Fraction(value)
+            scale[i] += sum(map(abs, terms)) + abs(Fraction(value))
+            load[i] += Fraction(value)
+    free = [i for i in range(len(xs)) if i not in (0, ne)]
+    return [r[i] for i in free], [scale[i] for i in free], [load[i] for i in free]
+
+
 def loglog_slope(hs, errors):
     """Least-squares slope of log(error) against log(h)."""
     return float(np.polyfit(np.log(np.asarray(hs, float)), np.log(np.asarray(errors, float)), 1)[0])

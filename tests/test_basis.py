@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fem_accuracy.basis import BarycentricPolynomial, auxiliary_factor, build_basis, multi_indices
 from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d
-from fem_accuracy.kernels import chain_rule_weights, coefficient_matrix, tabulate
+from fem_accuracy.kernels import chain_rule_weights, factor_tables, tabulate
 from fem_accuracy.norms import PiecewisePolynomialField, interpolant_field
 from fem_accuracy.quadrature import simplex_rule
 
@@ -104,10 +104,10 @@ class TestPolynomialAlgebra:
         assert isinstance(p.evaluate((t,)), Fraction)
 
     def test_tabulate_matches_exact(self):
+        # The float node factor of kernels against the exact one of basis.
         p = auxiliary_factor(3, 4)
         ts = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 8)]
-        pts = np.array([[float(t)] for t in ts])
-        got = tabulate([p], pts, 0)[0, 0]
+        got = factor_tables(4, np.array([float(t) for t in ts]), 0)[0, 3]
         want = [float(p.evaluate((t,))) for t in ts]
         assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
@@ -142,7 +142,7 @@ class TestBasisConstruction:
     def test_shape_functions_are_products_of_embedded_factors(self, n, k):
         # Second route: the double-loop product of the embedded node factors,
         # constant one first, then variable 0 outermost.  Comparing item lists
-        # pins the insertion order, which orders coefficient_matrix's columns.
+        # pins the insertion order of the terms.
         basis = build_basis(n, k)
         for mi, poly in zip(basis.indices, basis.polynomials):
             want = BarycentricPolynomial(n + 1, {(0,) * (n + 1): Fraction(1)})
@@ -187,42 +187,41 @@ class TestBasisConstruction:
             build_basis(1, 300_000)
 
 
-def physical_derivative(poly, simplex, alpha, lam):
-    """d^alpha of poly at one barycentric point: derivative table, then chain rule."""
-    table = tabulate([poly], np.array([lam], dtype=float), sum(alpha))
-    return np.tensordot(chain_rule_weights(simplex.element_gradients[0], alpha), table, axes=1)[0, 0]
+def physical_derivative(basis, index, simplex, alpha, lam):
+    """d^alpha of the shape function of multi-index `index` at one barycentric point:
+    derivative table, then chain rule."""
+    table = tabulate(basis, np.array([lam], dtype=float), sum(alpha))
+    weights = chain_rule_weights(simplex.element_gradients[0], alpha)
+    return np.tensordot(weights, table, axes=1)[basis.indices.index(index), 0]
 
 
 class TestSpatialDerivative:
     def test_interval_first_derivative(self):
+        # The P1 shape function of index (0, 1) is lambda_1.
         s = Simplex([[0.0], [0.25]])
-        lam1 = BarycentricPolynomial(2, {(0, 1): Fraction(1)})
-        assert physical_derivative(lam1, s, (1,), (0.3, 0.7)) == pytest.approx(4.0, rel=1e-13)
+        assert physical_derivative(build_basis(1, 1), (0, 1), s, (1,), (0.3, 0.7)) == pytest.approx(4.0, rel=1e-13)
 
     def test_interval_second_derivative_of_quadratic(self):
         s = Simplex([[0.0], [1.0]])
-        basis = build_basis(1, 2)
-        bubble = dict(zip(basis.indices, basis.polynomials))[(1, 1)]
-        # 4*x*(1-x) has constant second derivative -8.
-        assert physical_derivative(bubble, s, (2,), (0.5, 0.5)) == pytest.approx(-8.0, rel=1e-13)
+        # The bubble 4*x*(1-x) has constant second derivative -8.
+        assert physical_derivative(build_basis(1, 2), (1, 1), s, (2,), (0.5, 0.5)) == pytest.approx(-8.0, rel=1e-13)
 
     def test_triangle_gradient_directions(self):
         s = reference_simplex(2)
-        lam1 = BarycentricPolynomial(3, {(0, 1, 0): Fraction(1)})
+        basis = build_basis(2, 1)
         lam = (1 / 3, 1 / 3, 1 / 3)
-        assert physical_derivative(lam1, s, (1, 0), lam) == pytest.approx(1.0, abs=1e-14)
-        assert physical_derivative(lam1, s, (0, 1), lam) == pytest.approx(0.0, abs=1e-14)
+        assert physical_derivative(basis, (0, 1, 0), s, (1, 0), lam) == pytest.approx(1.0, abs=1e-14)
+        assert physical_derivative(basis, (0, 1, 0), s, (0, 1), lam) == pytest.approx(0.0, abs=1e-14)
 
     def test_order_beyond_degree_is_zero(self):
-        lam1 = BarycentricPolynomial(2, {(0, 1): Fraction(1)})
-        table = tabulate([lam1], np.array([[0.3, 0.7], [0.5, 0.5]]), 2)
-        assert table.shape == (4, 1, 2)
+        table = tabulate(build_basis(1, 1), np.array([[0.3, 0.7], [0.5, 0.5]]), 2)
+        assert table.shape == (4, 2, 2)
         assert not table.any()
 
     def test_argument_validation(self):
         s = reference_simplex(2)
         with pytest.raises(ValueError):
-            tabulate([BarycentricPolynomial(2, {(1, 0): Fraction(1)})], barycentric(s, np.array([[0.2, 0.3]])), 1)
+            tabulate(build_basis(1, 1), barycentric(s, np.array([[0.2, 0.3]])), 1)
         with pytest.raises(ValueError):
             chain_rule_weights(s.element_gradients[0], (1,))
 
@@ -239,7 +238,10 @@ class TestSpatialDerivative:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tabulate_within_dot_product_bound(n):
     # Dual route: each float entry against the exact value at the same (float) point,
-    # within nterms * eps * sum_t |c_t m_t(x)|, the bound of a dot product of nterms terms.
+    # within nterms * eps * sum_t |c_t m_t(x)|, the bound of a dot product of the nterms
+    # expanded terms.  The tables are products of node factors; where lambda >= 0 that
+    # sum is the product of the factors with their terms in absolute value, which is
+    # also the scale of the factor recurrence's rounding (test_kernels).
     eps = Fraction(np.finfo(np.float64).eps)
     for k in range(1, 6):
         basis = build_basis(n, k)
@@ -247,7 +249,7 @@ def test_tabulate_within_dot_product_bound(n):
         lam = [tuple(Fraction(x) for x in row) for row in points.tolist()]
         monomials = {}
         for order in range(3):
-            table = tabulate(basis.polynomials, points, order)
+            table = tabulate(basis, points, order)
             seen = set()
             for s, seq in enumerate(itertools.product(range(n + 1), repeat=order)):
                 orders = tuple(seq.count(v) for v in range(n + 1))
@@ -255,7 +257,7 @@ def test_tabulate_within_dot_product_bound(n):
                     continue
                 seen.add(orders)
                 derivatives = [p.lambda_derivative(orders) for p in basis.polynomials]
-                nterms = len(coefficient_matrix(derivatives)[0])
+                nterms = len({e for d in derivatives for e in d.terms})
                 for i, d in enumerate(derivatives):
                     for j, x in enumerate(lam):
                         terms = []
@@ -269,7 +271,7 @@ def test_tabulate_within_dot_product_bound(n):
 
 def one_element_values(field, simplex, x):
     """Values at physical points x, (npts, n), of a field on the one-element mesh of simplex."""
-    return field.coefficients[0] @ tabulate(field.basis.polynomials, np.atleast_2d(barycentric(simplex, x)), 0)[0]
+    return field.coefficients[0] @ tabulate(field.basis, np.atleast_2d(barycentric(simplex, x)), 0)[0]
 
 
 class TestInterpolation:
@@ -310,4 +312,4 @@ def test_float_eval_tracks_exact_eval(which, a, b):
     lam = (a, b, rest) if a + b <= 1 else (a / (a + b), b / (a + b), 0)
     exact = float(p.evaluate(tuple(Fraction(x) for x in lam)))
     pts = np.array([[float(x) for x in lam]])
-    assert tabulate(basis.polynomials, pts, 0)[0, which % basis.size, 0] == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    assert tabulate(basis, pts, 0)[0, which % basis.size, 0] == pytest.approx(exact, rel=1e-12, abs=1e-12)

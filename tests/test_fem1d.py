@@ -11,15 +11,17 @@ import pytest
 
 from fem_accuracy.basis import build_basis
 from fem_accuracy.fem1d import (
-    RESIDUAL_REL_TOL,
+    BACKWARD_ERROR_TOL,
+    BOUND_ABS_SLACK,
+    DiscreteSolution,
     MeshFamily,
     ModelProblem,
     assemble_and_solve_all,
     convergence_study,
-    cyclic_reduction,
     element_dofs,
     element_system,
     error_reports,
+    excess_reduction,
     solve_condensed,
     solve_quality,
 )
@@ -28,10 +30,20 @@ from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, unif
 from fem_accuracy.norms import ESTIMATE_DEGREE_STEP, AnalyticField, DifferenceField, element_blocks, element_powers
 from fem_accuracy.quadrature import interval_rule
 
-from oracles import Exp1D, loglog_slope, rational_eval, simplex_mesh, solution_values
+from oracles import Exp1D, exact_residual, exact_solve, loglog_slope, rational_eval, simplex_mesh, solution_values
 
 # x - x^2 vanishes at both ends and lies in P_2.
 QUADRATIC = ModelProblem(u=Polynomial1D([0.0, 1.0, -1.0]), name="quadratic")
+
+# Tolerance on a fitted convergence order, as in the acceptance suite and the benchmark's checks.
+ORDER_TOL = 0.15
+
+# The unit roundoff eps/2 and gamma_m = m u / (1 - m u), the bound on m roundings in a row.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def gamma(m):
+    return m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
 
 
 def graded_mesh(count=300):
@@ -41,7 +53,8 @@ def graded_mesh(count=300):
 
 
 def dense_free_system(a, b):
-    """The uncondensed system on the free dofs, assembled densely from the element matrices.
+    """The uncondensed system on the free dofs, assembled densely from the element matrices
+    (floats, or Fractions in object arrays).
 
     Returns (matrix, load, free): free holds the global dof of each unknown,
     all dofs but the two end vertices, in global order.
@@ -49,7 +62,7 @@ def dense_free_system(a, b):
     ne, k = a.shape[0], a.shape[1] - 1
     dofs = element_dofs(ne, k)
     ndof = ne * k + 1
-    matrix, load = np.zeros((ndof, ndof)), np.zeros(ndof)
+    matrix, load = np.zeros((ndof, ndof), dtype=a.dtype), np.zeros(ndof, dtype=b.dtype)
     for e in range(ne):
         matrix[np.ix_(dofs[e], dofs[e])] += a[e]
         load[dofs[e]] += b[e]
@@ -64,18 +77,22 @@ def dense_quality(matrix, load, x):
     return np.linalg.norm(r) / np.linalg.norm(load), np.linalg.norm(r, np.inf) / scale
 
 
+def position_order(ne, k, free):
+    """The permutation of the free dofs that sorts them by position: local node c of
+    element e sits at position e k + c, so the matrix in this order has half-bandwidth k."""
+    position = np.empty(ne * k + 1)
+    position[element_dofs(ne, k)] = np.arange(ne)[:, None] * k + np.arange(k + 1)
+    return np.argsort(position[free])
+
+
 def position_band(a, b):
     """Upper band storage ab[k + i - j, j] = A[i, j] of the free system in position order.
 
-    Local node c of element e sits at position e k + c, so the matrix has
-    half-bandwidth k.  Returns (ab, load, dof) with dof the global dof of
-    each unknown.
+    Returns (ab, load, dof) with dof the global dof of each unknown.
     """
-    ne, k = a.shape[0], a.shape[1] - 1
+    k = a.shape[1] - 1
     matrix, load, free = dense_free_system(a, b)
-    position = np.empty(ne * k + 1)
-    position[element_dofs(ne, k)] = np.arange(ne)[:, None] * k + np.arange(k + 1)
-    order = np.argsort(position[free])
+    order = position_order(a.shape[0], k, free)
     matrix = matrix[np.ix_(order, order)]
     ab = np.zeros((k + 1, len(order)))
     for d in range(k + 1):
@@ -181,7 +198,7 @@ class TestSolver:
         # No unknown and one unknown: the vertex system is empty or 1 x 1.
         mesh = uniform_mesh_1d(0.0, 1.0, ne)
         sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 1)[0]
-        a, b = element_system(ModelProblem.sine(), mesh, build_basis(1, 1))
+        a, b, sums = element_system(ModelProblem.sine(), mesh, build_basis(1, 1))
         dense, rhs, free = dense_free_system(a, b)
         assert len(free) == ne - 1
         assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-15, atol=0)
@@ -189,8 +206,10 @@ class TestSolver:
         assert sol.residual < 1e-15 and sol.backward_error < 1e-15
 
     def test_residual_reported_and_small(self):
+        # 4.8e-14 and 1.7e-16 measured.  The tolerance flags a backward error 100 times
+        # the largest a solve has shown, 3e-16.
         sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 2)[0]
-        assert sol.residual <= RESIDUAL_REL_TOL
+        assert sol.residual <= 1e-12 and sol.backward_error <= BACKWARD_ERROR_TOL < 100 * 3e-16
 
     def test_solve_memory_is_not_quadratic(self):
         # A dense copy of this 3071-unknown system alone would take 72 MB.
@@ -220,7 +239,7 @@ class TestSolver:
     def test_backward_error_matches_dense_route(self):
         # Dual route: the uncondensed system assembled densely here, norms by numpy.
         mesh = uniform_mesh_1d(0.0, 1.0, 64)
-        a, b = element_system(ModelProblem.sine(), mesh, build_basis(1, 3))
+        a, b, sums = element_system(ModelProblem.sine(), mesh, build_basis(1, 3))
         dense, rhs, free = dense_free_system(a, b)
         x = np.random.default_rng(3).standard_normal(len(free) + 2)
         quality = solve_quality(a, b, x)
@@ -229,7 +248,7 @@ class TestSolver:
         x[[0, 64]] = 1e3
         assert solve_quality(a, b, x) == quality
         # On the graded mesh the largest row sum is next to an end vertex.
-        ga, gb = element_system(ModelProblem.sine(), graded_mesh(), build_basis(1, 3))
+        ga, gb, _ = element_system(ModelProblem.sine(), graded_mesh(), build_basis(1, 3))
         gdense, grhs, gfree = dense_free_system(ga, gb)
         gx = np.random.default_rng(4).standard_normal(len(gfree) + 2)
         assert solve_quality(ga, gb, gx) == pytest.approx(dense_quality(gdense, grhs, gx[gfree]), rel=1e-12)
@@ -239,7 +258,15 @@ class TestSolver:
         assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-14)
         assert sol.backward_error < 1e-15
         assert sol.backward_error == pytest.approx(backward, abs=1e-16)
-        assert sol.residual == pytest.approx(residual, abs=1e-13)
+        # Both relative residuals against the exact residual r = A x - b of the same float
+        # data.  A row of either route rounds at most 2k + 3 = 9 times (k + 1 element
+        # products and their sum, or 2k + 1 row products of the dense matrix, the assembly and
+        # the subtraction), so each computed residual is within gamma_9 (|A||x| + |b|) of r,
+        # row by row; the two norms and their quotient round by a relative gamma_{ndof + 2}.
+        r, scale, load = exact_residual(a, b, sol.coefficients)
+        exact = math.sqrt(sum(v * v for v in r) / sum(v * v for v in load))
+        slack = gamma(9) * math.sqrt(sum(v * v for v in scale) / sum(v * v for v in load)) + gamma(len(r) + 2) * exact
+        assert abs(sol.residual - exact) <= slack and abs(residual - exact) <= slack
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("graded", [False, True])
@@ -250,13 +277,13 @@ class TestSolver:
         from scipy.linalg import eigvals_banded, solveh_banded
 
         mesh = graded_mesh() if graded else uniform_mesh_1d(0.0, 1.0, 64)
-        a, b = element_system(ModelProblem.sine(), mesh, build_basis(1, k))
+        a, b, sums = element_system(ModelProblem.sine(), mesh, build_basis(1, k))
         ab, load, dof = position_band(a, b)
         want = solveh_banded(ab, load)
         eigs = eigvals_banded(ab)
         cond = eigs.max() / eigs.min()
         sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0]
-        assert np.array_equal(solve_condensed(a, b, [len(mesh)])[0], sol.coefficients)
+        assert np.array_equal(solve_condensed(a, b, sums, [len(mesh)])[0], sol.coefficients)
         assert sol.coefficients[0] == sol.coefficients[len(mesh)] == 0.0
         assert np.max(np.abs(sol.coefficients[dof] - want)) <= np.finfo(float).eps * cond * np.max(np.abs(want))
         assert sol.backward_error < 1e-15
@@ -267,12 +294,24 @@ class TestSolver:
 
     @pytest.mark.parametrize("ne,ok", [(256, True), (1024, False)])
     def test_residual_above_tolerance_is_flagged(self, ne, ok):
-        # The P3 residual grows with the mesh: 2.5e-11 at 256, 4.3e-10 at 1024 elements.
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, ne)], 3)[0]
+        # residual_ok reads the normwise backward error.  The relative residual of the P3
+        # solve grows like eps times the condition number (5.1e-11 at 256, 4.0e-10 at 1024
+        # elements) while its backward error stays near 2e-16, so the solve is not flagged.
+        # Where ok is False the solution is moved off by a relative 1e-12, which gives a
+        # backward error over 100 times the solve's, and that is flagged.
+        mesh = uniform_mesh_1d(0.0, 1.0, ne)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)[0]
+        assert sol.backward_error < 1e-15
+        if not ok:
+            a, b, _ = element_system(ModelProblem.sine(), mesh, sol.basis)
+            x = sol.coefficients * (1 + 1e-12 * np.random.default_rng(ne).standard_normal(len(sol.coefficients)))
+            moved = DiscreteSolution(mesh, sol.basis, x, *solve_quality(a, b, x), sol.family)
+            assert moved.backward_error >= 100 * sol.backward_error
+            sol = moved
         rep = error_reports([sol], ModelProblem.sine(), 0, 2.0)[0]
         assert rep["residual_ok"] is ok
-        assert rep["residual_ok"] == (rep["residual"] <= RESIDUAL_REL_TOL)
-        assert rep["backward_error"] == sol.backward_error < 1e-15
+        assert rep["residual_ok"] == (rep["backward_error"] <= BACKWARD_ERROR_TOL)
+        assert (rep["residual"], rep["backward_error"]) == (sol.residual, sol.backward_error)
 
     def test_dirichlet_conditions(self):
         sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 3)[0]
@@ -374,45 +413,86 @@ class TestSolutionValuesOracle:
 class TestLinearAlgebra:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 1023])
     def test_cyclic_reduction_matches_dense_solve(self, n):
-        # Sizes around the padding to 2^m - 1 unknowns.
+        # excess_reduction's odd-even reduction, at sizes around its padding to 2^m - 1 unknowns.
         rng = np.random.default_rng(n)
-        diag, off, rhs = 2.5 + rng.random(n), rng.uniform(-1.0, 1.0, max(n - 1, 0)), rng.standard_normal(n)
-        x = cyclic_reduction(diag, off, rhs)
+        couplings, excesses, rhs = rng.uniform(0.1, 1.0, max(n - 1, 0)), rng.uniform(0.1, 1.0, n), rng.standard_normal(n)
+        x = excess_reduction(couplings, excesses, rhs)
         assert x.shape == (n,)
         if n:
-            want = np.linalg.solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs)
+            diag = excesses + np.concatenate([[0.0], couplings]) + np.concatenate([couplings, [0.0]])
+            want = np.linalg.solve(np.diag(diag) - np.diag(couplings, 1) - np.diag(couplings, -1), rhs)
             assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "diag,off",
         [
-            ([-1.0, 3.0, 3.0], [0.5, 0.5]),  # a negative pivot on the first level
-            ([2.0, 2.0, 2.0], [1.9, 1.9]),  # the reduced pivot is negative
-            ([1.0, 1.0], [1.0]),  # singular: the reduced pivot is zero
-            ([4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, -4.0], [1.0] * 7),  # the last unknown, after padding
+            ([-1.0, 3.0, 3.0], [-0.5, -0.5]),  # a negative diagonal: the first row's excess is negative
+            ([2.0, 2.0, 2.0], [-1.9, -1.9]),  # indefinite: the middle row's excess is negative
+            ([1.0, 1.0], [-1.0]),  # singular: both excesses are zero
+            ([4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, -4.0], [-1.0] * 7),  # the last unknown, before the padding
         ],
     )
     def test_cyclic_reduction_rejects_indefinite(self, diag, off):
+        # The tridiagonal matrix (diag, off) as excess_reduction takes it: couplings -off, row sums.
+        diag, off = np.array(diag), np.array(off)
+        excesses = diag + np.concatenate([[0.0], off]) + np.concatenate([off, [0.0]])
         with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
             warnings.simplefilter("error")
-            cyclic_reduction(np.array(diag), np.array(off), np.ones(len(diag)))
+            excess_reduction(-off, excesses, np.ones(len(diag)))
+
+    def test_nonpositive_coupling_rejected(self):
+        # Positive definite and with positive row sums, but not an M-matrix.
+        with pytest.raises(np.linalg.LinAlgError):
+            excess_reduction(np.array([1.0, -1.0]), np.array([3.0, 4.0, 5.0]), np.ones(3))
 
     def test_one_indefinite_vertex_system_fails_the_batch(self):
-        # The interior blocks stay positive definite; only mesh 1's vertex system is not.
+        # The interior blocks stay positive definite; only mesh 1's vertex system breaks: once
+        # by a coupling of the wrong sign, once by row sums, which stand in for a's vertex
+        # diagonal, whose excesses are negative.
         meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in (4, 8, 16)]
-        a, b = element_system(ModelProblem.sine(), MeshFamily(meshes).mesh, build_basis(1, 2))
-        solve_condensed(a, b, [4, 8, 16])
-        a[4 + 3, 0, 0] = -1e3
-        with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
-            warnings.simplefilter("error")
-            solve_condensed(a, b, [4, 8, 16])
+        a, b, sums = element_system(ModelProblem.sine(), MeshFamily(meshes).mesh, build_basis(1, 2))
+        solve_condensed(a, b, sums, [4, 8, 16])
+        coupled, negative = a.copy(), sums.copy()
+        coupled[4 + 3, 0, 2] = coupled[4 + 3, 2, 0] = 1e3
+        negative[4 + 3] = -1.0
+        for broken_a, broken_sums in [(coupled, sums), (a, negative)]:
+            with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError):
+                warnings.simplefilter("error")
+                solve_condensed(broken_a, b, broken_sums, [4, 8, 16])
 
     def test_indefinite_interior_block_rejected(self):
-        a, b = element_system(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), build_basis(1, 3))
-        solve_condensed(a, b, [8])
+        a, b, sums = element_system(ModelProblem.sine(), uniform_mesh_1d(0.0, 1.0, 8), build_basis(1, 3))
+        solve_condensed(a, b, sums, [8])
         a[5, 1:3, 1:3] = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(np.linalg.LinAlgError):
-            solve_condensed(a, b, [8])
+            solve_condensed(a, b, sums, [8])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layout,ne", [("uniform", 7), ("uniform", 16), ("graded", 6), ("graded", 10)])
+    def test_vertex_values_match_exact_solve(self, k, layout, ne):
+        # Second route: the system the solve stands for, from the same float element data,
+        # solved exactly in Fractions.  It keeps a's off-diagonal entries and gives each
+        # element's diagonal the values that make its rows sum to `sums`, as a's rows sum to
+        # h M 1 in exact arithmetic.  Its vertex block is a tridiagonal M-matrix reduced with
+        # additions only, so the vertex values stay within 4 (k + 1) eps of the largest one
+        # (2.9 eps measured); a subtractive reduction of the same vertex block was up to 650
+        # eps off, the eps/h^2 floor.
+        mesh = graded_mesh(ne) if layout == "graded" else uniform_mesh_1d(0.0, 1.0, ne)
+        a, b, sums = element_system(ModelProblem.sine(), mesh, build_basis(1, k))
+        x = solve_condensed(a, b, sums, [len(mesh)])[0]
+        exact_a = [[[Fraction(v) for v in row] for row in element] for element in a.tolist()]
+        for element, row_sums in zip(exact_a, sums.tolist()):
+            for i, row in enumerate(element):
+                row[i] = Fraction(row_sums[i]) - sum(row[:i] + row[i + 1 :])
+        exact_b = np.array([[Fraction(v) for v in row] for row in b.tolist()], dtype=object)
+        matrix, load, free = dense_free_system(np.array(exact_a, dtype=object), exact_b)
+        order = position_order(len(mesh), k, free)  # banded, for the elimination
+        want = dict(zip(free[order].tolist(), exact_solve(matrix[np.ix_(order, order)].tolist(), load[order].tolist())))
+        vertices = range(1, len(mesh))
+        scale = max(abs(want[v]) for v in vertices)
+        worst = max(abs(Fraction(x[v]) - want[v]) for v in vertices)
+        assert all(isinstance(v, Fraction) for v in want.values())
+        assert worst <= 4 * (k + 1) * Fraction(np.finfo(float).eps) * scale
 
 
 class TestErrorReport:
@@ -423,7 +503,7 @@ class TestErrorReport:
         assert rep["k"] == 2 and rep["m"] == 1
         assert rep["h"] == pytest.approx(1.0 / 16.0, rel=1e-14)
         assert rep["elements"] == 16
-        assert rep["residual"] <= RESIDUAL_REL_TOL
+        assert rep["backward_error"] <= BACKWARD_ERROR_TOL
         assert rep["residual_ok"] is True
         assert [s["l"] for s in rep["seminorms"]] == [0, 1]
         assert rep["admissible"] is True
@@ -502,6 +582,20 @@ class TestConvergence:
             rows, _ = convergence_study(ModelProblem.sine(), 2, m, 2.0, [8, 16, 32])
             for r in rows:
                 assert r["error"] <= r["bound"], r
+
+    @pytest.mark.parametrize("k,m,p", [(k, m, p) for k in (1, 2, 3) for m in (0, 1) for p in (2.0, 3.0)])
+    def test_studies_to_2048_elements_pass(self, k, m, p):
+        # The galerkin1d benchmark's studies.  With the vertex system solved by subtraction, 5 of
+        # these 12 failed on the vertex round-off floor, with slopes down to 1.5 against 4.
+        rows, slope = convergence_study(ModelProblem.sine(), k, m, p, (32, 64, 128, 256, 512, 1024, 2048))
+        assert all(r["pass"] for r in rows)
+        assert abs(slope - (k + 1 - m)) <= ORDER_TOL
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_cubic_in_p3_stays_below_the_slack(self, m):
+        # u = x - x^3 lies in P3, so every error is round-off; it reached 1.4e-10 at 1,024 elements.
+        rows, _ = convergence_study(ModelProblem.cubic(), 3, m, 2.0, (8, 64, 256, 1024, 2048))
+        assert all(r["error"] < BOUND_ABS_SLACK and r["pass"] for r in rows)
 
     def test_single_mesh_slope_is_none(self):
         rows, slope = convergence_study(ModelProblem.sine(), 1, 0, 2.0, [8])

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,82 +7,106 @@ import pytest
 
 from fem_accuracy import kernels
 from fem_accuracy.basis import build_basis
+from fem_accuracy.quadrature import simplex_rule
+
+from oracles import exact_derivative_values, factor_magnitudes
 
 
-def _random_problem(seed, npts=200, nterms=12, nvars=3, max_exp=6):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.5, 1.5, size=(npts, nvars))
-    exps = rng.integers(0, max_exp + 1, size=(nterms, nvars)).astype(np.int64)
-    coeffs = rng.normal(size=nterms)
-    return np.ascontiguousarray(pts), np.ascontiguousarray(exps), coeffs
-
-
-def _loop_eval_terms(points, exps, coeffs):
-    """Term-by-term loop with powers by repeated multiplication: the reference."""
-    out = np.empty(len(points))
-    for i, x in enumerate(points):
-        acc = 0.0
-        for e, c in zip(exps, coeffs):
-            term = float(c)
-            for xv, ev in zip(x, e):
-                for _ in range(int(ev)):
-                    term *= float(xv)
-            acc += term
-        out[i] = acc
-    return out
+def _loop_factor_derivative(k, i, r, t):
+    """a_i^{(r)}(t) as r! times the sum, over the r-subsets S of the factors c = 1..i, of
+    prod_{c in S} k / c times prod_{c not in S} (k t - c + 1) / c: the reference."""
+    total = 0.0
+    for chosen in itertools.combinations(range(1, i + 1), r):
+        term = 1.0
+        for c in range(1, i + 1):
+            term *= k / c if c in chosen else (k * t - c + 1) / c
+        total += term
+    return math.factorial(r) * total
 
 
 class TestAgreement:
     @pytest.mark.parametrize("seedval", [0, 1, 2])
-    def test_eval_terms_matches_python_reference(self, seedval):
-        # Dual route: the vectorised kernel against the plain loop.
-        pts, exps, coeffs = _random_problem(seedval)
-        active = kernels.eval_terms(pts, exps, coeffs)
-        reference = _loop_eval_terms(pts, exps, coeffs)
-        assert np.allclose(active, reference, rtol=1e-12, atol=1e-12)
-
-    def test_coefficient_columns_match_python_reference(self):
-        # A polynomial list: one column of coefficients per polynomial, one shared exponent array.
-        pts, exps, _ = _random_problem(5)
-        coeffs = np.random.default_rng(6).normal(size=(len(exps), 4))
-        active = kernels.eval_terms(pts, exps, coeffs)
-        reference = np.column_stack([_loop_eval_terms(pts, exps, column) for column in coeffs.T])
-        assert active.shape == (len(pts), 4)
-        assert np.allclose(active, reference, rtol=1e-12, atol=1e-12)
+    def test_tabulate_matches_python_reference(self, seedval):
+        # Dual route: the recurrence and the row products against a plain loop over the factors.
+        rng = np.random.default_rng(seedval)
+        n, k = 1 + seedval, 6 - seedval
+        basis = build_basis(n, k)
+        pts = rng.dirichlet(np.ones(n + 1), size=20)
+        for order in range(3):
+            table = kernels.tabulate(basis, pts, order)
+            for s, seq in enumerate(itertools.product(range(n + 1), repeat=order)):
+                orders = [seq.count(v) for v in range(n + 1)]
+                reference = [
+                    [math.prod(_loop_factor_derivative(k, i, r, t) for i, r, t in zip(mi, orders, x)) for x in pts]
+                    for mi in basis.indices
+                ]
+                assert np.allclose(table[s], reference, rtol=1e-12, atol=1e-12)
 
     def test_matches_exact_rational_evaluation(self):
         # Dual route: float kernels against Fraction arithmetic.
         basis = build_basis(2, 3)
         lam = (Fraction(1, 3), Fraction(1, 4), Fraction(5, 12))
         pts = np.array([[float(c) for c in lam]])
-        got = kernels.tabulate(basis.polynomials, pts, 0)[0, :, 0]
+        got = kernels.tabulate(basis, pts, 0)[0, :, 0]
         for poly, value in zip(basis.polynomials, got):
             assert value == pytest.approx(float(poly.evaluate(lam)), rel=1e-13, abs=1e-13)
 
 
+# Every n <= 3 and k <= 20 the package tabulates is a product of the same
+# factor tables; these cases span the degrees at each n, k = 20 at n = 1 and 2.
+ORACLE_CASES = [(1, k) for k in (1, 2, 3, 5, 8, 12, 16, 20)] + [(2, k) for k in (1, 2, 4, 8, 20)] + [(3, k) for k in (1, 2, 4, 10)]
+
+
+@pytest.mark.parametrize("n,k", ORACLE_CASES)
+def test_table_within_recurrence_bound(n, k):
+    # Second route: each entry of the float table against its exact value at the
+    # same float point, from the exact term maps of lambda_derivative.  Each
+    # float step of the factor recurrence rounds (k t - c + 1) / c three times
+    # and its product and sum once each, and a row multiplies n + 1 factors: at
+    # most m = 5k + n roundings of u = eps/2 on any path, so the error is within
+    # gamma_m = m u / (1 - m u) times the entry's magnitude, the same recurrence
+    # with every term taken in absolute value (oracles.factor_magnitudes).
+    # Measured: at most 2.8 eps times the magnitude.
+    basis = build_basis(n, k)
+    points = simplex_rule(n, 2 * k + 6).points  # the rule of interpolation errors and Galerkin error reports
+    rng = np.random.default_rng(100 * n + k)
+    functions = sorted(rng.choice(basis.size, min(basis.size, 8), replace=False).tolist())
+    rows = sorted(rng.choice(len(points), min(len(points), 8), replace=False).tolist())
+    m = 5 * k + n
+    u = Fraction(np.finfo(np.float64).eps) / 2
+    gamma = m * u / (1 - m * u)
+    for order in range(3):
+        magnitudes = [[factor_magnitudes(k, points[j, v], order) for v in range(n + 1)] for j in rows]
+        for orders, values in kernels.derivative_rows(basis, points, order):
+            exact = exact_derivative_values(basis, orders, functions, points[rows])
+            for i, column in zip(functions, exact):
+                for j, m_j, want in zip(rows, magnitudes, column):
+                    magnitude = math.prod(m_j[v][r][basis.indices[i][v]] for v, r in enumerate(orders))
+                    error = abs(Fraction(float(values[i, j])) - want)
+                    assert error <= gamma * magnitude, (n, k, orders, i, j)
+
+
 class TestInputHandling:
     def test_list_input_accepted(self):
-        exps = np.array([[0, 1]], dtype=np.int64)
-        coeffs = np.array([1.0])
-        out = kernels.eval_terms([[0.25, 0.75], [0.5, 0.5]], exps, coeffs)
-        assert np.allclose(out, [0.75, 0.5])
+        out = kernels.tabulate(build_basis(1, 1), [[0.25, 0.75], [0.5, 0.5]], 0)
+        assert np.allclose(out[0], [[0.25, 0.5], [0.75, 0.5]])
 
     def test_wrong_width_rejected(self):
-        exps = np.array([[1, 0, 0]], dtype=np.int64)
-        coeffs = np.array([1.0])
         with pytest.raises(ValueError):
-            kernels.eval_terms(np.zeros((4, 2)), exps, coeffs)
+            kernels.tabulate(build_basis(2, 1), np.zeros((4, 2)), 0)
 
     def test_empty_term_list(self):
-        exps = np.zeros((0, 2), dtype=np.int64)
-        coeffs = np.zeros(0)
-        out = kernels.eval_terms(np.zeros((3, 2)), exps, coeffs)
-        assert np.array_equal(out, np.zeros(3))
-        out = kernels.eval_terms(np.zeros((3, 2)), exps, np.zeros((0, 4)))
-        assert np.array_equal(out, np.zeros((3, 4)))
+        # Past the degree every derivative's term list is empty: exact zeros, at any point count.
+        basis = build_basis(2, 2)
+        out = kernels.tabulate(basis, np.full((5, 3), 1 / 3), 3)
+        assert out.shape == (27, 6, 5)
+        assert not out.any()
+        assert kernels.tabulate(basis, np.zeros((0, 3)), 1).shape == (3, 6, 0)
 
     def test_zero_exponent_rows(self):
-        exps = np.array([[0, 0]], dtype=np.int64)
-        coeffs = np.array([3.5])
-        out = kernels.eval_terms(np.array([[0.1, 0.9], [0.4, 0.6]]), exps, coeffs)
-        assert np.allclose(out, 3.5)
+        # The k-th derivative in lambda_0 of the vertex function a_k(lambda_0) is its
+        # constant leading term k^k/k! times k!; every other shape function has degree
+        # below k in lambda_0, so its row is zero.
+        basis = build_basis(1, 3)
+        out = kernels.tabulate(basis, np.array([[0.1, 0.9], [0.4, 0.6]]), 3)
+        assert np.array_equal(out[0], np.array([[27.0, 27.0]] + [[0.0, 0.0]] * 3))

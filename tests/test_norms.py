@@ -302,6 +302,14 @@ class TestInterpolationError:
         rate = math.log2(coarse / fine)
         assert rate == pytest.approx(k + 1 - l, abs=0.1)
 
+    @pytest.mark.parametrize("k", [12, 16, 20])
+    def test_high_degree_floor_is_below_truncation_scale(self, k):
+        # On 8 cells the L2 truncation error of sin(pi x) is below 1e-14 for k >= 12, so
+        # the measured error is the tables' rounding: 2.2e-15 to 1.4e-13 from products
+        # of node factors, against 1.8e-11 to 4.0e-7 from expanded monomials.
+        err = interpolation_error(SinPiProduct(), uniform_mesh_1d(0.0, 1.0, 8), build_basis(1, k), 0, 2.0)
+        assert err < 1e-12
+
     def test_with_estimate_option(self):
         mesh = uniform_mesh_1d(0.0, 1.0, 8)
         basis = build_basis(1, 1)
@@ -535,13 +543,13 @@ class TestRowContraction:
 class TestSharedTables:
     @staticmethod
     def count_tabulate(monkeypatch):
-        """Every tabulate call as (polynomial objects, points, order)."""
+        """Every tabulate call as (basis, points, order)."""
         built = []
         tabulate = kernels.tabulate
 
-        def counting(polynomials, points, order):
-            built.append((tuple(map(id, polynomials)), points.tobytes(), order))
-            return tabulate(polynomials, points, order)
+        def counting(basis, points, order):
+            built.append((id(basis), points.tobytes(), order))
+            return tabulate(basis, points, order)
 
         monkeypatch.setattr(kernels, "tabulate", counting)
         return built
