@@ -18,6 +18,7 @@ All checks return BoundCheck records that serialize to JSON.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -73,9 +74,14 @@ def barycentric_lattice(n, subdivisions):
 
 
 def simplex_samples(n, count, seed=0):
-    """Uniform random barycentric points (flat Dirichlet), reproducible."""
-    rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.ones(n + 1), size=count)
+    """Flat-Dirichlet barycentric points: the spacings of n sorted uniforms (Devroye 1986, ch. V),
+    each the top 53 bits of a 64-bit word of random.Random(seed); all exact, so host-independent."""
+    if seed < 0:  # random.Random would take |seed|
+        raise ValueError("expected non-negative integer")
+    words = np.frombuffer(random.Random(seed).randbytes(8 * n * count), dtype="<u8").reshape(count, n)
+    pts = np.column_stack([(np.sort(words, axis=1) >> 11) * 2.0**-53, np.ones(count)])
+    pts[:, 1:] -= pts[:, :-1].copy()  # cut j minus cut j - 1, and 1 minus the last cut
+    return pts
 
 
 def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAULT_SAMPLES, seed=0):
@@ -85,9 +91,7 @@ def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAU
     points.  The cap is k^{n+1} for r = 0 and k^{r(n+2)} for r >= 1.
     """
     n, k = basis.n, basis.k
-    pts = barycentric_lattice(n, subdivisions)
-    if samples > 0:
-        pts = np.vstack([pts, simplex_samples(n, samples, seed)])
+    pts = np.vstack([barycentric_lattice(n, subdivisions), simplex_samples(n, samples, seed)])
 
     bound = float(k) ** (r * (n + 2) if r else n + 1)
     # A block of points holds its factor tables and one derivative's rows: (r + 1)(k + 1)(n + 1) + N values a point.

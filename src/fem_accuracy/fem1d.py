@@ -400,5 +400,13 @@ def convergence_study(problem, k, m, p, element_counts, cea_ratio=1.0):
         }
         for i, rep in enumerate(reports)
     ]
-    slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0]) if len(hs) > 1 else None
-    return rows, slope
+    return rows, least_squares_order(hs, errors)
+
+
+def least_squares_order(hs, errors):
+    """Least-squares slope of log(error) on log(h) by math.fsum; None below two meshes or at a zero error."""
+    if len(hs) < 2 or not min(errors) > 0:
+        return None
+    x, y = [math.log(h) for h in hs], [math.log(e) for e in errors]
+    xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    return math.fsum((a - xm) * (b - ym) for a, b in zip(x, y)) / math.fsum((a - xm) ** 2 for a in x)

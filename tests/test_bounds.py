@@ -263,6 +263,29 @@ class TestPointScans:
         assert a.shape == (100, 3)
         assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_negative_seed_refused(self):
+        # random.Random(-1) would give seed 1's points.
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            simplex_samples(2, 10, seed=-1)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            point_bound_check(build_basis(1, 1), 0, samples=0, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_points_on_the_simplex_follow_beta_law(self, n, seed):
+        # Second route: each coordinate of a flat Dirichlet point in n + 1 parts is
+        # Beta(1, n), with CDF 1 - (1 - t)^n.  The Kolmogorov-Smirnov distance of
+        # 10,000 points stays below 1.63 / sqrt(10,000), the 1% critical value.
+        count = 10_000
+        pts = simplex_samples(n, count, seed)
+        assert pts.shape == (count, n + 1) and np.all(pts >= 0.0)
+        assert np.abs(pts.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+        below, above = np.arange(count) / count, np.arange(1, count + 1) / count
+        for column in pts.T:
+            cdf = 1.0 - (1.0 - np.sort(column)) ** n
+            distance = max((above - cdf).max(), (cdf - below).max())
+            assert distance < 1.63 / math.sqrt(count), (n, seed, distance)
+
     def test_value_cap_quadratic_interval(self):
         basis = build_basis(1, 2)
         chk = point_bound_check(basis, 0)

@@ -61,6 +61,7 @@ class TestParser:
             "converge --meshes ,",
             "prob --hmin nan",
             "bounds --samples -1",
+            "bounds --seed -1",
             "converge --k 0",
             "converge --p 0",
             "converge --p nan",
@@ -110,7 +111,7 @@ class TestParser:
             main(argv.split())
         captured = capsys.readouterr()
         assert exc.value.code == 2
-        assert "error:" in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -212,6 +213,25 @@ class TestColdStart:
             with contextlib.redirect_stdout(buf):
                 assert main(cmd.split()) == 0
             assert loaded[cmd][2] == buf.getvalue()
+
+    def test_numpy_subcommands_load_nothing_beyond_numpy(self):
+        # bounds and converge load the standard library, the package and what
+        # `import numpy` loads, and nothing more: no numpy.random for the scan's
+        # points.  Each command runs in its own child, as it would from a shell.
+        listing = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+        command = "import contextlib, io, sys\nfrom fem_accuracy.cli import main\n"
+        command += "with contextlib.redirect_stdout(io.StringIO()):\n    main(sys.argv[1:])\n"
+
+        def loaded(code, *argv):
+            ran = [sys.executable, "-c", code + listing, *argv]
+            return set(json.loads(subprocess.run(ran, capture_output=True, text=True, check=True).stdout))
+
+        numpy = loaded("import numpy\n")
+        extra = {}
+        for argv in ("bounds --n 2 --k 4 --r 2", "converge --k 3 --m 1 --meshes 16,32,64,128,256"):
+            names = loaded(command, *argv.split()) - numpy
+            extra[argv] = sorted(m for m in names if m.split(".")[0] not in sys.stdlib_module_names | {"fem_accuracy"})
+        assert extra == {argv: [] for argv in extra}
 
 
 class TestFailedCheck:

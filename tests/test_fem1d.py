@@ -22,6 +22,7 @@ from fem_accuracy.fem1d import (
     element_system,
     error_reports,
     excess_reduction,
+    least_squares_order,
     solve_condensed,
     solve_quality,
 )
@@ -590,6 +591,23 @@ class TestConvergence:
         rows, slope = convergence_study(ModelProblem.sine(), k, m, p, (32, 64, 128, 256, 512, 1024, 2048))
         assert all(r["pass"] for r in rows)
         assert abs(slope - (k + 1 - m)) <= ORDER_TOL
+        # Second route: numpy's least-squares fit (LAPACK).
+        assert slope == pytest.approx(loglog_slope([r["h"] for r in rows], [r["error"] for r in rows]), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 0.7])
+    def test_slope_of_an_exact_power_law(self, s, scale):
+        # Errors C h^s are exact at h = 2^-j, so only the logarithms and the sums round.
+        hs = [2.0**-j for j in range(5, 12)]
+        assert abs(least_squares_order(hs, [scale * h**s for h in hs]) - s) <= 8 * np.finfo(float).eps * s
+
+    def test_zero_errors_give_no_slope(self):
+        # u = 0: every error is exactly zero, and log(0) has no slope; order_est's rule.
+        zero = ModelProblem(u=Polynomial1D([0.0]), name="zero")
+        rows, slope = convergence_study(zero, 2, 1, 2.0, [4, 8, 16])
+        assert [r["error"] for r in rows] == [0.0, 0.0, 0.0]
+        assert slope is None and [r["order_est"] for r in rows] == [None, None, None]
+        assert least_squares_order([0.5, 0.25], [1e-3, 0.0]) is None
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_cubic_in_p3_stays_below_the_slack(self, m):
@@ -625,7 +643,7 @@ def per_mesh_study(problem, counts, k, m, p, cea_ratio=1.0):
     hs, errors = [r["h"] for r in reports], [r["error"] for r in reports]
     orders = [None] + [math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i]) for i in range(1, len(counts))]
     rows = [(r["h"], r["error"], r["bound"], order, r["pass"]) for r, order in zip(reports, orders)]
-    return rows, float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+    return rows, least_squares_order(hs, errors)
 
 
 class TestBatch:
