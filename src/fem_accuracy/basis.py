@@ -5,11 +5,10 @@ node of index i has barycentric coordinates (i_1/k, ..., i_{n+1}/k).  Each
 shape function is the product phi_i = prod_v a_{i_v}(lambda_v) of univariate
 node factors built from the node spacing 1/k, kept as an immutable term map
 with exact rational coefficients: its terms are the products of one term per
-factor, and derivatives in the barycentric variables take one pass over the
-terms.  There are no arithmetic operators on polynomials.  Construction,
-differentiation and evaluation at rational points are exact, and the module
-uses the standard library alone; floats enter in `kernels`, which tabulates
-the same products of node factors at float points.
+factor.  There are no arithmetic operators on polynomials.  Construction and
+evaluation at rational points are exact, and the module uses the standard
+library alone; floats enter in `kernels`, which tabulates the same products of
+node factors and their derivatives at float points.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class BarycentricPolynomial:
     terms maps an exponent tuple (one entry per variable) to a nonzero
     coefficient: Fraction for the exact shape functions, though any number
     type works.  Instances are treated as immutable and support only what the
-    basis needs: derivatives, evaluation and the reduced form.
+    basis needs: evaluation and the reduced form.
     """
 
     __slots__ = ("nvars", "terms")
@@ -59,15 +58,6 @@ class BarycentricPolynomial:
                 continue
             clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
-
-    def lambda_derivative(self, orders):
-        """Iterated derivative; orders[v] counts derivatives in variable v, one entry
-        per variable.  c * lambda^e gives c * prod_v e_v!/(e_v - orders[v])! or 0."""
-        terms = {}
-        for e, c in self.terms.items():
-            if all(p >= o for p, o in zip(e, orders, strict=True)):
-                terms[tuple(p - o for p, o in zip(e, orders))] = c * math.prod(map(math.perm, e, orders))
-        return BarycentricPolynomial(self.nvars, terms)
 
     def evaluate(self, lam):
         """Evaluate at one barycentric point; exact for Fraction inputs."""

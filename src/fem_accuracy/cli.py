@@ -5,7 +5,8 @@ error constant, probability curves, critical-size sequences, weak-*
 pairings, and the 1D convergence study.  Output is CSV or JSON lines,
 written to --out or stdout.  Runs are deterministic for a fixed --seed.
 Exit codes: 0 success (and all embedded checks PASS), 1 a named check
-failed, 2 usage error, 3 inadmissible parameters.
+failed, 2 usage error, 3 inadmissible parameters.  A library warning prints
+once to stderr as `warning: <message>`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 # Library names are looked up on the package when a subcommand runs, so each
 # subcommand imports only the layers it uses, and `constant`, --help and the
@@ -240,20 +242,29 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        rows, failed = args.fn(args)
-        # basis rows hold lists and maps, which only JSON lines carry.
-        _emit(rows, "json" if args.command == "basis" else args.format, args.out)
-    except fa.AdmissibilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except ValueError as exc:
-        # A failed solve (numpy's LinAlgError, a ValueError) is not a usage
-        # error; without numpy loaded there was no solve.
-        numpy = sys.modules.get("numpy")
-        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
-            raise
-        ap.error(str(exc))
+    shown = set()
+
+    def show(message, *_):  # each distinct warning once, without the file and line that raised it
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            rows, failed = args.fn(args)
+            # basis rows hold lists and maps, which only JSON lines carry.
+            _emit(rows, "json" if args.command == "basis" else args.format, args.out)
+        except fa.AdmissibilityError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_INADMISSIBLE
+        except ValueError as exc:
+            # A failed solve (numpy's LinAlgError, a ValueError) is not a usage
+            # error; without numpy loaded there was no solve.
+            numpy = sys.modules.get("numpy")
+            if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
+                raise
+            ap.error(str(exc))
     if failed:
         print(f"FAIL: {failed}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -214,26 +214,3 @@ def script_c(bundle):
     """Global constant multiplying h^{k+1-m} |u|_{k+1,p} in the estimate."""
     return exp_in_float_range(log_script_c(bundle), "script_C =")
 
-
-def local_interp_bound(bundle, u_seminorm, h_element, l):
-    """Right-hand side of the local interpolation estimate for order l.
-
-    Order l = 0 carries the full h^{k+1} power with the c2 constant; orders
-    1..m carry h^{k+1-l} with the c1 constant.  u_seminorm is
-    |u|_{k+1,p,K}; h_element the element diameter.
-    """
-    if l < 0 or l > bundle.m:
-        raise ValueError("need 0 <= l <= m")
-    if u_seminorm < 0 or h_element <= 0:
-        raise ValueError("need u_seminorm >= 0 and h_element > 0")
-    if u_seminorm == 0:
-        return 0.0
-    front = c2_constant(bundle.n) if l == 0 else c1_constant(bundle)
-    power = bundle.k + 1 - l
-    log_rhs = (
-        math.log(front)
-        + log_k_factor(bundle.n, bundle.m, bundle.p, bundle.k)
-        + math.log(u_seminorm)
-        + power * math.log(h_element)
-    )
-    return math.exp(log_rhs)

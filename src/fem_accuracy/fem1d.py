@@ -30,10 +30,10 @@ from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import SimplexMesh, uniform_mesh_1d
 from .kernels import table
 from .norms import (
-    ESTIMATE_DEGREE_STEP,
     AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
+    estimated_seminorms,
     group_seminorms,
     sobolev_norm,
 )
@@ -320,11 +320,9 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     degree = 2 * k + 6
     seminorms = [[] for _ in solutions]
     for l in range(m + 1):
-        coarse, fine = (
-            group_seminorms(err, family.mesh, l, p, d, family.offsets) for d in (degree, degree + ESTIMATE_DEGREE_STEP)
-        )
-        for entries, c, f in zip(seminorms, coarse, fine):
-            entries.append({"l": l, "p": p, "value": f, "quad_error_estimate": abs(f - c)})
+        estimates = estimated_seminorms(err, family.mesh, l, p, degree, family.offsets)
+        for entries, (value, estimate) in zip(seminorms, estimates):
+            entries.append({"l": l, "p": p, "value": value, "quad_error_estimate": estimate})
 
     hs = family.maxima(family.mesh.element_measures)
     lams = family.maxima(np.abs(family.mesh.element_gradients).max(axis=(1, 2)))

@@ -13,10 +13,10 @@ same refusal.  `seminorm` measures one group; fem1d measures all meshes of a
 convergence study as groups of one pass.  For integrands that are not
 polynomial (absolute values with noninteger p, analytic error terms) a
 second rule of higher degree gives a Richardson style quadrature error
-estimate that is reported, never silently dropped.  The caller names the
-rule degree: `seminorm` and `seminorm_with_estimate` require it, and
-`interpolation_error` uses 2k + 6.  A domain is a SimplexMesh; a Simplex is
-one, with a single element.
+estimate (`estimated_seminorms`) that is reported, never silently dropped.
+The caller names the rule degree: `seminorm` and `seminorm_with_estimate`
+require it, and `interpolation_error` uses 2k + 6.  A domain is a
+SimplexMesh; a Simplex is one, with a single element.
 """
 
 from __future__ import annotations
@@ -192,12 +192,16 @@ def seminorm(field_or_fn, domain, l, p, degree):
     return group_seminorms(field, mesh, l, p, degree, [0, len(mesh)])[0]
 
 
+def estimated_seminorms(field, mesh, l, p, degree, offsets):
+    """(value, |value - coarse|) per group: group_seminorms at degree + ESTIMATE_DEGREE_STEP and at degree."""
+    coarse, fine = (group_seminorms(field, mesh, l, p, d, offsets) for d in (degree, degree + ESTIMATE_DEGREE_STEP))
+    return [(f, abs(f - c)) for c, f in zip(coarse, fine)]
+
+
 def seminorm_with_estimate(field_or_fn, domain, l, p, degree):
-    """Seminorm with rule degree + ESTIMATE_DEGREE_STEP, and its distance to the one at degree."""
+    """`seminorm` with its quadrature error estimate: the one group of estimated_seminorms."""
     field, mesh = _as_field(field_or_fn), _as_mesh(domain)
-    groups = [0, len(mesh)]
-    coarse, fine = (group_seminorms(field, mesh, l, p, d, groups)[0] for d in (degree, degree + ESTIMATE_DEGREE_STEP))
-    return fine, abs(fine - coarse)
+    return estimated_seminorms(field, mesh, l, p, degree, [0, len(mesh)])[0]
 
 
 def _as_field(obj):

@@ -198,9 +198,6 @@ class Bump(_Pointwise):
         u = (2.0 * h - self.a - self.b) / (self.b - self.a)
         return math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
 
-    def integral(self):
-        return _panel_integral(self, self.a, self.b)
-
 
 def _panel_integral(f, lo, hi, split=None):
     """Integral over (lo, hi) of f, which maps a list of points to a list of values, by

@@ -7,6 +7,7 @@ arithmetic, and one-dimensional integrals come from scipy's adaptive
 quadrature, so each test compares two genuinely different routes.
 """
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -14,9 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from fem_accuracy.basis import BarycentricPolynomial
+from fem_accuracy.constants import c1_constant, c2_constant, log_k_factor
 from fem_accuracy.fem1d import element_dofs
 from fem_accuracy.functions import AnalyticFunction
 from fem_accuracy.geometry import SimplexMesh
+from fem_accuracy.probability import _panel_integral
+
+# pi to 60 significant digits.
+PI_60 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 class Exp1D(AnalyticFunction):
@@ -73,6 +79,16 @@ def embedded(poly1d, nvars, var):
     return BarycentricPolynomial(nvars, {tuple(e if v == var else 0 for v in range(nvars)): c for (e,), c in poly1d.terms.items()})
 
 
+def lambda_derivative(poly, orders):
+    """Iterated derivative of a BarycentricPolynomial, exactly; orders[v] counts derivatives in
+    variable v, one entry per variable.  c * lambda^e gives c * prod_v e_v!/(e_v - orders[v])! or 0."""
+    terms = {}
+    for e, c in poly.terms.items():
+        if all(p >= o for p, o in zip(e, orders, strict=True)):
+            terms[tuple(p - o for p, o in zip(e, orders))] = c * math.prod(map(math.perm, e, orders))
+    return BarycentricPolynomial(poly.nvars, terms)
+
+
 def rational_eval(poly, lam):
     """Exact evaluation at a rational barycentric point."""
     total = Fraction(0)
@@ -96,7 +112,7 @@ def exact_derivative_values(basis, orders, shape_functions, points):
     lam = [[Fraction(x).as_integer_ratio() for x in row] for row in np.asarray(points, dtype=np.float64).tolist()]
     out = []
     for i in shape_functions:
-        terms = basis.polynomials[i].lambda_derivative(orders).terms
+        terms = lambda_derivative(basis.polynomials[i], orders).terms
         common = math.lcm(*(c.denominator for c in terms.values()))
         values = []
         for point in lam:
@@ -263,3 +279,48 @@ def root_relative_error(h, power, q):
     """|h / power^(1/q) - 1| for a float h, with h^q formed exactly so only
     the final ratio near 1 is rounded."""
     return abs(math.expm1(math.log(float(Fraction(h) ** q / power)) / q))
+
+
+def decimal_h_star(k, q, ratio, n=1, m=0, p=2.0):
+    """h*(q) of the pair (k, k+q) to 60 digits: (K(k) / K(k+q))^(1/q) / ratio, with K the exact
+    k_factor and ratio the seminorm ratio |u|_{r+1,p} / |u|_{r,p} as a Decimal (PI_60 for sin(pi x))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        power = k_factor(n, m, p, k) / k_factor(n, m, p, k + q)
+        return ((decimal.Decimal(power.numerator) / power.denominator).ln() / q).exp() / ratio
+
+
+def ulps_from(value, reference):
+    """|value - reference| in units of the last place of the float value, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(abs(decimal.Decimal(value) - reference) / decimal.Decimal(math.ulp(value)))
+
+
+def local_interp_bound(bundle, u_seminorm, h_element, l):
+    """Right-hand side of the local interpolation estimate for order l.
+
+    Order l = 0 carries the full h^{k+1} power with the c2 constant; orders
+    1..m carry h^{k+1-l} with the c1 constant.  u_seminorm is
+    |u|_{k+1,p,K}; h_element the element diameter.
+    """
+    if l < 0 or l > bundle.m:
+        raise ValueError("need 0 <= l <= m")
+    if u_seminorm < 0 or h_element <= 0:
+        raise ValueError("need u_seminorm >= 0 and h_element > 0")
+    if u_seminorm == 0:
+        return 0.0
+    front = c2_constant(bundle.n) if l == 0 else c1_constant(bundle)
+    power = bundle.k + 1 - l
+    log_rhs = (
+        math.log(front)
+        + log_k_factor(bundle.n, bundle.m, bundle.p, bundle.k)
+        + math.log(u_seminorm)
+        + power * math.log(h_element)
+    )
+    return math.exp(log_rhs)
+
+
+def bump_mass(bump):
+    """The integral of a Bump over its support, by the panel rule the weak-* pairings use."""
+    return _panel_integral(bump, bump.a, bump.b)

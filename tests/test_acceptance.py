@@ -33,7 +33,7 @@ import pytest
 
 from fem_accuracy.basis import build_basis
 from fem_accuracy.bounds import point_bound_check, seminorm_bound_check
-from fem_accuracy.constants import ConstantBundle, local_interp_bound
+from fem_accuracy.constants import ConstantBundle
 from fem_accuracy.fem1d import ModelProblem, assemble_and_solve_all, error_reports
 from fem_accuracy.functions import SinPiProduct
 from fem_accuracy.geometry import SimplexMesh, reference_simplex, uniform_mesh_1d
@@ -48,7 +48,7 @@ from fem_accuracy.probability import (
     weak_star_test,
 )
 
-from oracles import polynomial_integral, polynomial_product
+from oracles import local_interp_bound, polynomial_integral, polynomial_product
 
 # Tolerance on an observed convergence order, as in criterion 4.
 ORDER_TOL = 0.15

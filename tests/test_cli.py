@@ -21,6 +21,8 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
 from fem_accuracy.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# What the CLI prints on stderr, once, for p = 1e-3.
+P_WARNING = "warning: p = 0.001 is outside the variational framework (need p > 1)"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -288,11 +290,21 @@ class TestBoundsCommand:
         ],
     )
     def test_unmeasurable_seminorm_cap_is_usage_error(self, capsys, p, reason):
-        hypothesis = pytest.warns(UserWarning, match="outside") if float(p) < 1 else contextlib.nullcontext()
-        with hypothesis, pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc:
             main(["bounds", "--n", "1", "--k", "3", "--p", p])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
+        # Below p = 1 the index and the cap each warn, once, ahead of the usage lines.
+        warned = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert captured.err.splitlines()[: len(warned)] == warned
+        assert warned == (
+            [
+                f"warning: p = {float(p)} is outside the variational framework (need p > 1)",
+                f"warning: seminorm cap outside its hypothesis: k+1 > l + n/p fails for k=3, l=1, n=1, p={float(p)}",
+            ]
+            if float(p) < 1
+            else []
+        )
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert errors == [
             f"fem-accuracy: error: the W^{{m,p}} seminorms cannot be measured in floats at p = {float(p):g}: {reason}"
@@ -457,10 +469,12 @@ class TestConvergeCommand:
 
     def test_p_near_zero_is_usage_error(self, capsys):
         # The 1/p-th root magnifies rounding by 1/p: at p = 1e-300 every error printed 1.0.
-        with pytest.warns(UserWarning, match="outside the variational framework"), pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc:
             main(["converge", "--k", "2", "--p", "1e-300", "--meshes", "2,4"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[0] == "warning: p = 1e-300 is outside the variational framework (need p > 1)"
+        assert captured.err.count("warning:") == 1
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "at p = 1e-300:" in errors[0]
 
@@ -468,24 +482,24 @@ class TestConvergeCommand:
     def test_total_whose_root_leaves_the_floats_is_usage_error(self, capsys, k):
         # Each seminorm is finite at p = 1e-3, but the 1/p-th root of their W^{2,p}
         # total overflows; this was an OverflowError traceback with exit 1.
-        with pytest.warns(UserWarning, match="outside the variational framework"), pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc:
             main(["converge", "--k", k, "--m", "2", "--p", "1e-3", "--meshes", "8,16"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[0] == P_WARNING
+        assert captured.err.count("warning:") == 1
         assert captured.err.splitlines()[-1] == (
             "fem-accuracy: error: the W^{m,p} seminorms cannot be measured in floats "
             "at p = 0.001: their total or its 1/p-th root over- or underflows"
         )
         # A total inside the float range prints as before.
-        with pytest.warns(UserWarning, match="outside the variational framework"):
-            code, out, _ = run_main(capsys, ["converge", "--k", "2", "--m", "1", "--p", "1e-3", "--meshes", "8,16"])
-        assert code == 0
+        code, out, err = run_main(capsys, ["converge", "--k", "2", "--m", "1", "--p", "1e-3", "--meshes", "8,16"])
+        assert code == 0 and err == P_WARNING + "\n"
         assert [r["error"] for r in parse_csv(out)] == ["9.902172322358021e+297", "1.7413485399564797e+297"]
 
     def test_small_p_above_the_floor_is_measured(self, capsys):
-        with pytest.warns(UserWarning, match="outside the variational framework"):
-            code, out, _ = run_main(capsys, ["converge", "--k", "2", "--p", "1e-3", "--meshes", "2,4"])
-        assert code == 0
+        code, out, err = run_main(capsys, ["converge", "--k", "2", "--p", "1e-3", "--meshes", "2,4"])
+        assert code == 0 and err == P_WARNING + "\n"
         rows = parse_csv(out)
         # The errors as printed before the floor on p (on the Gauss rule by Newton, with
         # shape-function tables as products of node factors); the least-squares slope's
@@ -633,3 +647,14 @@ class TestEntryPoint:
             capture_output=True,
         )
         assert out.returncode == 2
+
+    def test_library_warning_is_one_line_without_a_source_path(self):
+        # p = 1 warns from two places in the library (the error report and the
+        # constant's index); the process prints the message once, with no file path.
+        out = subprocess.run(
+            [sys.executable, "-m", "fem_accuracy.cli", "converge", "--k", "2", "--p", "1", "--meshes", "2,4"],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0 and out.stdout
+        assert out.stderr == "warning: p = 1.0 is outside the variational framework (need p > 1)\n"

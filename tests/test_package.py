@@ -9,6 +9,7 @@ import ast
 import importlib
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -16,11 +17,14 @@ import pytest
 
 import fem_accuracy
 
-# The 50 exported names, in the order of the modules that first exported them.
+SRC = pathlib.Path(fem_accuracy.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "e2ebench"
+
+# The 49 exported names, in the order of the modules that first exported them.
 EXPORTS = [
     "BarycentricPolynomial", "PkBasis", "auxiliary_factor", "build_basis",
     "chain_rule_weights", "multi_indices", "tabulate",
-    "BoundCheck", "ConstantBundle", "local_interp_bound", "log_script_c",
+    "BoundCheck", "ConstantBundle", "log_script_c",
     "point_bound_check", "script_c", "seminorm_bound_check", "xi",
     "DiscreteSolution", "ModelProblem", "assemble_and_solve_all", "convergence_study", "error_reports",
     "Polynomial1D", "SinPiProduct",
@@ -35,7 +39,7 @@ EXPORTS = [
 
 
 def test_all_lists_the_exports():
-    assert len(EXPORTS) == 50
+    assert len(EXPORTS) == 49
     assert sorted(fem_accuracy.__all__) == sorted(EXPORTS)
     assert len(set(fem_accuracy.__all__)) == len(fem_accuracy.__all__)
     assert dir(fem_accuracy) == sorted(EXPORTS + ["__version__"])
@@ -101,10 +105,113 @@ def test_every_relative_import_is_used():
     # (an ast Name, also the root of an attribute chain); a name imported only
     # so that it can be imported from here too is a second path to one object.
     unused = []
-    for path in sorted(pathlib.Path(fem_accuracy.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 unused += [f"{path.name}: {a.asname or a.name}" for a in node.names if (a.asname or a.name) not in read]
     assert unused == []
+
+
+# The definitions that only the benchmark harness reads, each with the e2ebench/
+# file and the text there that reads it (ROADMAP direction 6 frees them).
+BENCH_ONLY = {
+    "basis.PkBasis.evaluation_matrix": ("workloads.py", "basis.evaluation_matrix()"),
+    "basis.PkBasis.sum_polynomial": ("workloads.py", "basis.sum_polynomial().reduced()"),
+    "basis.BarycentricPolynomial.reduced": ("tracer.py", '"BarycentricPolynomial.reduced"'),
+    "norms.interpolation_error": ("workloads.py", "_lib().interpolation_error("),
+    "geometry.structured_mesh_2d": ("workloads.py", "fa.structured_mesh_2d("),
+    "probability.h_star_sequence": ("workloads.py", "fa.h_star_sequence("),
+    "geometry.SimplexMesh.simplices": ("tracer.py", 'hasattr(domain, "simplices")'),
+    "cli.__getattr__": ("tracer.py", "for module in (fem_accuracy, fem_accuracy.cli):"),
+}
+
+
+def _names_read(node):
+    """Every ast Name id and Attribute attr in node; for a class, outside its methods."""
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.bases, *node.keywords, *node.decorator_list]
+        parts += [item for item in node.body if not isinstance(item, ast.FunctionDef)]
+    else:
+        parts = [node]
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for part in parts
+        for sub in ast.walk(part)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _reached(definitions, roots, read):
+    """The definitions reached from roots and the names in read, by name.  A function or class is
+    reached when its name is read; a method or property when its class is reached and its name is
+    read, or it is a dunder.  Reaching a definition reads the names in it."""
+    reached, read = set(), set(read)
+    while True:
+        new = {
+            qualname
+            for qualname, (node, owner) in definitions.items()
+            if qualname not in reached
+            and (
+                qualname in roots
+                or (owner is None and node.name in read)
+                or (owner in reached and (node.name in read or node.name[:2] == node.name[-2:] == "__"))
+            )
+        }
+        if not new:
+            return reached
+        reached |= new
+        for qualname in new:
+            read |= _names_read(definitions[qualname][0])
+
+
+def reachability_faults(src, bench):
+    """Every function, class, method or property in src/*.py that `fem-accuracy` does not reach,
+    and every BENCH_ONLY entry that is undefined, reached without it, or no longer read in bench.
+
+    The roots are cli.main, cli's module-level code, the package's __getattr__ and __dir__ hooks
+    and the BENCH_ONLY names.  The pass is by name, so a name read anywhere reached reaches every
+    definition of that name; docstrings and other strings read nothing."""
+    definitions, cli_code = {}, []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{path.stem}.{node.name}"
+                definitions[name] = (node, None)
+                methods = node.body if isinstance(node, ast.ClassDef) else []
+                definitions.update({f"{name}.{m.name}": (m, name) for m in methods if isinstance(m, ast.FunctionDef)})
+            elif path.stem == "cli":
+                cli_code.append(node)
+    read = set().union(*map(_names_read, cli_code))
+    roots = {"cli.main", "__init__.__getattr__", "__init__.__dir__"}
+    without_bench = _reached(definitions, roots, read)
+    reached = _reached(definitions, roots | set(BENCH_ONLY), read)
+    faults = [f"unreached: {name}" for name in definitions if name not in reached]
+    for name, (file, text) in BENCH_ONLY.items():
+        if name not in definitions:
+            faults.append(f"{name}: not defined")
+        elif name in without_bench:
+            faults.append(f"{name}: reached without the benchmark")
+        if text not in (pathlib.Path(bench) / file).read_text():
+            faults.append(f"{name}: e2ebench/{file} no longer reads {text!r}")
+    return faults
+
+
+def test_every_definition_is_reached_from_a_subcommand():
+    # A definition that no subcommand reaches belongs in tests/oracles.py or nowhere.
+    assert reachability_faults(SRC, BENCH) == []
+
+
+def test_reachability_guard_names_what_it_misses(tmp_path):
+    # On copies: an unreached function added to src/, then an allow-list text gone from e2ebench/.
+    src = shutil.copytree(SRC, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    basis = src / "basis.py"
+    basis.write_text(basis.read_text() + "\n\ndef orphan(n):\n    return build_basis(n, 1)\n")
+    assert reachability_faults(src, BENCH) == ["unreached: basis.orphan"]
+    bench = shutil.copytree(BENCH, tmp_path / "e2ebench", ignore=shutil.ignore_patterns("__pycache__"))
+    tracer = bench / "tracer.py"
+    tracer.write_text(tracer.read_text().replace('hasattr(domain, "simplices")', 'hasattr(domain, "connectivity")'))
+    assert reachability_faults(SRC, bench) == [
+        "geometry.SimplexMesh.simplices: e2ebench/tracer.py no longer reads 'hasattr(domain, \"simplices\")'"
+    ]

@@ -20,11 +20,12 @@ from fem_accuracy.probability import (
     h_star,
     h_star_explicit,
     h_star_sequence,
+    h_stars,
     weak_star_pairing,
     weak_star_test,
 )
 
-from oracles import h_star_power, root_relative_error
+from oracles import PI_60, bump_mass, decimal_h_star, h_star_power, root_relative_error, ulps_from
 
 
 class TestElementPair:
@@ -325,6 +326,31 @@ class TestHStarExactRational:
         assert worst < 2e-15
 
 
+class TestHStarDigits:
+    # The printed h* of `hstar-seq` against a 60-digit reference: the exact ratio
+    # K(k)/K(k+q) of integers, its q-th root in Decimal, over pi to 60 digits.
+    # Bound: h = exp(L/q), where L/q adds terms up to log((k+q)!)/q ~ log(k+q) in
+    # size, each rounded once in floats (on the fallback past the float range, the
+    # lgamma values and their difference).  About two roundings of that size give
+    # L/q an absolute error near 2 eps log(k+q) <= 16 eps for k+q <= 2002, and exp
+    # makes it a relative error of h, at most 2 ulp per eps: 32 ulp.
+    MAX_ULPS = 32
+
+    @pytest.mark.parametrize(
+        "k,m,p,model,ratio,qmax",
+        [
+            pytest.param(1, 0, 2.0, SinPiSeminormModel(2.0), PI_60, 2000, id="default"),
+            pytest.param(2, 1, 3.0, SinPiSeminormModel(3.0), PI_60, 200, id="k2-m1-p3"),
+            pytest.param(1, 1, 3.0, GeometricSeminormModel(1.0), 1, 200, id="exp-m1-p3"),
+        ],
+    )
+    def test_within_ulps_of_the_decimal_reference(self, k, m, p, model, ratio, qmax):
+        qs = range(1, qmax + 1)
+        hs = h_stars(k, qs, model, m=m, p=p)
+        worst = max(ulps_from(h, decimal_h_star(k, q, ratio, m=m, p=p)) for q, h in zip(qs, hs))
+        assert worst <= self.MAX_ULPS
+
+
 class TestBump:
     def test_support(self):
         bump = Bump(0.5, 2.0)
@@ -350,11 +376,11 @@ class TestBump:
         bump = Bump(-1.0, 1.0)
         nodes, weights = np.polynomial.legendre.leggauss(120)
         gauss = float(weights @ bump(nodes))
-        assert bump.integral() == pytest.approx(gauss, abs=1e-12)
+        assert bump_mass(bump) == pytest.approx(gauss, abs=1e-12)
 
     def test_integral_scales_with_width(self):
-        narrow = Bump(0.0, 1.0).integral()
-        wide = Bump(0.0, 3.0).integral()
+        narrow = bump_mass(Bump(0.0, 1.0))
+        wide = bump_mass(Bump(0.0, 3.0))
         assert wide == pytest.approx(3.0 * narrow, rel=1e-9)
 
     def test_validation(self):
@@ -367,7 +393,7 @@ class TestWeakStarPairing:
     def test_step_law_beyond_support_gives_full_mass(self):
         bump = Bump(0.5, 2.0)
         law = AccuracyLaw(h_star=5.0, exponent=3, kind="step")
-        assert weak_star_pairing(law, bump) == pytest.approx(bump.integral(), rel=1e-9)
+        assert weak_star_pairing(law, bump) == pytest.approx(bump_mass(bump), rel=1e-9)
 
     def test_step_law_below_support_gives_zero(self):
         bump = Bump(0.5, 2.0)
@@ -378,7 +404,7 @@ class TestWeakStarPairing:
         bump = Bump(-1.0, 1.0)
         law = AccuracyLaw(h_star=10.0, exponent=2)
         pairing = weak_star_pairing(law, bump)
-        assert pairing < bump.integral()
+        assert pairing < bump_mass(bump)
         assert pairing > 0.0
 
     def test_empty_effective_support(self):
@@ -389,7 +415,7 @@ class TestWeakStarPairing:
     def test_nonlinear_below_step_when_crossing_inside(self):
         bump = Bump(0.5, 2.0)
         law = AccuracyLaw(h_star=1.0, exponent=1)
-        assert weak_star_pairing(law, bump) < bump.integral()
+        assert weak_star_pairing(law, bump) < bump_mass(bump)
 
 
 class TestPairingAgainstAdaptiveQuadrature:
@@ -417,7 +443,7 @@ class TestPairingAgainstAdaptiveQuadrature:
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.5, 2.0), (-1.0, 3.0)])
     def test_bump_mass_and_target_match_quad(self, a, b):
         bump = Bump(a, b)
-        assert abs(bump.integral() - self._quad(bump, a, b)) <= PAIRING_ABS_TOL
+        assert abs(bump_mass(bump) - self._quad(bump, a, b)) <= PAIRING_ABS_TOL
         target = weak_star_test(1, [1], bump, SinPiSeminormModel())[0]["target"]
         assert abs(target - self._quad(bump, max(a, 0.0), b)) <= PAIRING_ABS_TOL
 
