@@ -93,7 +93,10 @@ def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAU
     n, k = basis.n, basis.k
     pts = np.vstack([barycentric_lattice(n, subdivisions), simplex_samples(n, samples, seed)])
 
-    bound = float(k) ** (r * (n + 2) if r else n + 1)
+    try:
+        bound = float(k) ** (r * (n + 2) if r else n + 1)
+    except OverflowError:
+        raise ValueError(f"the pointwise cap leaves the floats at n={n}, k={k}, r={r}") from None
     # A block of points holds its factor tables and one derivative's rows: (r + 1)(k + 1)(n + 1) + N values a point.
     worst = 0.0
     for lo, hi in element_blocks(len(pts), (r + 1) * (k + 1) * (n + 1) + basis.size):
@@ -126,18 +129,23 @@ def seminorm_bound_check(basis, simplex, l, p):
             stacklevel=2,
         )
     mes = simplex.measure
-    if l == 0:
-        bound = mes ** (1.0 / p) * float(k) ** (n + 1)
-    else:
-        lam = simplex.gradient_max
-        rho = simplex.inscribed_diameter()
-        bound = (
-            (n * (n + 1) * lam) ** l
-            * math.factorial(l)
-            * mes ** (1.0 / p)
-            * float(k) ** (l * (n + 2))
-            / rho**l
-        )
+    try:
+        if l == 0:
+            bound = mes ** (1.0 / p) * float(k) ** (n + 1)
+        else:
+            lam = simplex.gradient_max
+            rho = simplex.inscribed_diameter()
+            bound = (
+                (n * (n + 1) * lam) ** l
+                * math.factorial(l)
+                * mes ** (1.0 / p)
+                * float(k) ** (l * (n + 2))
+                / rho**l
+            )
+    except (OverflowError, ZeroDivisionError):  # a factor beyond the floats, or rho^l underflowing to 0
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"the seminorm cap leaves the floats at n={n}, k={k}, l={l}, p={p}")
     degree = max(1, math.ceil(p * max(k - l, 1))) + 2
     # Unit rows pick each shape function out of the basis's shared tables, exactly.
     measured = 0.0

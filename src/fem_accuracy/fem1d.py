@@ -2,16 +2,17 @@
 
 Homogeneous Dirichlet conditions and a manufactured exact solution.  Element
 matrices scale reference-interval tables, built once per degree, by the
-element length (exact in 1D).  Global dofs are the vertices left
-to right, then the k-1 interior nodes of each element.  The solve is numpy
-only: static condensation of the interior nodes, then odd-even reduction of
-the tridiagonal vertex system, kept as couplings and row excesses.  Error reports
-measure W^{m,p} seminorms of u - u_h, estimate orders from log-log slopes and
-compare with script_C(k) h^{k+1-m} |u|_{k+1,p}.
+element length (exact in 1D).  Solutions stay in element layout: row e of
+an (E, k+1) array holds element e's values at its nodes j/k, left to right.
+The solve is numpy only: static condensation of the interior nodes, then
+odd-even reduction of the tridiagonal vertex system, kept as couplings and
+row excesses.  Error reports measure W^{m,p} seminorms of u - u_h, estimate
+orders from log-log slopes and compare with script_C(k) h^{k+1-m} |u|_{k+1,p}.
 
 Several meshes are solved and measured as one batch: a MeshFamily stacks
 their elements into one mesh, so one element system, one condensation, one
-back-substitution and one seminorm pass per rule and order serve them all.
+back-substitution and one seminorm pass per rule and order serve them all,
+and one DiscreteSolution holds u_h on all of them.
 Only the O(n) steps are taken per mesh: the reduction of its vertex system,
 and its sizes and bounds; norms sums its element powers.
 """
@@ -81,8 +82,8 @@ class MeshFamily:
     stacks theirs, each offset by the vertices before it; its geometry arrays
     equal the meshes' arrays element by element.  Mesh j holds the family's
     elements offsets[j]:offsets[j + 1].  Every mesh must be one chain of
-    elements left to right, the layout element_dofs numbers; anything else
-    raises ValueError.
+    elements left to right, so that element e ends where element e + 1
+    starts; anything else raises ValueError.
     """
 
     def __init__(self, meshes):
@@ -110,36 +111,20 @@ class MeshFamily:
         return np.maximum.reduceat(values, self.offsets[:-1]).tolist()
 
 
+@dataclass(frozen=True)
 class DiscreteSolution:
-    """Galerkin solution: mesh, basis, global coefficient vector and solve quality.
+    """Galerkin solutions on the meshes of a MeshFamily, solved as one batch.
 
-    residual is ||A x - b||_2 / ||b||_2 of the uncondensed system; backward_error
-    is the normwise ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).  family
-    is the MeshFamily the mesh was solved in.
+    field is u_h on family.mesh: row e of its (E, k+1) coefficients holds
+    element e's values at its nodes j/k, left to right.  residuals[j] is
+    ||A x - b||_2 / ||b||_2 of mesh j's uncondensed system and
+    backward_errors[j] the normwise ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).
     """
 
-    def __init__(self, mesh, basis, coefficients, residual, backward_error, family):
-        self.mesh = mesh
-        self.family = family
-        self.basis = basis
-        self.k = basis.k
-        self.coefficients = np.asarray(coefficients, dtype=np.float64)
-        self.residual = float(residual)
-        self.backward_error = float(backward_error)
-
-    def as_field(self):
-        """u_h as a PiecewisePolynomialField on its mesh."""
-        return PiecewisePolynomialField(self.basis, self.coefficients[element_dofs(len(self.mesh), self.k)])
-
-
-def element_dofs(ne, k):
-    """Global dofs of the k+1 local nodes of every element, shape (ne, k+1)."""
-    elements = np.arange(ne)
-    dofs = np.empty((ne, k + 1), dtype=np.int64)
-    dofs[:, 0] = elements
-    dofs[:, k] = elements + 1
-    dofs[:, 1:k] = ne + 1 + elements[:, None] * (k - 1) + np.arange(k - 1)
-    return dofs
+    family: MeshFamily
+    field: PiecewisePolynomialField
+    residuals: list
+    backward_errors: list
 
 
 @cache
@@ -205,17 +190,18 @@ def excess_reduction(couplings, excesses, rhs):
 
 
 def solve_condensed(a, b, sums, counts):
-    """Global coefficients, with zero end values, of stacked element systems (a, b).
+    """Coefficients (E, k+1) in element layout, zero at each mesh's two ends, of stacked
+    element systems (a, b).
 
     sums are a's row sums, read in place of its vertex diagonal, and counts the
-    element counts of the meshes whose systems a and b stack, in order; one
-    coefficient vector per mesh is returned.  Each element's interior unknowns
-    are eliminated with a batched Cholesky factor L of its interior block
-    (LinAlgError if not positive definite).  The 2x2 Schur complements couple
-    the vertices by y_0.y_k - a_0k, y = L^-1 a_IV, and have the row sums
-    sums_V - y^T L^-1 sums_I, with no 1/h part.  Each mesh's couplings and
-    excesses (row sums, plus the coupling to a Dirichlet end) go to its own
-    excess_reduction call; the interior values follow by back-substitution."""
+    element counts of the meshes whose systems a and b stack, in order.  Each
+    element's interior unknowns are eliminated with a batched Cholesky factor L
+    of its interior block (LinAlgError if not positive definite).  The 2x2
+    Schur complements couple the vertices by y_0.y_k - a_0k, y = L^-1 a_IV, and
+    have the row sums sums_V - y^T L^-1 sums_I, with no 1/h part.  Each mesh's
+    couplings and excesses (row sums, plus the coupling to a Dirichlet end) go
+    to its own excess_reduction call; the interior values follow by
+    back-substitution."""
     k, counts = a.shape[1] - 1, np.asarray(counts)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     ends, inner = [0, k], slice(1, k)
@@ -240,31 +226,34 @@ def solve_condensed(a, b, sums, counts):
         xv[free] = excess_reduction(couplings[lo + 1 : hi - 1], excesses[free], rhs[free])
     # L^T x = z is solved as the lower triangular system of both reversed.
     xi = _lower_solve(chol.transpose(0, 2, 1)[:, ::-1, ::-1], (yb - yv @ xv[pairs].reshape(-1, 2, 1))[:, ::-1])
-    return [
-        np.concatenate([xv[first : first + ne + 1], xi[lo:hi, ::-1].ravel()])
-        for first, ne, lo, hi in zip(firsts, counts, offsets[:-1], offsets[1:])
-    ]
+    x = np.empty((len(a), k + 1))
+    x[:, ends], x[:, inner] = xv[pairs], xi[:, ::-1, 0]
+    return x
 
 
 def solve_quality(a, b, x):
     """Residual ||A x - b||_2 / ||b||_2 and normwise backward error ||A x - b||_inf /
     (||A||_inf ||x||_inf + ||b||_inf) (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 7.1) of the uncondensed system on the free dofs, applied
-    element by element.  Values of x at the two end vertices are ignored."""
-    dofs = element_dofs(a.shape[0], a.shape[1] - 1)
-    free = np.ones(len(x), dtype=bool)
-    free[[0, a.shape[0]]] = False
-    x = np.where(free, x, 0.0)
+    Algorithms, sec. 7.1) of one mesh's uncondensed system on the free nodes, applied
+    element by element to x in element layout.  Its values at the mesh's two ends are
+    ignored.  The rows are the inner vertices left to right, then the interior nodes
+    element by element."""
+    ne, k = a.shape[0], a.shape[1] - 1
+    pairs = (np.arange(ne)[:, None] + np.arange(2)).ravel()
+    free = np.ones((ne, k + 1, 1), dtype=bool)
+    free[0, 0] = free[-1, k] = False
+    x = np.where(free[:, :, 0], x, 0.0)
 
     def assembled(values):
-        return np.bincount(dofs.ravel(), values.ravel(), len(x))[free]
+        vertices = np.bincount(pairs, values[:, [0, k]].ravel(), ne + 1)[1:ne]
+        return np.concatenate([vertices, values[:, 1:k].ravel()])
 
     rhs = assembled(b)
-    r = assembled(np.einsum("eab,eb->ea", a, x[dofs])) - rhs
-    a_norm = np.max(assembled(np.abs(a) @ free[dofs, None]), initial=0.0)
+    r = assembled(np.einsum("eab,eb->ea", a, x)) - rhs
+    a_norm = np.max(assembled(np.abs(a) @ free), initial=0.0)
     residual = np.linalg.norm(r) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
     scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(rhs), initial=0.0)
-    return residual, (float(np.max(np.abs(r), initial=0.0) / scale) if scale > 0 else 0.0)
+    return float(residual), (float(np.max(np.abs(r), initial=0.0) / scale) if scale > 0 else 0.0)
 
 
 @cache
@@ -276,17 +265,17 @@ def assemble_and_solve_all(problem, meshes, k):
     """Assemble and solve the P_k Galerkin system on each of some 1D meshes, as one batch.
 
     The meshes share one MeshFamily, one element_system call and one
-    solve_condensed call.  Returns one DiscreteSolution per mesh, with the
-    relative algebraic residual and the normwise backward error of its own
+    solve_condensed call.  Returns one DiscreteSolution, with the relative
+    algebraic residual and the normwise backward error of each mesh's own
     uncondensed system.
     """
     family = MeshFamily(meshes)
     basis = _interval_basis(k)
     a, b, sums = element_system(problem, family.mesh, basis)
-    solutions = []
-    for mesh, x, lo, hi in zip(family.meshes, solve_condensed(a, b, sums, family.counts), family.offsets, family.offsets[1:]):
-        solutions.append(DiscreteSolution(mesh, basis, x, *solve_quality(a[lo:hi], b[lo:hi], x), family))
-    return solutions
+    x = solve_condensed(a, b, sums, family.counts)
+    quality = [solve_quality(a[lo:hi], b[lo:hi], x[lo:hi]) for lo, hi in zip(family.offsets, family.offsets[1:])]
+    residuals, backward_errors = map(list, zip(*quality))
+    return DiscreteSolution(family, PiecewisePolynomialField(basis, x), residuals, backward_errors)
 
 
 def _require_cea_ratio(cea_ratio):
@@ -294,31 +283,24 @@ def _require_cea_ratio(cea_ratio):
         raise ValueError("need finite lam > 0, cea_ratio >= 1, h_cap > 0")
 
 
-def error_reports(solutions, problem, m, p, cea_ratio=1.0):
+def error_reports(solution, problem, m, p, cea_ratio=1.0):
     """Seminorms of u - u_h for l = 0..m, the W^{m,p} norm and the bound
-    script_C(k) h^{k+1-m} |u|_{k+1,p} of each of some solutions of one degree.
+    script_C(k) h^{k+1-m} |u|_{k+1,p} on each mesh of a DiscreteSolution.
 
     script_C(k) takes each mesh's gradient maximum and the regularity sigma = 1
     of intervals; a report states where the error lands inside the bound, and
-    flags a normwise backward error above BACKWARD_ERROR_TOL (residual_ok).  The error
-    fields are stacked over the MeshFamily of the solutions' meshes (the one
-    they were solved in, when they are its meshes in order): each seminorm is
-    one norms.group_seminorms pass per rule and order, with a group per mesh;
-    norms owns the sums, their roots and the W^{m,p} total (sobolev_norm),
-    and its ValueError refuses what floats cannot hold.
+    flags a normwise backward error above BACKWARD_ERROR_TOL (residual_ok).  Each
+    seminorm is one norms.group_seminorms pass per rule and order over the
+    solution's MeshFamily, with a group per mesh; norms owns the sums, their
+    roots and the W^{m,p} total (sobolev_norm), and its ValueError refuses what
+    floats cannot hold.
     """
-    basis, k = solutions[0].basis, solutions[0].k
-    if any(s.basis is not basis for s in solutions):
-        raise ValueError("error_reports needs solutions of one degree")
+    family, k = solution.family, solution.field.basis.k
     _require_cea_ratio(cea_ratio)
-    family = solutions[0].family
-    if family.meshes != tuple(s.mesh for s in solutions):
-        family = MeshFamily([s.mesh for s in solutions])
     admissible = SobolevIndex(m=m, p=p, n=1).admissible(k)
-    coefficients = np.concatenate([s.as_field().coefficients for s in solutions])
-    err = DifferenceField(AnalyticField(problem.u), PiecewisePolynomialField(basis, coefficients))
+    err = DifferenceField(AnalyticField(problem.u), solution.field)
     degree = 2 * k + 6
-    seminorms = [[] for _ in solutions]
+    seminorms = [[] for _ in family.meshes]
     for l in range(m + 1):
         estimates = estimated_seminorms(err, family.mesh, l, p, degree, family.offsets)
         for entries, (value, estimate) in zip(seminorms, estimates):
@@ -329,20 +311,13 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
     if admissible:
         u_seminorms = group_seminorms(AnalyticField(problem.u), family.mesh, k + 1, p, degree, family.offsets)
     reports = []
-    for j, solution in enumerate(solutions):
+    for j, mesh in enumerate(family.meshes):
         total = sobolev_norm([s["value"] for s in seminorms[j]], p)
-        bound = None
-        position = None
+        bound = position = None
         if admissible:
+            # sigma = 1: an interval's diameter and inscribed diameter are both its length.
             bundle = ConstantBundle(
-                n=1,
-                m=m,
-                k=k,
-                p=p,
-                sigma=1.0,  # an interval's diameter and inscribed diameter are both its length
-                lam=lams[j],
-                cea_ratio=cea_ratio,
-                h_cap=max(hs[j], 1.0),
+                n=1, m=m, k=k, p=p, sigma=1.0, lam=lams[j], cea_ratio=cea_ratio, h_cap=max(hs[j], 1.0)
             )
             bound = script_c(bundle) * hs[j] ** (k + 1 - m) * u_seminorms[j]
             position = total / bound if bound > 0 else math.inf
@@ -353,10 +328,10 @@ def error_reports(solutions, problem, m, p, cea_ratio=1.0):
                 "m": m,
                 "p": p,
                 "h": hs[j],
-                "elements": len(solution.mesh),
-                "residual": solution.residual,
-                "residual_ok": solution.backward_error <= BACKWARD_ERROR_TOL,
-                "backward_error": solution.backward_error,
+                "elements": len(mesh),
+                "residual": solution.residuals[j],
+                "residual_ok": solution.backward_errors[j] <= BACKWARD_ERROR_TOL,
+                "backward_error": solution.backward_errors[j],
                 "seminorms": seminorms[j],
                 "error": total,
                 "admissible": admissible,

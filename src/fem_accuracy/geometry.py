@@ -4,8 +4,8 @@ simplex_geometry computes the geometry of a stack of simplices, an (E, n+1, n)
 vertex array, with batched array operations and each element's facet measures
 summed by math.fsum; intervals take a closed form in their signed length,
 with no linear algebra call.  A SimplexMesh is a vertex table with an (E, n+1)
-connectivity whose per-element arrays and h, sigma and gradient maximum it
-builds on first use; it builds a Simplex object only for an element asked
+connectivity whose per-element arrays and gradient maximum it builds on
+first use; it builds a Simplex object only for an element asked
 for by index.  A Simplex is the one-element SimplexMesh over its own
 vertices, with the geometry of that element as scalars.
 Everything here is immutable after construction.
@@ -140,16 +140,6 @@ class SimplexMesh:
     def element_measures(self):
         """Measure of every element, shape (E,)."""
         return self._geometry[1]
-
-    @cached_property
-    def h(self):
-        """Mesh size: the largest element diameter."""
-        return float(self._geometry[2].max())
-
-    @cached_property
-    def sigma(self):
-        """Shape regularity: the largest diameter over inscribed diameter."""
-        return float((self._geometry[2] / self._geometry[3]).max())
 
     @cached_property
     def gradient_max(self):

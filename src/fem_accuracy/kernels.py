@@ -6,15 +6,14 @@ orders[v] derivatives in variable v is prod_v a_{i_v}^{(orders[v])}(lambda_v),
 exactly.  `factor_tables` evaluates every a_i^{(r)} at the points by the
 recurrence over the linear factors, and `derivative_rows`, the one generator
 of table rows, multiplies them into the values of one derivative at a time:
-`tabulate` gathers its rows into the table layout and `bounds` scans them.
+`tabulate` stacks its rows, one per multi-index, and `bounds` scans them.
 Only basis.n, basis.k and basis.indices are read; the exact term maps stay in
 `basis`.  `table` keeps a basis's table read-only per cached quadrature rule
 and order, shared by every element and field of the basis, and
 `chain_rule_weights` turns a table into physical derivatives on a whole block
-of elements, given the block's barycentric gradients as one array.
+of elements, given the block's barycentric gradients as one array.  A table
+of order l has C(n+l, n) rows, one per barycentric derivative.
 """
-
-import itertools
 
 import numpy as np
 
@@ -60,14 +59,11 @@ def derivative_rows(basis, points, order):
 def tabulate(basis, points, order):
     """Barycentric derivatives of order `order` of each shape function at the points.
 
-    Returns an array of shape ((n+1)^order, N, npts): row s holds
-    d/dlambda_{q_1} ... d/dlambda_{q_order} of every shape function, where q
-    is the s-th sequence of itertools.product(range(n+1), repeat=order).
-    Orders beyond the degree give zeros.
+    Returns an array of shape (C(n+order, n), N, npts): row s holds d^beta of
+    every shape function, beta the s-th multi-index of multi_indices(n, order),
+    in barycentric orders.  Orders beyond the degree give zeros.
     """
-    rows = dict(derivative_rows(basis, points, order))
-    sequences = itertools.product(range(basis.n + 1), repeat=order)
-    return np.array([rows[tuple(map(seq.count, range(basis.n + 1)))] for seq in sequences])
+    return np.array([rows for _, rows in derivative_rows(basis, points, order)])
 
 
 def table(basis, rule, order):
@@ -89,17 +85,21 @@ def chain_rule_weights(gradients, alpha):
     """Weights turning a barycentric derivative table into d^alpha in x.
 
     gradients is an array of barycentric gradients G of shape (..., n+1, n),
-    for instance one row per element of a block.  With the directions
-    (j_1, ..., j_l) of alpha, sequence q of `tabulate` has the weight
-    prod_s G[q_s, j_s]; this is d/dx_j = sum_q G[q, j] d/dlambda_q applied
-    once per unit of alpha[j].  Returns shape (..., (n+1)^l).
+    for instance one row per element of a block.  d/dx_j = sum_q G[q, j]
+    d/dlambda_q, so d^alpha = prod_j (sum_q G[q, j] d/dlambda_q)^alpha_j, and
+    row beta of `tabulate` has the weight of t^beta in prod_j (sum_q G[q, j] t_q)^alpha_j,
+    multiplied out one factor at a time.  Returns shape (..., C(n+l, n)), l = |alpha|.
     """
     grads = np.asarray(gradients)
-    lead = grads.shape[:-2]
-    if len(alpha) != grads.shape[-1]:
-        raise ValueError(f"alpha must have {grads.shape[-1]} entries")
-    weights = np.ones(lead + (1,))
-    for j, times in enumerate(alpha):
-        for _ in range(times):
-            weights = (weights[..., :, None] * grads[..., None, :, j]).reshape(lead + (-1,))
-    return weights
+    n = grads.shape[-1]
+    if len(alpha) != n:
+        raise ValueError(f"alpha must have {n} entries")
+    weights = {(0,) * (n + 1): np.ones(grads.shape[:-2])}
+    for j in [j for j, times in enumerate(alpha) for _ in range(times)]:
+        grown = {}
+        for beta, weight in weights.items():
+            for q in range(n + 1):
+                term, key = weight * grads[..., q, j], beta[:q] + (beta[q] + 1,) + beta[q + 1 :]
+                grown[key] = grown[key] + term if key in grown else term
+        weights = grown
+    return np.stack([weights[beta] for beta in multi_indices(n, sum(alpha))], axis=-1)

@@ -16,9 +16,8 @@ import numpy as np
 
 from fem_accuracy.basis import BarycentricPolynomial
 from fem_accuracy.constants import c1_constant, c2_constant, log_k_factor
-from fem_accuracy.fem1d import element_dofs
 from fem_accuracy.functions import AnalyticFunction
-from fem_accuracy.geometry import SimplexMesh
+from fem_accuracy.geometry import SimplexMesh, simplex_geometry
 from fem_accuracy.probability import _panel_integral
 
 # pi to 60 significant digits.
@@ -162,6 +161,26 @@ def exact_solve(matrix, rhs):
     return x
 
 
+def element_dofs(ne, k):
+    """Global numbering of the k+1 local nodes of every element of a 1D P_k chain, shape (ne, k+1):
+    the vertices left to right, then the k-1 interior nodes of each element."""
+    elements = np.arange(ne)
+    dofs = np.empty((ne, k + 1), dtype=np.int64)
+    dofs[:, 0] = elements
+    dofs[:, k] = elements + 1
+    dofs[:, 1:k] = ne + 1 + elements[:, None] * (k - 1) + np.arange(k - 1)
+    return dofs
+
+
+def global_coefficients(coefficients):
+    """Element-layout coefficients (ne, k+1) of a continuous 1D P_k function as one vector
+    in element_dofs' numbering."""
+    ne, k = coefficients.shape[0], coefficients.shape[1] - 1
+    x = np.empty(ne * k + 1)
+    x[element_dofs(ne, k)] = coefficients
+    return x
+
+
 def exact_residual(a, b, x):
     """The residual A x - b of a 1D Galerkin system on its free dofs, exactly, from float element
     matrices a (ne, k+1, k+1), loads b (ne, k+1) and global coefficients x, whose values at the
@@ -202,20 +221,21 @@ def interval_geometry(x0, x1):
 
 
 def solution_values(solution, x):
-    """A 1D Galerkin solution u_h at the points x, without the package's shape functions.
+    """A 1D Galerkin solution u_h of one mesh at the points x, without the package's shape functions.
 
     Each point is taken in the element whose left end is the last one at or
     below it (the first and last elements take the points beyond the ends).
     There u_h is the barycentric Lagrange interpolant (Berrut & Trefethen,
     SIAM Rev. 46(3), 2004) through the element's k+1 nodal values
-    coefficients[element_dofs(ne, k)], taken at the equispaced nodes j/k of
-    the local coordinate, with weights (-1)^j binom(k, j).
+    solution.field.coefficients[e], taken at the equispaced nodes j/k of the
+    local coordinate, with weights (-1)^j binom(k, j).
     """
-    k, ends = solution.k, solution.mesh.element_vertices[:, :, 0]
+    coefficients, ends = solution.field.coefficients, solution.family.mesh.element_vertices[:, :, 0]
+    k = coefficients.shape[1] - 1
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     e = np.clip(np.searchsorted(ends[:, 0], x, side="right") - 1, 0, len(ends) - 1)
     t = (x - ends[e, 0]) / (ends[e, 1] - ends[e, 0])
-    values = solution.coefficients[element_dofs(len(ends), k)][e]
+    values = coefficients[e]
     weights = np.array([(-1) ** j * math.comb(k, j) for j in range(k + 1)], dtype=np.float64)
     diff = t[:, None] - np.arange(k + 1) / k
     at_node = diff == 0.0
@@ -224,6 +244,13 @@ def solution_values(solution, x):
     rows, cols = np.nonzero(at_node)
     out[rows] = values[rows, cols]
     return out
+
+
+def size_and_regularity(mesh):
+    """(h, sigma) of a mesh or Simplex from simplex_geometry: its largest element diameter, and
+    the largest ratio of an element's diameter to its inscribed diameter."""
+    _, _, diameters, inscribed = simplex_geometry(mesh.element_vertices)
+    return float(diameters.max()), float((diameters / inscribed).max())
 
 
 def barycentric(simplex, x):

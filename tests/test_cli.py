@@ -311,6 +311,27 @@ class TestBoundsCommand:
         ]
 
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            # k^(r(n+2)) is 10^309 at r = 103: float ** raised OverflowError, a traceback with exit 1.
+            ("bounds --n 1 --k 10 --r 400 --samples 0", "the pointwise cap leaves the floats at n=1, k=10, r=103"),
+            # 400! is an int beyond the floats: its product with a float raised OverflowError.
+            (
+                "bounds --n 1 --k 2 --l 400 --r 0 --samples 0",
+                "the seminorm cap leaves the floats at n=1, k=2, l=400, p=2.0",
+            ),
+        ],
+        ids=["pointwise", "seminorm"],
+    )
+    def test_cap_beyond_the_floats_is_usage_error(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [f"fem-accuracy: error: {error}"]
+
+
 class TestConstantCommand:
     def test_default_value(self, capsys):
         code, out, _ = run_main(capsys, ["constant", "--format", "json"])

@@ -18,7 +18,6 @@ from fem_accuracy.fem1d import (
     ModelProblem,
     assemble_and_solve_all,
     convergence_study,
-    element_dofs,
     element_system,
     error_reports,
     excess_reduction,
@@ -28,10 +27,27 @@ from fem_accuracy.fem1d import (
 )
 from fem_accuracy.functions import Polynomial1D, SinPiProduct
 from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
-from fem_accuracy.norms import ESTIMATE_DEGREE_STEP, AnalyticField, DifferenceField, element_blocks, element_powers
+from fem_accuracy.norms import (
+    ESTIMATE_DEGREE_STEP,
+    AnalyticField,
+    DifferenceField,
+    PiecewisePolynomialField,
+    element_blocks,
+    element_powers,
+)
 from fem_accuracy.quadrature import interval_rule
 
-from oracles import Exp1D, exact_residual, exact_solve, loglog_slope, rational_eval, simplex_mesh, solution_values
+from oracles import (
+    Exp1D,
+    element_dofs,
+    exact_residual,
+    exact_solve,
+    global_coefficients,
+    loglog_slope,
+    rational_eval,
+    simplex_mesh,
+    solution_values,
+)
 
 # x - x^2 vanishes at both ends and lies in P_2.
 QUADRATIC = ModelProblem(u=Polynomial1D([0.0, 1.0, -1.0]), name="quadratic")
@@ -144,7 +160,7 @@ class TestSolver:
         # The exact solution lies in the P_3 trial space, so the Galerkin
         # solution matches it to rounding.
         prob = ModelProblem.cubic()
-        sol = assemble_and_solve_all(prob, [uniform_mesh_1d(0.0, 1.0, 4)], 3)[0]
+        sol = assemble_and_solve_all(prob, [uniform_mesh_1d(0.0, 1.0, 4)], 3)
         xs = np.linspace(0.0, 1.0, 37)
         got = solution_values(sol, xs)
         want = xs - xs**3
@@ -156,7 +172,7 @@ class TestSolver:
         prob = ModelProblem.cubic()
         nodes = np.linspace(0.0, 1.0, 301) ** 2
         mesh = simplex_mesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
-        sol = assemble_and_solve_all(prob, [mesh], 3)[0]
+        sol = assemble_and_solve_all(prob, [mesh], 3)
         xs = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(solution_values(sol, xs) - (xs - xs**3))) < 1e-11
         # 2500 elements fill one block of the error rule (degree 2k + 6, 7
@@ -176,21 +192,21 @@ class TestSolver:
         # polynomial at exact rational barycentric coordinates.
         nodes = np.linspace(0.0, 1.0, 301) ** 2
         mesh = SimplexMesh(vertices=nodes.reshape(-1, 1), connectivity=np.arange(300)[:, None] + np.arange(2))
-        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)[0]
-        coefficients = sol.as_field().coefficients
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)
+        coefficients = sol.field.coefficients
         xs = np.concatenate([nodes, np.random.default_rng(2).uniform(0.0, 1.0, 300)])
         expected = []
         for x in xs:
             e = min(int(np.sum(nodes[1:-1] <= x)), 299)
             a, b = Fraction(nodes[e]), Fraction(nodes[e + 1])
             t = (Fraction(x) - a) / (b - a)
-            value = sum(Fraction(c) * rational_eval(poly, (1 - t, t)) for c, poly in zip(coefficients[e], sol.basis.polynomials))
+            value = sum(Fraction(c) * rational_eval(poly, (1 - t, t)) for c, poly in zip(coefficients[e], sol.field.basis.polynomials))
             expected.append(float(value))
         assert np.max(np.abs(solution_values(sol, xs) - np.array(expected))) <= 1e-15
 
     def test_reproduces_quadratic_exactly(self):
         prob = QUADRATIC
-        sol = assemble_and_solve_all(prob, [uniform_mesh_1d(0.0, 1.0, 3)], 2)[0]
+        sol = assemble_and_solve_all(prob, [uniform_mesh_1d(0.0, 1.0, 3)], 2)
         xs = np.linspace(0.0, 1.0, 23)
         assert np.max(np.abs(solution_values(sol, xs) - (xs - xs**2))) < 1e-12
 
@@ -198,19 +214,20 @@ class TestSolver:
     def test_p1_on_one_or_two_elements(self, ne):
         # No unknown and one unknown: the vertex system is empty or 1 x 1.
         mesh = uniform_mesh_1d(0.0, 1.0, ne)
-        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 1)[0]
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 1)
         a, b, sums = element_system(ModelProblem.sine(), mesh, build_basis(1, 1))
         dense, rhs, free = dense_free_system(a, b)
+        x = global_coefficients(sol.field.coefficients)
         assert len(free) == ne - 1
-        assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-15, atol=0)
-        assert sol.coefficients[0] == sol.coefficients[ne] == 0.0
-        assert sol.residual < 1e-15 and sol.backward_error < 1e-15
+        assert np.allclose(x[free], np.linalg.solve(dense, rhs), rtol=1e-15, atol=0)
+        assert x[0] == x[ne] == 0.0
+        assert sol.residuals[0] < 1e-15 and sol.backward_errors[0] < 1e-15
 
     def test_residual_reported_and_small(self):
         # 4.8e-14 and 1.7e-16 measured.  The tolerance flags a backward error 100 times
         # the largest a solve has shown, 3e-16.
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 2)[0]
-        assert sol.residual <= 1e-12 and sol.backward_error <= BACKWARD_ERROR_TOL < 100 * 3e-16
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 2)
+        assert sol.residuals[0] <= 1e-12 and sol.backward_errors[0] <= BACKWARD_ERROR_TOL < 100 * 3e-16
 
     def test_solve_memory_is_not_quadratic(self):
         # A dense copy of this 3071-unknown system alone would take 72 MB.
@@ -243,31 +260,32 @@ class TestSolver:
         a, b, sums = element_system(ModelProblem.sine(), mesh, build_basis(1, 3))
         dense, rhs, free = dense_free_system(a, b)
         x = np.random.default_rng(3).standard_normal(len(free) + 2)
-        quality = solve_quality(a, b, x)
+        quality = solve_quality(a, b, x[element_dofs(64, 3)])
         assert quality == pytest.approx(dense_quality(dense, rhs, x[free]), rel=1e-12)
         # The two end values are not unknowns, so they do not enter.
         x[[0, 64]] = 1e3
-        assert solve_quality(a, b, x) == quality
+        assert solve_quality(a, b, x[element_dofs(64, 3)]) == quality
         # On the graded mesh the largest row sum is next to an end vertex.
         ga, gb, _ = element_system(ModelProblem.sine(), graded_mesh(), build_basis(1, 3))
         gdense, grhs, gfree = dense_free_system(ga, gb)
         gx = np.random.default_rng(4).standard_normal(len(gfree) + 2)
-        assert solve_quality(ga, gb, gx) == pytest.approx(dense_quality(gdense, grhs, gx[gfree]), rel=1e-12)
+        assert solve_quality(ga, gb, gx[element_dofs(300, 3)]) == pytest.approx(dense_quality(gdense, grhs, gx[gfree]), rel=1e-12)
 
-        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)[0]
-        residual, backward = dense_quality(dense, rhs, sol.coefficients[free])
-        assert np.allclose(sol.coefficients[free], np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-14)
-        assert sol.backward_error < 1e-15
-        assert sol.backward_error == pytest.approx(backward, abs=1e-16)
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)
+        x = global_coefficients(sol.field.coefficients)
+        residual, backward = dense_quality(dense, rhs, x[free])
+        assert np.allclose(x[free], np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-14)
+        assert sol.backward_errors[0] < 1e-15
+        assert sol.backward_errors[0] == pytest.approx(backward, abs=1e-16)
         # Both relative residuals against the exact residual r = A x - b of the same float
         # data.  A row of either route rounds at most 2k + 3 = 9 times (k + 1 element
         # products and their sum, or 2k + 1 row products of the dense matrix, the assembly and
         # the subtraction), so each computed residual is within gamma_9 (|A||x| + |b|) of r,
         # row by row; the two norms and their quotient round by a relative gamma_{ndof + 2}.
-        r, scale, load = exact_residual(a, b, sol.coefficients)
+        r, scale, load = exact_residual(a, b, x)
         exact = math.sqrt(sum(v * v for v in r) / sum(v * v for v in load))
         slack = gamma(9) * math.sqrt(sum(v * v for v in scale) / sum(v * v for v in load)) + gamma(len(r) + 2) * exact
-        assert abs(sol.residual - exact) <= slack and abs(residual - exact) <= slack
+        assert abs(sol.residuals[0] - exact) <= slack and abs(residual - exact) <= slack
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("graded", [False, True])
@@ -283,15 +301,16 @@ class TestSolver:
         want = solveh_banded(ab, load)
         eigs = eigvals_banded(ab)
         cond = eigs.max() / eigs.min()
-        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0]
-        assert np.array_equal(solve_condensed(a, b, sums, [len(mesh)])[0], sol.coefficients)
-        assert sol.coefficients[0] == sol.coefficients[len(mesh)] == 0.0
-        assert np.max(np.abs(sol.coefficients[dof] - want)) <= np.finfo(float).eps * cond * np.max(np.abs(want))
-        assert sol.backward_error < 1e-15
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)
+        assert np.array_equal(solve_condensed(a, b, sums, [len(mesh)]), sol.field.coefficients)
+        x = global_coefficients(sol.field.coefficients)
+        assert x[0] == x[len(mesh)] == 0.0
+        assert np.max(np.abs(x[dof] - want)) <= np.finfo(float).eps * cond * np.max(np.abs(want))
+        assert sol.backward_errors[0] < 1e-15
         # The graded mesh's condition number is large for its diagonal scaling
         # alone; a dense solve of the same system bounds the difference tighter.
         dense, rhs, free = dense_free_system(a, b)
-        assert np.max(np.abs(sol.coefficients[free] - np.linalg.solve(dense, rhs))) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(x[free] - np.linalg.solve(dense, rhs))) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("ne,ok", [(256, True), (1024, False)])
     def test_residual_above_tolerance_is_flagged(self, ne, ok):
@@ -301,39 +320,45 @@ class TestSolver:
         # Where ok is False the solution is moved off by a relative 1e-12, which gives a
         # backward error over 100 times the solve's, and that is flagged.
         mesh = uniform_mesh_1d(0.0, 1.0, ne)
-        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)[0]
-        assert sol.backward_error < 1e-15
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], 3)
+        assert sol.backward_errors[0] < 1e-15
         if not ok:
-            a, b, _ = element_system(ModelProblem.sine(), mesh, sol.basis)
-            x = sol.coefficients * (1 + 1e-12 * np.random.default_rng(ne).standard_normal(len(sol.coefficients)))
-            moved = DiscreteSolution(mesh, sol.basis, x, *solve_quality(a, b, x), sol.family)
-            assert moved.backward_error >= 100 * sol.backward_error
+            a, b, _ = element_system(ModelProblem.sine(), mesh, sol.field.basis)
+            x = global_coefficients(sol.field.coefficients)
+            x = (x * (1 + 1e-12 * np.random.default_rng(ne).standard_normal(len(x))))[element_dofs(ne, 3)]
+            residual, backward = solve_quality(a, b, x)
+            moved = DiscreteSolution(sol.family, PiecewisePolynomialField(sol.field.basis, x), [residual], [backward])
+            assert moved.backward_errors[0] >= 100 * sol.backward_errors[0]
             sol = moved
-        rep = error_reports([sol], ModelProblem.sine(), 0, 2.0)[0]
+        rep = error_reports(sol, ModelProblem.sine(), 0, 2.0)[0]
         assert rep["residual_ok"] is ok
         assert rep["residual_ok"] == (rep["backward_error"] <= BACKWARD_ERROR_TOL)
-        assert (rep["residual"], rep["backward_error"]) == (sol.residual, sol.backward_error)
+        assert (rep["residual"], rep["backward_error"]) == (sol.residuals[0], sol.backward_errors[0])
 
     def test_dirichlet_conditions(self):
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 3)[0]
-        assert sol.coefficients[0] == 0.0
-        assert sol.coefficients[8] == 0.0
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 3)
+        assert sol.field.coefficients[0, 0] == sol.field.coefficients[7, 3] == 0.0
         assert solution_values(sol, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
         assert solution_values(sol, 1.0)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_continuity_across_interfaces(self):
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 5)], 2)[0]
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 5)], 2)
         for vertex in (0.2, 0.4, 0.6, 0.8):
             left = solution_values(sol, vertex - 1e-12)[0]
             right = solution_values(sol, vertex + 1e-12)[0]
             assert left == pytest.approx(right, abs=1e-9)
 
     def test_global_numbering(self):
-        # Vertices left to right, then the interior node of each element.
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 3)], 2)[0]
+        # The solution is in element layout: each element's nodes left to right, so a vertex
+        # value is held by both its elements.  The oracles' global numbering takes the vertices
+        # left to right, then the interior node of each element.
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 3)], 2)
+        coefficients = sol.field.coefficients
+        assert coefficients.shape == (3, 3)
+        assert np.array_equal(coefficients[1:, 0], coefficients[:-1, 2])
         dofs = element_dofs(3, 2)
         assert dofs.tolist() == [[0, 4, 1], [1, 5, 2], [2, 6, 3]]
-        assert np.array_equal(sol.as_field().coefficients, sol.coefficients[dofs])
+        assert np.array_equal(global_coefficients(coefficients)[dofs], coefficients)
 
     def test_basis_built_once_per_degree(self, monkeypatch):
         from fem_accuracy import fem1d
@@ -342,19 +367,19 @@ class TestSolver:
         monkeypatch.setattr(fem1d, "build_basis", lambda n, k: calls.append((n, k)) or build_basis(n, k))
         fem1d._interval_basis.cache_clear()
         meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in (4, 8, 16)]
-        solutions = [assemble_and_solve_all(ModelProblem.sine(), [mesh], 2)[0] for mesh in meshes]
+        solutions = [assemble_and_solve_all(ModelProblem.sine(), [mesh], 2) for mesh in meshes]
         assert calls == [(1, 2)]
-        assert solutions[0].basis is solutions[2].basis
+        assert solutions[0].field.basis is solutions[2].field.basis
 
     @pytest.mark.parametrize("layout", ["rows reversed", "vertices reversed", "ends swapped"])
     def test_rejects_mesh_that_is_not_a_left_to_right_chain(self, layout):
-        # The solve numbers element e's ends as dofs e and e + 1.  In chain
+        # The solve takes element e's ends as vertices e and e + 1.  In chain
         # order P2 on 16 elements has error 3.1e-5; with the rows reversed it
         # used to solve to 8e-2 with a residual of 3e-14, and the other two
         # layouts ended in a Cholesky failure.
         vertices, cells = np.linspace(0.0, 1.0, 17)[:, None], np.arange(16)[:, None] + np.arange(2)
-        chain = assemble_and_solve_all(ModelProblem.sine(), [SimplexMesh(vertices, cells)], 2)[0]
-        assert error_reports([chain], ModelProblem.sine(), 0, 2.0)[0]["error"] < 1e-4
+        chain = assemble_and_solve_all(ModelProblem.sine(), [SimplexMesh(vertices, cells)], 2)
+        assert error_reports(chain, ModelProblem.sine(), 0, 2.0)[0]["error"] < 1e-4
         if layout == "rows reversed":
             cells = cells[::-1]
         elif layout == "vertices reversed":
@@ -389,7 +414,7 @@ class TestSolver:
         exact = np.sin(np.pi * xs)
         errs = []
         for k in (1, 2, 3):
-            sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0]
+            sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)
             errs.append(np.max(np.abs(solution_values(sol, xs) - exact)))
         assert errs[0] > errs[1] > errs[2]
 
@@ -404,9 +429,9 @@ class TestSolutionValuesOracle:
         # per degree: the routes differ by up to 7e-16 for k <= 3, 1.4e-15 at
         # k = 4 and 4.8e-15 at k = 5.
         mesh, rule = graded_mesh(12), interval_rule(2 * k + 6)
-        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0]
+        sol = assemble_and_solve_all(ModelProblem.sine(), [mesh], k)
         phys = rule.points @ mesh.element_vertices
-        want = sol.as_field().deriv_block(mesh, 0, len(mesh), (0,), rule, phys)
+        want = sol.field.deriv_block(mesh, 0, len(mesh), (0,), rule, phys)
         got = solution_values(sol, phys[:, :, 0].ravel()).reshape(want.shape)
         assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -480,7 +505,7 @@ class TestLinearAlgebra:
         # eps off, the eps/h^2 floor.
         mesh = graded_mesh(ne) if layout == "graded" else uniform_mesh_1d(0.0, 1.0, ne)
         a, b, sums = element_system(ModelProblem.sine(), mesh, build_basis(1, k))
-        x = solve_condensed(a, b, sums, [len(mesh)])[0]
+        x = global_coefficients(solve_condensed(a, b, sums, [len(mesh)]))
         exact_a = [[[Fraction(v) for v in row] for row in element] for element in a.tolist()]
         for element, row_sums in zip(exact_a, sums.tolist()):
             for i, row in enumerate(element):
@@ -498,8 +523,8 @@ class TestLinearAlgebra:
 
 class TestErrorReport:
     def test_report_structure_and_bound(self):
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 2)[0]
-        rep = error_reports([sol], ModelProblem.sine(), 1, 2.0)[0]
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 2)
+        rep = error_reports(sol, ModelProblem.sine(), 1, 2.0)[0]
         assert rep["problem"] == "sine"
         assert rep["k"] == 2 and rep["m"] == 1
         assert rep["h"] == pytest.approx(1.0 / 16.0, rel=1e-14)
@@ -513,22 +538,22 @@ class TestErrorReport:
         assert 0.0 < rep["bound_position"] <= 1.0
 
     def test_error_combines_seminorms(self):
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 1)[0]
-        rep = error_reports([sol], ModelProblem.sine(), 1, 2.0)[0]
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 1)
+        rep = error_reports(sol, ModelProblem.sine(), 1, 2.0)[0]
         via_parts = math.fsum(s["value"] ** 2.0 for s in rep["seminorms"]) ** 0.5
         assert rep["error"] == pytest.approx(via_parts, rel=1e-13)
 
     def test_inadmissible_reports_no_bound(self):
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 4)], 1)[0]
-        rep = error_reports([sol], ModelProblem.sine(), 2, 2.0)[0]
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 4)], 1)
+        rep = error_reports(sol, ModelProblem.sine(), 2, 2.0)[0]
         assert rep["admissible"] is False
         assert rep["bound"] is None
         assert rep["pass"] is None
         assert len(rep["seminorms"]) == 3
 
     def test_quadrature_estimates_reported(self):
-        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 2)[0]
-        rep = error_reports([sol], ModelProblem.sine(), 0, 2.0)[0]
+        sol = assemble_and_solve_all(ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 2)
+        rep = error_reports(sol, ModelProblem.sine(), 0, 2.0)[0]
         est = rep["seminorms"][0]["quad_error_estimate"]
         assert est < 1e-8
 
@@ -543,20 +568,20 @@ class TestErrorReport:
     )
     def test_powers_beyond_the_floats_raise(self, name, k, m, p):
         problem = getattr(ModelProblem, name)()
-        solutions = assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, ne) for ne in (1, 2, 3, 5, 21)], k)
+        solution = assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, ne) for ne in (1, 2, 3, 5, 21)], k)
         with pytest.raises(ValueError, match=re.escape(f"at p = {p:g}:")):
-            error_reports(solutions, problem, m, p)
+            error_reports(solution, problem, m, p)
 
     def test_underflow_of_negligible_terms_is_kept(self):
         # On one P1 element u_h = 0 and (u - u_h)' = pi cos(pi x) is 6e-17 at the
         # rule's midpoint: its 20th power underflows, yet the sum is near 1e9.
         problem = ModelProblem.sine()
-        sol = assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 1)], 1)[0]
-        err = DifferenceField(AnalyticField(problem.u), sol.as_field())
+        sol = assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 1)], 1)
+        err = DifferenceField(AnalyticField(problem.u), sol.field)
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            element_powers(err, sol.mesh, 1, 20.0, 2 * 1 + 6)
-        fine = math.fsum(element_powers(err, sol.mesh, 1, 20.0, 2 * 1 + 6 + ESTIMATE_DEGREE_STEP)[0])
-        assert error_reports([sol], problem, 1, 20.0)[0]["seminorms"][1]["value"] == fine ** (1.0 / 20.0)
+            element_powers(err, sol.family.mesh, 1, 20.0, 2 * 1 + 6)
+        fine = math.fsum(element_powers(err, sol.family.mesh, 1, 20.0, 2 * 1 + 6 + ESTIMATE_DEGREE_STEP)[0])
+        assert error_reports(sol, problem, 1, 20.0)[0]["seminorms"][1]["value"] == fine ** (1.0 / 20.0)
 
 
 class TestConvergence:
@@ -633,6 +658,15 @@ def graded_family():
     return [graded_mesh(4), graded_mesh(8), split, graded_mesh(40)]
 
 
+def assert_each_mesh_solves_as_alone(batch, problem, k):
+    """Each mesh's rows of a batch's coefficients, and its solve quality, have the bits of the mesh solved alone."""
+    offsets = batch.family.offsets
+    for j, mesh in enumerate(batch.family.meshes):
+        alone = assemble_and_solve_all(problem, [mesh], k)
+        assert np.array_equal(batch.field.coefficients[offsets[j] : offsets[j + 1]], alone.field.coefficients)
+        assert (batch.residuals[j], batch.backward_errors[j]) == (alone.residuals[0], alone.backward_errors[0])
+
+
 def study_values(rows, slope):
     return [(r["h"], r["error"], r["bound"], r["order_est"], r["pass"]) for r in rows], slope
 
@@ -669,21 +703,15 @@ class TestBatch:
     @pytest.mark.parametrize("k,m,p", CASES)
     def test_graded_batch_equals_per_mesh_loop(self, k, m, p):
         meshes = graded_family()
-        solutions = assemble_and_solve_all(QUADRATIC, meshes, k)
-        alone = [assemble_and_solve_all(QUADRATIC, [mesh], k)[0] for mesh in meshes]
-        for batched, single in zip(solutions, alone):
-            assert np.array_equal(batched.coefficients, single.coefficients)
-            assert (batched.residual, batched.backward_error) == (single.residual, single.backward_error)
-        assert error_reports(solutions, QUADRATIC, m, p) == per_mesh_reports(QUADRATIC, meshes, k, m, p)
+        batch = assemble_and_solve_all(QUADRATIC, meshes, k)
+        assert_each_mesh_solves_as_alone(batch, QUADRATIC, k)
+        assert error_reports(batch, QUADRATIC, m, p) == per_mesh_reports(QUADRATIC, meshes, k, m, p)
 
     @pytest.mark.parametrize("k,m,p", CASES)
     def test_any_counts_solve_bitwise_and_measure_to_rounding(self, k, m, p):
         counts = [2, 3, 5, 21]
         meshes = [uniform_mesh_1d(0.0, 1.0, ne) for ne in counts]
-        alone = [assemble_and_solve_all(ModelProblem.sine(), [mesh], k)[0] for mesh in meshes]
-        for batched, single in zip(assemble_and_solve_all(ModelProblem.sine(), meshes, k), alone):
-            assert np.array_equal(batched.coefficients, single.coefficients)
-            assert (batched.residual, batched.backward_error) == (single.residual, single.backward_error)
+        assert_each_mesh_solves_as_alone(assemble_and_solve_all(ModelProblem.sine(), meshes, k), ModelProblem.sine(), k)
         (rows, slope), (want_rows, want_slope) = (
             study_values(*convergence_study(ModelProblem.sine(), k, m, p, counts)),
             per_mesh_study(ModelProblem.sine(), counts, k, m, p),
@@ -706,10 +734,3 @@ class TestBatch:
         assert len(element_blocks(sum(counts), interval_rule(2 * 3 + 6).size)) > 1
         got = study_values(*convergence_study(ModelProblem.sine(), 3, 1, 2.0, counts))
         assert got == per_mesh_study(ModelProblem.sine(), counts, 3, 1, 2.0)
-
-    def test_report_of_one_solution_from_a_batch(self):
-        solutions = assemble_and_solve_all(ModelProblem.sine(), graded_family(), 2)
-        problem = ModelProblem.sine()
-        assert error_reports([solutions[2]], problem, 1, 2.0)[0] == error_reports(solutions, problem, 1, 2.0)[2]
-        with pytest.raises(ValueError, match="one degree"):
-            error_reports([solutions[0], assemble_and_solve_all(problem, [solutions[1].mesh], 3)[0]], problem, 0, 2.0)

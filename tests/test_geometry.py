@@ -21,7 +21,7 @@ from fem_accuracy.geometry import (
 from fem_accuracy.norms import element_blocks, interpolation_error
 from fem_accuracy.quadrature import simplex_rule
 
-from oracles import barycentric, interval_geometry, simplex_mesh
+from oracles import barycentric, interval_geometry, simplex_mesh, size_and_regularity
 
 COORD_TOL = 1e-12
 
@@ -31,12 +31,12 @@ class TestSimplex:
         s = reference_simplex(1)
         assert s.n == 1
         assert s.measure == pytest.approx(1.0, abs=COORD_TOL)
-        assert s.h == pytest.approx(1.0, abs=COORD_TOL)
+        assert size_and_regularity(s)[0] == pytest.approx(1.0, abs=COORD_TOL)
 
     def test_reference_triangle(self):
         s = reference_simplex(2)
         assert s.measure == pytest.approx(0.5, abs=COORD_TOL)
-        assert s.h == pytest.approx(math.sqrt(2.0), abs=COORD_TOL)
+        assert size_and_regularity(s)[0] == pytest.approx(math.sqrt(2.0), abs=COORD_TOL)
 
     def test_barycentric_vertices_and_centroid(self):
         s = Simplex([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
@@ -137,8 +137,9 @@ class TestMesh:
     def test_uniform_1d(self):
         mesh = uniform_mesh_1d(0.0, 1.0, 7)
         assert len(mesh) == 7
-        assert mesh.h == pytest.approx(1.0 / 7.0, rel=1e-13)
-        assert mesh.sigma == pytest.approx(1.0, rel=1e-13)
+        h, sigma = size_and_regularity(mesh)
+        assert h == pytest.approx(1.0 / 7.0, rel=1e-13)
+        assert sigma == pytest.approx(1.0, rel=1e-13)
         assert math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
 
     def test_uniform_1d_validation(self):
@@ -163,9 +164,10 @@ class TestMesh:
         mesh = structured_mesh_2d(per_side)
         assert len(mesh) == 2 * per_side**2
         assert math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
-        assert mesh.h == pytest.approx(math.sqrt(2.0) / per_side, rel=1e-12)
+        h, sigma = size_and_regularity(mesh)
+        assert h == pytest.approx(math.sqrt(2.0) / per_side, rel=1e-12)
         # Right isoceles triangles have h/rho = 1 + sqrt(2) at any scale.
-        assert mesh.sigma == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
+        assert sigma == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
 
     def test_mesh_measure_additivity(self):
         mesh = structured_mesh_2d(3)
@@ -180,13 +182,13 @@ class TestMesh:
         mesh = structured_mesh_2d(1)
         assert mesh.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         assert mesh.connectivity.tolist() == [[0, 1, 2], [1, 3, 2]]
-        assert (mesh.h, mesh.sigma) == (1.4142135623730951, 2.4142135623730954)
+        assert size_and_regularity(mesh) == (1.4142135623730951, 2.4142135623730954)
         assert not mesh.vertices.flags.writeable and not mesh.connectivity.flags.writeable
 
     def test_degenerate_table_element_named(self):
         mesh = SimplexMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], [[0, 1, 2], [0, 1, 3]])
         with pytest.raises(DegenerateSimplexError, match="element 1"):
-            mesh.h
+            mesh.element_measures
 
     def test_degenerate_table_rejected_at_load(self):
         # The constructor only checks the table; the geometry, built on first
@@ -291,7 +293,7 @@ class TestFacetSums:
         assert len(calls) == len(vertices)
         assert inscribed.tolist() == [loop[3] for loop in loops]
         mesh = SimplexMesh(verts, conn)
-        assert mesh.sigma == max(loop[1] / loop[3] for loop in loops)
+        assert size_and_regularity(mesh)[1] == max(loop[1] / loop[3] for loop in loops)
 
     def test_intervals_never_take_the_fsum_route(self, monkeypatch):
         verts, conn = graded_table_1d(300)
@@ -321,17 +323,15 @@ class TestBatchedGeometry:
         oracle = (lambda v: interval_geometry(*v[:, 0])) if mesh.n == 1 else loop_geometry
         for e, s in enumerate(singles):
             measure, diameter, gradients, inscribed = oracle(np.array(verts)[conn[e]])
-            assert (s.measure, s.h, s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (measure, diameter, inscribed)
             assert np.array_equal(s.element_gradients[0], gradients)
             assert np.array_equal(mesh.element_vertices[e], s.vertices)
             assert np.array_equal(mesh.element_gradients[e], s.element_gradients[0])
             assert mesh.element_measures[e] == s.measure
-        assert mesh.h == max(s.h for s in singles)
-        assert mesh.sigma == max(s.h / s.inscribed_diameter() for s in singles)
         assert mesh.gradient_max == max(s.gradient_max for s in singles)
         stacked = simplex_mesh(singles)
         assert np.array_equal(stacked.element_gradients, mesh.element_gradients)
-        assert (stacked.h, stacked.sigma, stacked.gradient_max) == (mesh.h, mesh.sigma, mesh.gradient_max)
+        assert stacked.gradient_max == mesh.gradient_max
 
     @staticmethod
     def count_simplices(monkeypatch):
@@ -364,7 +364,7 @@ class TestBatchedGeometry:
         ref = Simplex(mesh.element_vertices[5])
         assert np.array_equal(s.vertices, ref.vertices)
         assert np.array_equal(s.element_gradients[0], ref.element_gradients[0])
-        assert (s.measure, s.h, s.inscribed_diameter()) == (ref.measure, ref.h, ref.inscribed_diameter())
+        assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (ref.measure, size_and_regularity(ref)[0], ref.inscribed_diameter())
         assert np.array_equal(mesh.simplices[-1].vertices, mesh.element_vertices[31])
         assert sum(1 for _ in mesh.simplices) == 32
         with pytest.raises(IndexError):
@@ -385,11 +385,11 @@ class TestIntervalGeometry:
         verts, conn = graded_table_1d(300)
         calls = self.count_linalg(monkeypatch)
         mesh = SimplexMesh(verts, conn)
-        assert mesh.sigma == 1.0 and mesh.gradient_max > 0.0 and math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
+        assert size_and_regularity(mesh)[1] == 1.0 and mesh.gradient_max > 0.0 and math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(barycentric(Simplex([[0.25], [1.0]]), [0.625]), [0.5, 0.5], atol=1e-15)
         assert calls == []
         # The counter sees the general route.
-        assert structured_mesh_2d(1).sigma > 1.0
+        assert size_and_regularity(structured_mesh_2d(1))[1] > 1.0
         assert "inv" in calls and "det" in calls
 
     def test_reversed_intervals(self):
@@ -397,13 +397,13 @@ class TestIntervalGeometry:
         mesh = SimplexMesh(verts, [c[::-1] for c in conn])
         for e, (c, s) in enumerate(zip(conn, mesh.simplices)):
             measure, diameter, gradients, inscribed = interval_geometry(verts[c[1], 0], verts[c[0], 0])
-            assert (s.measure, s.h, s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (measure, diameter, inscribed)
             assert mesh.element_measures[e] == measure
             assert np.array_equal(mesh.element_gradients[e], gradients)
         assert mesh.element_gradients[0, 0, 0] > 0.0 > mesh.element_gradients[0, 1, 0]
-        assert mesh.sigma == 1.0
+        assert size_and_regularity(mesh)[1] == 1.0
         s = Simplex([[1.0], [0.25]])
-        assert (s.measure, s.h, s.inscribed_diameter()) == (0.75, 0.75, 0.75)
+        assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (0.75, 0.75, 0.75)
         assert np.allclose(barycentric(s, [[1.0], [0.25], [0.4375]]), [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]], atol=1e-15)
 
     def test_zero_length_interval_named(self):
@@ -411,5 +411,5 @@ class TestIntervalGeometry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSimplexError) as exc:
-                mesh.h
+                mesh.element_measures
         assert str(exc.value) == "degenerate 1-simplex at element 1: volume 0.000e+00 with diameter 0.000e+00"

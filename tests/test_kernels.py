@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fem_accuracy import kernels
-from fem_accuracy.basis import build_basis
+from fem_accuracy.basis import build_basis, multi_indices
+from fem_accuracy.geometry import Simplex
 from fem_accuracy.quadrature import simplex_rule
 
 from oracles import exact_derivative_values, factor_magnitudes
@@ -34,8 +35,7 @@ class TestAgreement:
         pts = rng.dirichlet(np.ones(n + 1), size=20)
         for order in range(3):
             table = kernels.tabulate(basis, pts, order)
-            for s, seq in enumerate(itertools.product(range(n + 1), repeat=order)):
-                orders = [seq.count(v) for v in range(n + 1)]
+            for s, orders in enumerate(multi_indices(n, order)):
                 reference = [
                     [math.prod(_loop_factor_derivative(k, i, r, t) for i, r, t in zip(mi, orders, x)) for x in pts]
                     for mi in basis.indices
@@ -99,7 +99,7 @@ class TestInputHandling:
         # Past the degree every derivative's term list is empty: exact zeros, at any point count.
         basis = build_basis(2, 2)
         out = kernels.tabulate(basis, np.full((5, 3), 1 / 3), 3)
-        assert out.shape == (27, 6, 5)
+        assert out.shape == (10, 6, 5)
         assert not out.any()
         assert kernels.tabulate(basis, np.zeros((0, 3)), 1).shape == (3, 6, 0)
 
@@ -110,3 +110,33 @@ class TestInputHandling:
         basis = build_basis(1, 3)
         out = kernels.tabulate(basis, np.array([[0.1, 0.9], [0.4, 0.6]]), 3)
         assert np.array_equal(out[0], np.array([[27.0, 27.0]] + [[0.0, 0.0]] * 3))
+
+
+class TestSize:
+    @pytest.mark.parametrize("n,l", [(1, 14), (2, 5), (3, 3)])
+    def test_one_row_and_weight_per_multi_index(self, n, l):
+        # An order-l derivative in n+1 barycentric variables is one of C(n + l, n) multi-indices.
+        # A row per ordered sequence of variables made (n + 1)^l: 16,384 rows and weights at
+        # n = 1, l = 14, which `converge --k 15 --m 14` measures.
+        table = kernels.tabulate(build_basis(n, l + 1), simplex_rule(n, 2).points, l)
+        gradients = Simplex(np.vstack([np.zeros(n), np.eye(n)])).element_gradients
+        weights = kernels.chain_rule_weights(gradients, (l,) + (0,) * (n - 1))
+        assert table.shape[0] == weights.shape[-1] == math.comb(n + l, n)
+
+    @pytest.mark.parametrize("alpha", [(2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (3, 1)])
+    def test_weight_sums_the_products_of_its_sequences(self, alpha):
+        # Second route: the weight of beta is the sum, over the ordered sequences q of
+        # barycentric variables that take variable v beta_v times, of prod_s G[q_s, j_s], j the
+        # directions of alpha, in exact arithmetic.  At most (n + 1)^l = 81 products of l = 4
+        # factors are added, so the float weight is within 81 * 4 eps of the sum of magnitudes.
+        gradients = Simplex([[0.1, 0.2], [1.3, 0.25], [0.4, 0.9]]).element_gradients[0]
+        directions = [j for j, times in enumerate(alpha) for _ in range(times)]
+        weights = kernels.chain_rule_weights(gradients, alpha)
+        exact, scale = {}, {}
+        for seq in itertools.product(range(3), repeat=len(directions)):
+            beta = tuple(seq.count(v) for v in range(3))
+            term = math.prod(Fraction(gradients[q, j]) for q, j in zip(seq, directions))
+            exact[beta], scale[beta] = exact.get(beta, 0) + term, scale.get(beta, 0) + abs(term)
+        eps = Fraction(np.finfo(float).eps)
+        for weight, beta in zip(weights, multi_indices(2, sum(alpha))):
+            assert abs(Fraction(weight) - exact[beta]) <= 81 * 4 * eps * scale[beta], beta

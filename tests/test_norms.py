@@ -261,11 +261,11 @@ class TestSobolevNorm:
 
     def test_m_zero_matches_seminorm(self):
         problem = fem1d.ModelProblem.sine()
-        solution = fem1d.assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 4)], 2)[0]
-        report = fem1d.error_reports([solution], problem, 0, 2.0)[0]
+        solution = fem1d.assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 4)], 2)
+        report = fem1d.error_reports(solution, problem, 0, 2.0)[0]
         degree = 2 * 2 + 6 + norms.ESTIMATE_DEGREE_STEP
-        error = DifferenceField(AnalyticField(problem.u), solution.as_field())
-        direct = seminorm(error, solution.mesh, 0, 2.0, degree=degree)
+        error = DifferenceField(AnalyticField(problem.u), solution.field)
+        direct = seminorm(error, solution.family.mesh, 0, 2.0, degree=degree)
         assert report["error"] == pytest.approx(direct, rel=1e-14)
 
 
@@ -578,9 +578,10 @@ class TestSharedTables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
-        sol = fem1d.assemble_and_solve_all(fem1d.ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 2)[0]
-        fem1d.error_reports([sol], fem1d.ModelProblem.sine(), 1, 2.0)
-        assert sol.basis.tables and not any(t.flags.writeable for t in sol.basis.tables.values())
+        sol = fem1d.assemble_and_solve_all(fem1d.ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 8)], 2)
+        fem1d.error_reports(sol, fem1d.ModelProblem.sine(), 1, 2.0)
+        tables = sol.field.basis.tables
+        assert tables and not any(t.flags.writeable for t in tables.values())
 
     def test_only_cached_rules_are_kept(self):
         basis = build_basis(2, 2)
@@ -593,10 +594,11 @@ class TestSharedTables:
 
     def test_point_evaluation_adds_no_table(self):
         # The oracle's point values of u_h go through no shape-function table.
-        sol = fem1d.assemble_and_solve_all(fem1d.ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 3)[0]
-        fem1d.error_reports([sol], fem1d.ModelProblem.sine(), 0, 2.0)
-        before = dict(sol.basis.tables)
+        sol = fem1d.assemble_and_solve_all(fem1d.ModelProblem.sine(), [uniform_mesh_1d(0.0, 1.0, 16)], 3)
+        fem1d.error_reports(sol, fem1d.ModelProblem.sine(), 0, 2.0)
+        tables = sol.field.basis.tables
+        before = dict(tables)
         values = solution_values(sol, np.random.default_rng(1).uniform(0.0, 1.0, 300))
         assert values.shape == (300,)
-        assert sol.basis.tables.keys() == before.keys()
-        assert all(sol.basis.tables[key] is table for key, table in before.items())
+        assert tables.keys() == before.keys()
+        assert all(tables[key] is table for key, table in before.items())

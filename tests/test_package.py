@@ -129,14 +129,15 @@ BENCH_ONLY = {
 
 
 def _names_read(node):
-    """Every ast Name id and Attribute attr in node; for a class, outside its methods."""
+    """Every name node reads, as ("name", id) for an ast Name and ("attr", attr) for an
+    Attribute; for a class, outside its methods."""
     if isinstance(node, ast.ClassDef):
         parts = [*node.bases, *node.keywords, *node.decorator_list]
         parts += [item for item in node.body if not isinstance(item, ast.FunctionDef)]
     else:
         parts = [node]
     return {
-        sub.id if isinstance(sub, ast.Name) else sub.attr
+        ("name", sub.id) if isinstance(sub, ast.Name) else ("attr", sub.attr)
         for part in parts
         for sub in ast.walk(part)
         if isinstance(sub, (ast.Name, ast.Attribute))
@@ -145,18 +146,20 @@ def _names_read(node):
 
 def _reached(definitions, roots, read):
     """The definitions reached from roots and the names in read, by name.  A function or class is
-    reached when its name is read; a method or property when its class is reached and its name is
-    read, or it is a dunder.  Reaching a definition reads the names in it."""
+    reached when its name is read, bare or as an attribute; a method or property when its class is
+    reached and its name is read as an attribute (x.name), or it is a dunder.  Reaching a
+    definition reads the names in it."""
     reached, read = set(), set(read)
     while True:
+        anywhere = {name for _, name in read}
         new = {
             qualname
             for qualname, (node, owner) in definitions.items()
             if qualname not in reached
             and (
                 qualname in roots
-                or (owner is None and node.name in read)
-                or (owner in reached and (node.name in read or node.name[:2] == node.name[-2:] == "__"))
+                or (owner is None and node.name in anywhere)
+                or (owner in reached and (("attr", node.name) in read or node.name[:2] == node.name[-2:] == "__"))
             )
         }
         if not new:
@@ -204,11 +207,17 @@ def test_every_definition_is_reached_from_a_subcommand():
 
 
 def test_reachability_guard_names_what_it_misses(tmp_path):
-    # On copies: an unreached function added to src/, then an allow-list text gone from e2ebench/.
+    # On copies: an unreached function added to src/, then a property whose name is read only as
+    # a bare local (fem1d's element lengths `h`), then an allow-list text gone from e2ebench/.
     src = shutil.copytree(SRC, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     basis = src / "basis.py"
     basis.write_text(basis.read_text() + "\n\ndef orphan(n):\n    return build_basis(n, 1)\n")
     assert reachability_faults(src, BENCH) == ["unreached: basis.orphan"]
+    geometry = src / "geometry.py"
+    mesh_size = "    @cached_property\n    def h(self):\n        return float(self._geometry[2].max())\n\n"
+    anchor = "    @cached_property\n    def gradient_max"
+    geometry.write_text(geometry.read_text().replace(anchor, mesh_size + anchor))
+    assert reachability_faults(src, BENCH) == ["unreached: basis.orphan", "unreached: geometry.SimplexMesh.h"]
     bench = shutil.copytree(BENCH, tmp_path / "e2ebench", ignore=shutil.ignore_patterns("__pycache__"))
     tracer = bench / "tracer.py"
     tracer.write_text(tracer.read_text().replace('hasattr(domain, "simplices")', 'hasattr(domain, "connectivity")'))
