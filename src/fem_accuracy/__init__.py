@@ -20,9 +20,9 @@ _MODULES = {
     "constants": "AdmissibilityError ConstantBundle SobolevIndex log_script_c script_c xi",
     "fem1d": "DiscreteSolution ModelProblem assemble_and_solve_all convergence_study error_reports",
     "functions": "Polynomial1D SinPiProduct",
-    "geometry": "DegenerateSimplexError Simplex SimplexMesh reference_simplex structured_mesh_2d uniform_mesh_1d",
+    "geometry": "DegenerateSimplexError SimplexMesh reference_simplex structured_mesh_2d uniform_mesh_1d",
     "kernels": "chain_rule_weights tabulate",
-    "norms": "AnalyticField DifferenceField PiecewisePolynomialField interpolation_error seminorm seminorm_with_estimate",
+    "norms": "DifferenceField PiecewisePolynomialField interpolation_error seminorm seminorm_with_estimate",
     "probability": (
         "AccuracyLaw Bump ElementPair GeometricSeminormModel SinPiSeminormModel"
         " h_star h_star_explicit h_star_sequence h_stars weak_star_pairing weak_star_test"

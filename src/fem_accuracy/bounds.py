@@ -84,19 +84,23 @@ def simplex_samples(n, count, seed=0):
     return pts
 
 
+def pointwise_cap(n, k, r):
+    """The cap k^{n+1} for r = 0 and k^{r(n+2)} for r >= 1; ValueError where it leaves the floats."""
+    try:
+        return float(k) ** (r * (n + 2) if r else n + 1)
+    except OverflowError:
+        raise ValueError(f"the pointwise cap leaves the floats at n={n}, k={k}, r={r}") from None
+
+
 def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAULT_SAMPLES, seed=0):
     """Scan shape functions (order-r barycentric derivatives) against the cap.
 
     The scan covers a dense barycentric lattice plus `samples` random
-    points.  The cap is k^{n+1} for r = 0 and k^{r(n+2)} for r >= 1.
+    points against pointwise_cap(n, k, r).
     """
     n, k = basis.n, basis.k
     pts = np.vstack([barycentric_lattice(n, subdivisions), simplex_samples(n, samples, seed)])
-
-    try:
-        bound = float(k) ** (r * (n + 2) if r else n + 1)
-    except OverflowError:
-        raise ValueError(f"the pointwise cap leaves the floats at n={n}, k={k}, r={r}") from None
+    bound = pointwise_cap(n, k, r)
     # A block of points holds its factor tables and one derivative's rows: (r + 1)(k + 1)(n + 1) + N values a point.
     worst = 0.0
     for lo, hi in element_blocks(len(pts), (r + 1) * (k + 1) * (n + 1) + basis.size):
@@ -112,15 +116,16 @@ def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAU
 
 
 def seminorm_bound_check(basis, simplex, l, p):
-    """Compare max_i |p_i|_{l,p,K} against the geometric seminorm cap.
+    """Compare max_i |p_i|_{l,p,K} against the geometric seminorm cap on the
+    one element K of the SimplexMesh `simplex`.
 
     For l = 0 the cap is mes(K)^{1/p} k^{n+1}; for l >= 1 it is
     (n(n+1) lam_K)^l l! mes(K)^{1/p} k^{l(n+2)} / rho^l.  Combinations
     failing k + 1 > l + n/p are still computed but flagged with a warning.
     """
     n, k = basis.n, basis.k
-    if simplex.n != n:
-        raise ValueError("simplex dimension does not match the basis")
+    if simplex.n != n or len(simplex) != 1:
+        raise ValueError("need a one-element mesh of the basis's dimension")
     idx = SobolevIndex(m=max(l, 1), p=p, n=n)
     admissible = idx.k_condition(k, l)
     if not admissible:
@@ -128,13 +133,13 @@ def seminorm_bound_check(basis, simplex, l, p):
             f"seminorm cap outside its hypothesis: k+1 > l + n/p fails for k={k}, l={l}, n={n}, p={p}",
             stacklevel=2,
         )
-    mes = simplex.measure
+    mes = float(simplex.element_measures[0])
     try:
         if l == 0:
             bound = mes ** (1.0 / p) * float(k) ** (n + 1)
         else:
-            lam = simplex.gradient_max
-            rho = simplex.inscribed_diameter()
+            lam = float(np.abs(simplex.element_gradients).max())
+            rho = float(simplex.element_inscribed[0])
             bound = (
                 (n * (n + 1) * lam) ** l
                 * math.factorial(l)

@@ -31,7 +31,6 @@ from .functions import AnalyticFunction, Polynomial1D, SinPiProduct
 from .geometry import SimplexMesh, uniform_mesh_1d
 from .kernels import table
 from .norms import (
-    AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
     estimated_seminorms,
@@ -298,7 +297,7 @@ def error_reports(solution, problem, m, p, cea_ratio=1.0):
     family, k = solution.family, solution.field.basis.k
     _require_cea_ratio(cea_ratio)
     admissible = SobolevIndex(m=m, p=p, n=1).admissible(k)
-    err = DifferenceField(AnalyticField(problem.u), solution.field)
+    err = DifferenceField(problem.u, solution.field)
     degree = 2 * k + 6
     seminorms = [[] for _ in family.meshes]
     for l in range(m + 1):
@@ -309,7 +308,7 @@ def error_reports(solution, problem, m, p, cea_ratio=1.0):
     hs = family.maxima(family.mesh.element_measures)
     lams = family.maxima(np.abs(family.mesh.element_gradients).max(axis=(1, 2)))
     if admissible:
-        u_seminorms = group_seminorms(AnalyticField(problem.u), family.mesh, k + 1, p, degree, family.offsets)
+        u_seminorms = group_seminorms(problem.u, family.mesh, k + 1, p, degree, family.offsets)
     reports = []
     for j, mesh in enumerate(family.meshes):
         total = sobolev_norm([s["value"] for s in seminorms[j]], p)

@@ -1,7 +1,9 @@
 """Analytic test functions with derivatives of every order.
 
 The norm engine needs partial derivatives of the exact solution at
-arbitrary points; the classes here supply them in closed form.
+arbitrary points; the classes here supply them in closed form.  An
+AnalyticFunction is itself a field of the norm engine: its deriv_block
+evaluates d^alpha at a block's physical rule points.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ class AnalyticFunction:
 
     def deriv_values(self, alpha, x):
         raise NotImplementedError
+
+    def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
+        """d^alpha at the block's physical points phys (hi - lo, npts, n), shape (hi - lo, npts)."""
+        return self.deriv_values(alpha, phys.reshape(-1, phys.shape[-1])).reshape(phys.shape[:2])
 
     def _points(self, x):
         """x as (npts, n); a 1-D x is npts points when n = 1 and one point otherwise."""

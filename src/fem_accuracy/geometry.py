@@ -4,11 +4,10 @@ simplex_geometry computes the geometry of a stack of simplices, an (E, n+1, n)
 vertex array, with batched array operations and each element's facet measures
 summed by math.fsum; intervals take a closed form in their signed length,
 with no linear algebra call.  A SimplexMesh is a vertex table with an (E, n+1)
-connectivity whose per-element arrays and gradient maximum it builds on
-first use; it builds a Simplex object only for an element asked
-for by index.  A Simplex is the one-element SimplexMesh over its own
-vertices, with the geometry of that element as scalars.
-Everything here is immutable after construction.
+connectivity whose per-element arrays it builds on first use.  It is the
+one domain type: a single simplex is the one-element SimplexMesh over its
+n+1 vertices (`reference_simplex`), and an element asked for by index is
+built as one.  Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def simplex_geometry(vertices):
 
 
 class _SimplexSequence(Sequence):
-    """Read-only view of a mesh's elements that builds a Simplex per access."""
+    """Read-only view of a mesh's elements that builds a one-element mesh per access."""
 
     def __init__(self, mesh):
         self._mesh = mesh
@@ -85,7 +84,7 @@ class _SimplexSequence(Sequence):
         return len(self._mesh)
 
     def __getitem__(self, index):
-        return Simplex(self._mesh.element_vertices[index])
+        return SimplexMesh(self._mesh.element_vertices[index], [range(self._mesh.n + 1)])
 
 
 class SimplexMesh:
@@ -117,7 +116,7 @@ class SimplexMesh:
 
     @property
     def simplices(self):
-        """The elements as Simplex objects, each built when it is accessed."""
+        """The elements as one-element meshes, each built when it is accessed."""
         return _SimplexSequence(self)
 
     @cached_property
@@ -142,53 +141,14 @@ class SimplexMesh:
         return self._geometry[1]
 
     @cached_property
-    def gradient_max(self):
-        """Largest absolute barycentric gradient entry over all elements."""
-        return float(np.abs(self.element_gradients).max())
-
-
-class Simplex(SimplexMesh):
-    """An n-simplex given by its n+1 vertices: the one-element SimplexMesh over them.
-
-    It goes wherever a mesh goes; the methods below read its one element's
-    geometry, which is built and checked at construction.
-
-    Parameters
-    ----------
-    vertices : array_like, shape (n+1, n)
-        Vertex coordinates, one row per vertex.
-
-    Raises
-    ------
-    DegenerateSimplexError
-        If the vertices are affinely dependent within VOLUME_REL_TOL.
-    """
-
-    def __init__(self, vertices):
-        v = np.array(vertices, dtype=np.float64)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
-            raise ValueError(f"expected (n+1, n) vertex array, got shape {v.shape}")
-        super().__init__(v, np.arange(len(v))[None])
-        self._geometry  # a degenerate simplex fails here
-
-    @property
-    def measure(self):
-        """n-dimensional volume."""
-        return float(self.element_measures[0])
-
-    def inscribed_diameter(self):
-        """Diameter rho of the largest inscribed ball (2 * inradius)."""
-        return float(self._geometry[3][0])
-
-    def __repr__(self):
-        return f"Simplex(n={self.n}, measure={self.measure:.6g})"
+    def element_inscribed(self):
+        """Inscribed-ball diameter of every element, shape (E,)."""
+        return self._geometry[3]
 
 
 def reference_simplex(n):
     """Unit reference simplex: [0,1] for n=1, the right triangle for n=2, etc."""
-    return Simplex(np.vstack([np.zeros((1, n)), np.eye(n)]))
+    return SimplexMesh(np.vstack([np.zeros((1, n)), np.eye(n)]), [range(n + 1)])
 
 
 def uniform_mesh_1d(a, b, count):

@@ -15,8 +15,9 @@ polynomial (absolute values with noninteger p, analytic error terms) a
 second rule of higher degree gives a Richardson style quadrature error
 estimate (`estimated_seminorms`) that is reported, never silently dropped.
 The caller names the rule degree: `seminorm` and `seminorm_with_estimate`
-require it, and `interpolation_error` uses 2k + 6.  A domain is a
-SimplexMesh; a Simplex is one, with a single element.
+require it, and `interpolation_error` uses 2k + 6.  A field is anything
+with deriv_block (an AnalyticFunction is one), and a domain is a
+SimplexMesh (a single simplex is the one-element mesh).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import numpy as np
 
 from .basis import multi_indices
-from .geometry import SimplexMesh
 from .kernels import chain_rule_weights, table
 from .quadrature import simplex_rule
 
@@ -58,17 +58,6 @@ def element_blocks(count, points):
 def derivative_multi_indices(n, l):
     """Spatial multi-indices of total order l in n variables, ascending lex order."""
     return multi_indices(n - 1, l)[::-1]
-
-
-class AnalyticField:
-    """Field backed by an AnalyticFunction; derivatives in closed form."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
-        """d^alpha at the block's physical points phys (hi - lo, npts, n), shape (hi - lo, npts)."""
-        return self.fn.deriv_values(alpha, phys.reshape(-1, phys.shape[-1])).reshape(phys.shape[:2])
 
 
 class PiecewisePolynomialField:
@@ -105,12 +94,6 @@ class DifferenceField:
     def deriv_block(self, mesh, lo, hi, alpha, rule, phys):
         args = (mesh, lo, hi, alpha, rule, phys)
         return self.left.deriv_block(*args) - self.right.deriv_block(*args)
-
-
-def _as_mesh(domain):
-    if not isinstance(domain, SimplexMesh):
-        raise TypeError("domain must be a Simplex or SimplexMesh")
-    return domain
 
 
 def element_powers(field, mesh, l, p, degree):
@@ -185,10 +168,9 @@ def _unmeasurable(p, reason):
     return ValueError(f"the W^{{m,p}} seminorms cannot be measured in floats at p = {p:g}: {reason}")
 
 
-def seminorm(field_or_fn, domain, l, p, degree):
-    """Order-l seminorm in L^p (p > 0, all |alpha| = l summed) of a field or AnalyticFunction over a
-    Simplex or SimplexMesh, by a rule of exactness `degree`; ValueError as in group_seminorms."""
-    field, mesh = _as_field(field_or_fn), _as_mesh(domain)
+def seminorm(field, mesh, l, p, degree):
+    """Order-l seminorm in L^p (p > 0, all |alpha| = l summed) of a field over a SimplexMesh,
+    by a rule of exactness `degree`; ValueError as in group_seminorms."""
     return group_seminorms(field, mesh, l, p, degree, [0, len(mesh)])[0]
 
 
@@ -198,18 +180,9 @@ def estimated_seminorms(field, mesh, l, p, degree, offsets):
     return [(f, abs(f - c)) for c, f in zip(coarse, fine)]
 
 
-def seminorm_with_estimate(field_or_fn, domain, l, p, degree):
+def seminorm_with_estimate(field, mesh, l, p, degree):
     """`seminorm` with its quadrature error estimate: the one group of estimated_seminorms."""
-    field, mesh = _as_field(field_or_fn), _as_mesh(domain)
     return estimated_seminorms(field, mesh, l, p, degree, [0, len(mesh)])[0]
-
-
-def _as_field(obj):
-    if hasattr(obj, "deriv_block"):
-        return obj
-    if hasattr(obj, "deriv_values"):
-        return AnalyticField(obj)
-    raise TypeError("expected a field or an AnalyticFunction")
 
 
 def interpolant_field(fn, mesh, basis):
@@ -228,7 +201,7 @@ def interpolation_error(fn, mesh, basis, l, p, with_estimate=False):
     The rule degree is 2k + 6 with the Richardson step on top when
     with_estimate is set, matching the treatment of noninteger p.
     """
-    err = DifferenceField(AnalyticField(fn), interpolant_field(fn, mesh, basis))
+    err = DifferenceField(fn, interpolant_field(fn, mesh, basis))
     degree = 2 * basis.k + 6
     if with_estimate:
         return seminorm_with_estimate(err, mesh, l, p, degree)

@@ -195,7 +195,7 @@ class Bump(_Pointwise):
         self.b = float(b)
 
     def _value(self, h):
-        u = (2.0 * h - self.a - self.b) / (self.b - self.a)
+        u = ((h - self.a) - (self.b - h)) / (self.b - self.a)
         return math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
 
 

@@ -246,22 +246,33 @@ def solution_values(solution, x):
     return out
 
 
+def one_element_mesh(vertices):
+    """The SimplexMesh whose one element is the simplex over vertices, (n+1, n)."""
+    vertices = np.asarray(vertices, dtype=np.float64)
+    return SimplexMesh(vertices, [range(len(vertices))])
+
+
+def gradient_max(mesh):
+    """Largest absolute barycentric gradient entry over a mesh's elements."""
+    return float(np.abs(mesh.element_gradients).max())
+
+
 def size_and_regularity(mesh):
-    """(h, sigma) of a mesh or Simplex from simplex_geometry: its largest element diameter, and
+    """(h, sigma) of a mesh from simplex_geometry: its largest element diameter, and
     the largest ratio of an element's diameter to its inscribed diameter."""
     _, _, diameters, inscribed = simplex_geometry(mesh.element_vertices)
     return float(diameters.max()), float((diameters / inscribed).max())
 
 
 def barycentric(simplex, x):
-    """Barycentric coordinates of physical points x, (n,) or (npts, n), in a Simplex, from its
-    gradients G: lambda(x) = e_0 + G (x - v_0), since lambda(v_0) = e_0."""
+    """Barycentric coordinates of physical points x, (n,) or (npts, n), in a one-element mesh,
+    from its gradients G: lambda(x) = e_0 + G (x - v_0), since lambda(v_0) = e_0."""
     x = np.asarray(x, dtype=np.float64)
     return np.eye(simplex.n + 1)[0] + (x - simplex.vertices[0]) @ simplex.element_gradients[0].T
 
 
 def simplex_mesh(simplices):
-    """Mesh of separately built Simplex objects: their vertex stacks one after
+    """Mesh of separately built one-element meshes: their vertex stacks one after
     another, each element indexing its own n+1 rows."""
     vertices = np.concatenate([s.vertices for s in simplices])
     return SimplexMesh(vertices, np.arange(len(vertices)).reshape(len(simplices), -1))

@@ -48,7 +48,7 @@ from fem_accuracy.probability import (
     weak_star_test,
 )
 
-from oracles import local_interp_bound, polynomial_integral, polynomial_product, size_and_regularity
+from oracles import gradient_max, local_interp_bound, polynomial_integral, polynomial_product, size_and_regularity
 
 # Tolerance on an observed convergence order, as in criterion 4.
 ORDER_TOL = 0.15
@@ -163,7 +163,7 @@ def test_criterion_4_interpolation_bound_and_orders():
                     k=k,
                     p=p,
                     sigma=max(sigma, 1.0),
-                    lam=mesh.gradient_max,
+                    lam=gradient_max(mesh),
                     h_cap=max(h, 1.0),
                 )
                 u_semi = seminorm(fn, mesh, k + 1, p, degree=2 * k + 8)

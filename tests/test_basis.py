@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from fem_accuracy.basis import BarycentricPolynomial, auxiliary_factor, build_basis, multi_indices
-from fem_accuracy.geometry import Simplex, reference_simplex, structured_mesh_2d
+from fem_accuracy.geometry import reference_simplex, structured_mesh_2d
 from fem_accuracy.kernels import chain_rule_weights, factor_tables, tabulate
 from fem_accuracy.norms import PiecewisePolynomialField, interpolant_field
 from fem_accuracy.quadrature import simplex_rule
 
-from oracles import barycentric, embedded, lambda_derivative, polynomial_product, rational_eval
+from oracles import barycentric, embedded, lambda_derivative, one_element_mesh, polynomial_product, rational_eval
 
 
 class TestMultiIndices:
@@ -166,7 +166,7 @@ class TestBasisConstruction:
 
     def test_node_coordinates_interval(self):
         basis = build_basis(1, 2)
-        pts = np.array(basis.nodes, dtype=float) @ Simplex([[0.0], [1.0]]).vertices
+        pts = np.array(basis.nodes, dtype=float) @ one_element_mesh([[0.0], [1.0]]).vertices
         assert np.allclose(pts.ravel(), [0.0, 0.5, 1.0], atol=1e-15)
 
     def test_interpolant_samples_the_float_nodes(self):
@@ -197,11 +197,11 @@ def physical_derivative(basis, index, simplex, alpha, lam):
 class TestSpatialDerivative:
     def test_interval_first_derivative(self):
         # The P1 shape function of index (0, 1) is lambda_1.
-        s = Simplex([[0.0], [0.25]])
+        s = one_element_mesh([[0.0], [0.25]])
         assert physical_derivative(build_basis(1, 1), (0, 1), s, (1,), (0.3, 0.7)) == pytest.approx(4.0, rel=1e-13)
 
     def test_interval_second_derivative_of_quadratic(self):
-        s = Simplex([[0.0], [1.0]])
+        s = one_element_mesh([[0.0], [1.0]])
         # The bubble 4*x*(1-x) has constant second derivative -8.
         assert physical_derivative(build_basis(1, 2), (1, 1), s, (2,), (0.5, 0.5)) == pytest.approx(-8.0, rel=1e-13)
 
@@ -270,14 +270,14 @@ def one_element_values(field, simplex, x):
 
 class TestInterpolation:
     def test_reproduces_polynomial_of_matching_degree(self):
-        s = Simplex([[0.0], [1.0]])
+        s = one_element_mesh([[0.0], [1.0]])
         basis = build_basis(1, 2)
         interp = interpolant_field(lambda pts: pts[:, 0] ** 2, s, basis)
         xs = np.linspace(0.0, 1.0, 11)
         assert np.max(np.abs(one_element_values(interp, s, xs[:, None]) - xs**2)) <= 1e-13
 
     def test_nodal_values_reproduced(self):
-        s = Simplex([[1.0], [2.0]])
+        s = one_element_mesh([[1.0], [2.0]])
         basis = build_basis(1, 3)
         values = np.array([3.0, -1.0, 0.5, 2.0])
         interp = PiecewisePolynomialField(basis, values[None])

@@ -9,7 +9,7 @@ layer through a wrap of kernels.eval_terms, which the product-form tables
 replaced, so its kernels.* metrics read 0 until it wraps the new generator.
 The tracer also reads the element count of a domain by its `simplices`
 attribute when it counts seminorm point evaluations; a test pins that count
-on a mesh and on a Simplex, which is a one-element mesh.  A traced convergence study goes
+on a mesh and on a one-element mesh.  A traced convergence study goes
 through names the tracer does not wrap, so it records no solve to re-run.
 """
 

@@ -18,7 +18,7 @@ from fem_accuracy.constants import (
     script_c,
     xi,
 )
-from fem_accuracy.geometry import reference_simplex
+from fem_accuracy.geometry import reference_simplex, uniform_mesh_1d
 
 from oracles import lambda_derivative, lattice_by_combinations, local_interp_bound
 
@@ -377,3 +377,6 @@ class TestSeminormCap:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             seminorm_bound_check(build_basis(1, 2), reference_simplex(2), 0, 2.0)
+        # The cap is for one element: a two-element mesh is refused, not read at its first.
+        with pytest.raises(ValueError, match="one-element mesh"):
+            seminorm_bound_check(build_basis(1, 2), uniform_mesh_1d(0.0, 1.0, 2), 0, 2.0)

@@ -18,6 +18,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
     import tomli as tomllib
 
+from fem_accuracy import kernels
 from fem_accuracy.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -312,19 +313,27 @@ class TestBoundsCommand:
 
 
     @pytest.mark.parametrize(
-        "argv,error",
+        "argv,error,scans",
         [
             # k^(r(n+2)) is 10^309 at r = 103: float ** raised OverflowError, a traceback with exit 1.
-            ("bounds --n 1 --k 10 --r 400 --samples 0", "the pointwise cap leaves the floats at n=1, k=10, r=103"),
+            # Every pointwise cap is checked before any scan, so r = 0..102 are not scanned first.
+            ("bounds --n 1 --k 10 --r 400 --samples 0", "the pointwise cap leaves the floats at n=1, k=10, r=103", False),
             # 400! is an int beyond the floats: its product with a float raised OverflowError.
             (
                 "bounds --n 1 --k 2 --l 400 --r 0 --samples 0",
                 "the seminorm cap leaves the floats at n=1, k=2, l=400, p=2.0",
+                True,
             ),
         ],
         ids=["pointwise", "seminorm"],
     )
-    def test_cap_beyond_the_floats_is_usage_error(self, capsys, argv, error):
+    def test_cap_beyond_the_floats_is_usage_error(self, capsys, monkeypatch, argv, error, scans):
+        if not scans:
+
+            def scan(*args):
+                raise AssertionError("a pointwise scan ran before every cap was checked")
+
+            monkeypatch.setattr(kernels, "derivative_rows", scan)
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         captured = capsys.readouterr()

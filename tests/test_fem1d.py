@@ -26,10 +26,9 @@ from fem_accuracy.fem1d import (
     solve_quality,
 )
 from fem_accuracy.functions import Polynomial1D, SinPiProduct
-from fem_accuracy.geometry import Simplex, SimplexMesh, structured_mesh_2d, uniform_mesh_1d
+from fem_accuracy.geometry import SimplexMesh, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.norms import (
     ESTIMATE_DEGREE_STEP,
-    AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
     element_blocks,
@@ -44,6 +43,7 @@ from oracles import (
     exact_solve,
     global_coefficients,
     loglog_slope,
+    one_element_mesh,
     rational_eval,
     simplex_mesh,
     solution_values,
@@ -171,7 +171,7 @@ class TestSolver:
         # lengths the point values are exact to rounding.
         prob = ModelProblem.cubic()
         nodes = np.linspace(0.0, 1.0, 301) ** 2
-        mesh = simplex_mesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
+        mesh = simplex_mesh([one_element_mesh([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
         sol = assemble_and_solve_all(prob, [mesh], 3)
         xs = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(solution_values(sol, xs) - (xs - xs**3))) < 1e-11
@@ -577,7 +577,7 @@ class TestErrorReport:
         # rule's midpoint: its 20th power underflows, yet the sum is near 1e9.
         problem = ModelProblem.sine()
         sol = assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 1)], 1)
-        err = DifferenceField(AnalyticField(problem.u), sol.field)
+        err = DifferenceField(problem.u, sol.field)
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
             element_powers(err, sol.family.mesh, 1, 20.0, 2 * 1 + 6)
         fine = math.fsum(element_powers(err, sol.family.mesh, 1, 20.0, 2 * 1 + 6 + ESTIMATE_DEGREE_STEP)[0])
@@ -654,7 +654,7 @@ def per_mesh_reports(problem, meshes, k, m, p, cea_ratio=1.0):
 def graded_family():
     """Graded meshes of 4 to 40 elements, one with repeated vertex coordinates."""
     nodes = np.linspace(0.0, 1.0, 13) ** 2
-    split = simplex_mesh([Simplex([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
+    split = simplex_mesh([one_element_mesh([[a], [b]]) for a, b in zip(nodes[:-1], nodes[1:])])
     return [graded_mesh(4), graded_mesh(8), split, graded_mesh(40)]
 
 

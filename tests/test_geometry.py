@@ -11,7 +11,6 @@ from fem_accuracy.functions import SinPiProduct
 from fem_accuracy import geometry
 from fem_accuracy.geometry import (
     DegenerateSimplexError,
-    Simplex,
     SimplexMesh,
     reference_simplex,
     simplex_geometry,
@@ -21,7 +20,7 @@ from fem_accuracy.geometry import (
 from fem_accuracy.norms import element_blocks, interpolation_error
 from fem_accuracy.quadrature import simplex_rule
 
-from oracles import barycentric, interval_geometry, simplex_mesh, size_and_regularity
+from oracles import barycentric, gradient_max, interval_geometry, one_element_mesh, simplex_mesh, size_and_regularity
 
 COORD_TOL = 1e-12
 
@@ -30,16 +29,16 @@ class TestSimplex:
     def test_reference_interval(self):
         s = reference_simplex(1)
         assert s.n == 1
-        assert s.measure == pytest.approx(1.0, abs=COORD_TOL)
+        assert s.element_measures[0] == pytest.approx(1.0, abs=COORD_TOL)
         assert size_and_regularity(s)[0] == pytest.approx(1.0, abs=COORD_TOL)
 
     def test_reference_triangle(self):
         s = reference_simplex(2)
-        assert s.measure == pytest.approx(0.5, abs=COORD_TOL)
+        assert s.element_measures[0] == pytest.approx(0.5, abs=COORD_TOL)
         assert size_and_regularity(s)[0] == pytest.approx(math.sqrt(2.0), abs=COORD_TOL)
 
     def test_barycentric_vertices_and_centroid(self):
-        s = Simplex([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        s = one_element_mesh([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         for q in range(3):
             lam = barycentric(s, s.vertices[q])
             expected = np.zeros(3)
@@ -49,42 +48,42 @@ class TestSimplex:
         assert np.allclose(barycentric(s, centroid), [1 / 3] * 3, atol=COORD_TOL)
 
     def test_barycentric_physical_round_trip(self):
-        s = Simplex([[0.1, -0.3], [1.5, 0.2], [0.4, 2.0]])
+        s = one_element_mesh([[0.1, -0.3], [1.5, 0.2], [0.4, 2.0]])
         lam = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]])
         back = barycentric(s, lam @ s.vertices)
         assert np.allclose(back, lam, atol=1e-12)
 
     def test_gradients_rows_sum_to_zero(self):
-        s = Simplex([[0.0, 0.0], [1.3, 0.1], [0.2, 0.9]])
+        s = one_element_mesh([[0.0, 0.0], [1.3, 0.1], [0.2, 0.9]])
         g = s.element_gradients[0]
         assert np.allclose(g.sum(axis=0), 0.0, atol=1e-12)
 
     def test_gradient_scaling_interval(self):
         # lambda varies by one across the element, so the gradient is 1/h.
         for h in (0.25, 1.0, 3.0):
-            s = Simplex([[0.0], [h]])
-            assert s.gradient_max == pytest.approx(1.0 / h, rel=1e-13)
+            s = one_element_mesh([[0.0], [h]])
+            assert gradient_max(s) == pytest.approx(1.0 / h, rel=1e-13)
 
     def test_gradient_scaling_triangle(self):
-        base = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        scaled = Simplex([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
-        assert scaled.gradient_max == pytest.approx(10.0 * base.gradient_max, rel=1e-12)
+        base = one_element_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        scaled = one_element_mesh([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+        assert gradient_max(scaled) == pytest.approx(10.0 * gradient_max(base), rel=1e-12)
 
     def test_inscribed_diameter_interval(self):
-        assert Simplex([[1.0], [3.5]]).inscribed_diameter() == pytest.approx(2.5, rel=1e-13)
+        assert one_element_mesh([[1.0], [3.5]]).element_inscribed[0] == pytest.approx(2.5, rel=1e-13)
 
     def test_inscribed_diameter_right_triangle(self):
-        s = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert s.inscribed_diameter() == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
+        s = one_element_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert s.element_inscribed[0] == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
 
     def test_inscribed_diameter_equilateral(self):
-        s = Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-        assert s.inscribed_diameter() == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+        s = one_element_mesh([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        assert s.element_inscribed[0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
     def test_inscribed_diameter_tetrahedron(self):
         # Regular tetrahedron with edge a: inradius a / (2 sqrt(6)).
         a = 1.0
-        s = Simplex(
+        s = one_element_mesh(
             [
                 [0.0, 0.0, 0.0],
                 [1.0, 0.0, 0.0],
@@ -92,27 +91,28 @@ class TestSimplex:
                 [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
             ]
         )
-        assert s.inscribed_diameter() == pytest.approx(a / math.sqrt(6.0), rel=1e-10)
+        assert s.element_inscribed[0] == pytest.approx(a / math.sqrt(6.0), rel=1e-10)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateSimplexError):
-            Simplex([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        with pytest.raises(DegenerateSimplexError):
-            Simplex([[0.5], [0.5]])
+        # The constructor only checks the table; the geometry, built on first
+        # use, names the one element.
+        for vertices in ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[0.5], [0.5]]):
+            with pytest.raises(DegenerateSimplexError, match="at element 0"):
+                one_element_mesh(vertices).element_measures
         with pytest.raises(DegenerateSimplexError, match="degenerate 3-simplex at element 0"):
-            Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+            SimplexMesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [[0, 1, 2, 3]]).element_measures
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            Simplex([[0.0, 0.0], [1.0, 0.0]])
+            SimplexMesh([[0.0, 0.0], [1.0, 0.0]], [[0, 1]])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_is_the_one_element_mesh(self, n):
-        v = np.random.default_rng(n).uniform(-1.0, 1.0, (n + 1, n))
-        s = Simplex(v)
-        assert isinstance(s, SimplexMesh)
+        s = reference_simplex(n)
         assert len(s) == 1 and s.connectivity.tolist() == [list(range(n + 1))]
+        assert s.vertices.tolist() == np.vstack([np.zeros((1, n)), np.eye(n)]).tolist()
         assert len(s.simplices) == 1 and s.simplices[0].vertices.tolist() == s.vertices.tolist()
+        assert s.simplices[0].connectivity.tolist() == s.connectivity.tolist()
 
 
 @seed(20240817)
@@ -122,15 +122,16 @@ class TestSimplex:
 )
 def test_barycentric_partition_property(coords, raw):
     verts = np.array(coords).reshape(3, 2)
+    s = one_element_mesh(verts)
     try:
-        s = Simplex(verts)
+        s.element_measures
     except DegenerateSimplexError:
         return
     lam = np.array(raw) / sum(raw)
     x = lam @ s.vertices
     lam_back = barycentric(s, x)
     assert abs(lam_back.sum() - 1.0) < 1e-9
-    assert np.allclose(lam_back, lam, atol=1e-7 * max(1.0, s.gradient_max))
+    assert np.allclose(lam_back, lam, atol=1e-7 * max(1.0, gradient_max(s)))
 
 
 class TestMesh:
@@ -155,7 +156,7 @@ class TestMesh:
         for e, s in enumerate(mesh.simplices):
             assert np.array_equal(mesh.element_vertices[e], s.vertices)
             assert np.array_equal(mesh.element_gradients[e], s.element_gradients[0])
-            assert mesh.element_measures[e] == s.measure
+            assert mesh.element_measures[e] == s.element_measures[0]
         assert mesh.element_gradients is mesh.element_gradients
         assert not mesh.element_measures.flags.writeable
 
@@ -176,7 +177,7 @@ class TestMesh:
     def test_gradient_max_tracks_refinement(self):
         coarse = uniform_mesh_1d(0.0, 1.0, 4)
         fine = uniform_mesh_1d(0.0, 1.0, 16)
-        assert fine.gradient_max == pytest.approx(4.0 * coarse.gradient_max, rel=1e-12)
+        assert gradient_max(fine) == pytest.approx(4.0 * gradient_max(coarse), rel=1e-12)
 
     def test_table_of_one_cell(self):
         mesh = structured_mesh_2d(1)
@@ -312,7 +313,7 @@ class TestBatchedGeometry:
     def test_matches_per_simplex_bitwise(self, table):
         verts, conn = table
         mesh = SimplexMesh(verts, conn)
-        singles = [Simplex(verts[idx]) for idx in conn]
+        singles = [one_element_mesh(verts[idx]) for idx in conn]
         if mesh.n == 2:
             # 578 triangles: a degree-10 seminorm (36 rule points) walks them
             # in one full block and a partial one.
@@ -323,26 +324,28 @@ class TestBatchedGeometry:
         oracle = (lambda v: interval_geometry(*v[:, 0])) if mesh.n == 1 else loop_geometry
         for e, s in enumerate(singles):
             measure, diameter, gradients, inscribed = oracle(np.array(verts)[conn[e]])
-            assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert (s.element_measures[0], size_and_regularity(s)[0], s.element_inscribed[0]) == (measure, diameter, inscribed)
             assert np.array_equal(s.element_gradients[0], gradients)
             assert np.array_equal(mesh.element_vertices[e], s.vertices)
             assert np.array_equal(mesh.element_gradients[e], s.element_gradients[0])
-            assert mesh.element_measures[e] == s.measure
-        assert mesh.gradient_max == max(s.gradient_max for s in singles)
+            assert mesh.element_measures[e] == s.element_measures[0]
+        assert gradient_max(mesh) == max(gradient_max(s) for s in singles)
         stacked = simplex_mesh(singles)
         assert np.array_equal(stacked.element_gradients, mesh.element_gradients)
-        assert stacked.gradient_max == mesh.gradient_max
+        assert gradient_max(stacked) == gradient_max(mesh)
 
     @staticmethod
     def count_simplices(monkeypatch):
+        """Record each one-element mesh built."""
         built = []
-        init = Simplex.__init__
+        init = SimplexMesh.__init__
 
-        def counting(self, vertices):
-            built.append(1)
-            init(self, vertices)
+        def counting(self, vertices, connectivity):
+            init(self, vertices, connectivity)
+            if len(self) == 1:
+                built.append(1)
 
-        monkeypatch.setattr(Simplex, "__init__", counting)
+        monkeypatch.setattr(SimplexMesh, "__init__", counting)
         return built
 
     def test_studies_build_no_simplex(self, monkeypatch):
@@ -361,10 +364,10 @@ class TestBatchedGeometry:
         assert built == []
         s = mesh.simplices[5]
         assert built == [1]
-        ref = Simplex(mesh.element_vertices[5])
+        ref = one_element_mesh(mesh.element_vertices[5])
         assert np.array_equal(s.vertices, ref.vertices)
         assert np.array_equal(s.element_gradients[0], ref.element_gradients[0])
-        assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (ref.measure, size_and_regularity(ref)[0], ref.inscribed_diameter())
+        assert (s.element_measures[0], size_and_regularity(s)[0], s.element_inscribed[0]) == (ref.element_measures[0], size_and_regularity(ref)[0], ref.element_inscribed[0])
         assert np.array_equal(mesh.simplices[-1].vertices, mesh.element_vertices[31])
         assert sum(1 for _ in mesh.simplices) == 32
         with pytest.raises(IndexError):
@@ -385,8 +388,8 @@ class TestIntervalGeometry:
         verts, conn = graded_table_1d(300)
         calls = self.count_linalg(monkeypatch)
         mesh = SimplexMesh(verts, conn)
-        assert size_and_regularity(mesh)[1] == 1.0 and mesh.gradient_max > 0.0 and math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
-        assert np.allclose(barycentric(Simplex([[0.25], [1.0]]), [0.625]), [0.5, 0.5], atol=1e-15)
+        assert size_and_regularity(mesh)[1] == 1.0 and gradient_max(mesh) > 0.0 and math.fsum(mesh.element_measures) == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(barycentric(one_element_mesh([[0.25], [1.0]]), [0.625]), [0.5, 0.5], atol=1e-15)
         assert calls == []
         # The counter sees the general route.
         assert size_and_regularity(structured_mesh_2d(1))[1] > 1.0
@@ -397,13 +400,13 @@ class TestIntervalGeometry:
         mesh = SimplexMesh(verts, [c[::-1] for c in conn])
         for e, (c, s) in enumerate(zip(conn, mesh.simplices)):
             measure, diameter, gradients, inscribed = interval_geometry(verts[c[1], 0], verts[c[0], 0])
-            assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (measure, diameter, inscribed)
+            assert (s.element_measures[0], size_and_regularity(s)[0], s.element_inscribed[0]) == (measure, diameter, inscribed)
             assert mesh.element_measures[e] == measure
             assert np.array_equal(mesh.element_gradients[e], gradients)
         assert mesh.element_gradients[0, 0, 0] > 0.0 > mesh.element_gradients[0, 1, 0]
         assert size_and_regularity(mesh)[1] == 1.0
-        s = Simplex([[1.0], [0.25]])
-        assert (s.measure, size_and_regularity(s)[0], s.inscribed_diameter()) == (0.75, 0.75, 0.75)
+        s = one_element_mesh([[1.0], [0.25]])
+        assert (s.element_measures[0], size_and_regularity(s)[0], s.element_inscribed[0]) == (0.75, 0.75, 0.75)
         assert np.allclose(barycentric(s, [[1.0], [0.25], [0.4375]]), [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]], atol=1e-15)
 
     def test_zero_length_interval_named(self):

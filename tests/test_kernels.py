@@ -7,10 +7,9 @@ import pytest
 
 from fem_accuracy import kernels
 from fem_accuracy.basis import build_basis, multi_indices
-from fem_accuracy.geometry import Simplex
 from fem_accuracy.quadrature import simplex_rule
 
-from oracles import exact_derivative_values, factor_magnitudes
+from oracles import exact_derivative_values, factor_magnitudes, one_element_mesh
 
 
 def _loop_factor_derivative(k, i, r, t):
@@ -119,7 +118,7 @@ class TestSize:
         # A row per ordered sequence of variables made (n + 1)^l: 16,384 rows and weights at
         # n = 1, l = 14, which `converge --k 15 --m 14` measures.
         table = kernels.tabulate(build_basis(n, l + 1), simplex_rule(n, 2).points, l)
-        gradients = Simplex(np.vstack([np.zeros(n), np.eye(n)])).element_gradients
+        gradients = one_element_mesh(np.vstack([np.zeros(n), np.eye(n)])).element_gradients
         weights = kernels.chain_rule_weights(gradients, (l,) + (0,) * (n - 1))
         assert table.shape[0] == weights.shape[-1] == math.comb(n + l, n)
 
@@ -129,7 +128,7 @@ class TestSize:
         # barycentric variables that take variable v beta_v times, of prod_s G[q_s, j_s], j the
         # directions of alpha, in exact arithmetic.  At most (n + 1)^l = 81 products of l = 4
         # factors are added, so the float weight is within 81 * 4 eps of the sum of magnitudes.
-        gradients = Simplex([[0.1, 0.2], [1.3, 0.25], [0.4, 0.9]]).element_gradients[0]
+        gradients = one_element_mesh([[0.1, 0.2], [1.3, 0.25], [0.4, 0.9]]).element_gradients[0]
         directions = [j for j, times in enumerate(alpha) for _ in range(times)]
         weights = kernels.chain_rule_weights(gradients, alpha)
         exact, scale = {}, {}

@@ -12,11 +12,10 @@ from fem_accuracy.kernels import chain_rule_weights
 from fem_accuracy.bounds import seminorm_bound_check
 from fem_accuracy.constants import AdmissibilityError, SobolevIndex
 from fem_accuracy.functions import Polynomial1D, SinPiProduct
-from fem_accuracy.geometry import Simplex, SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
+from fem_accuracy.geometry import SimplexMesh, reference_simplex, structured_mesh_2d, uniform_mesh_1d
 from fem_accuracy.quadrature import QuadratureRule, simplex_rule
 from fem_accuracy.norms import (
     BLOCK_POINTS,
-    AnalyticField,
     DifferenceField,
     PiecewisePolynomialField,
     derivative_multi_indices,
@@ -27,7 +26,7 @@ from fem_accuracy.norms import (
     sobolev_norm,
 )
 
-from oracles import Exp1D, lambda_derivative, rational_eval, simplex_mesh, sin_seminorm_by_quadrature, solution_values
+from oracles import Exp1D, lambda_derivative, one_element_mesh, rational_eval, simplex_mesh, sin_seminorm_by_quadrature, solution_values
 
 
 class TestSobolevIndex:
@@ -160,23 +159,6 @@ class TestSeminormValues:
         parts = math.fsum(seminorm(fn, s, 0, p, degree=24) ** p for s in mesh.simplices)
         assert whole == pytest.approx(parts, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_simplex_equals_its_one_element_mesh_bitwise(self, n):
-        v = np.random.default_rng(10 + n).uniform(-1.0, 1.0, (n + 1, n))
-        simplex, mesh = Simplex(v), SimplexMesh(v, [range(n + 1)])
-        basis = build_basis(n, 2)
-        polynomial = PiecewisePolynomialField(basis, np.random.default_rng(n).uniform(-1.0, 1.0, (1, basis.size)))
-        for field in (SinPiProduct(n), polynomial):
-            for l, p in ((0, 2.0), (1, 3.0), (2, 1.5)):
-                assert seminorm(field, simplex, l, p, degree=7) == seminorm(field, mesh, l, p, degree=7)
-                assert seminorm_with_estimate(field, simplex, l, p, 7) == seminorm_with_estimate(field, mesh, l, p, 7)
-
-    def test_domain_type_validation(self):
-        with pytest.raises(TypeError):
-            seminorm(SinPiProduct(), [0.0, 1.0], 0, 2.0, degree=16)
-        with pytest.raises(TypeError):
-            seminorm(lambda x: x, uniform_mesh_1d(0.0, 1.0, 2), 0, 2.0, degree=16)
-
 
 def float_range_refusal(p):
     return pytest.raises(ValueError, match=re.escape(f"cannot be measured in floats at p = {p:g}:"))
@@ -264,7 +246,7 @@ class TestSobolevNorm:
         solution = fem1d.assemble_and_solve_all(problem, [uniform_mesh_1d(0.0, 1.0, 4)], 2)
         report = fem1d.error_reports(solution, problem, 0, 2.0)[0]
         degree = 2 * 2 + 6 + norms.ESTIMATE_DEGREE_STEP
-        error = DifferenceField(AnalyticField(problem.u), solution.field)
+        error = DifferenceField(problem.u, solution.field)
         direct = seminorm(error, solution.family.mesh, 0, 2.0, degree=degree)
         assert report["error"] == pytest.approx(direct, rel=1e-14)
 
@@ -321,7 +303,7 @@ class TestInterpolationError:
     def test_difference_field_direct(self):
         mesh = uniform_mesh_1d(0.0, 1.0, 3)
         fn = SinPiProduct()
-        zero = DifferenceField(AnalyticField(fn), AnalyticField(fn))
+        zero = DifferenceField(fn, fn)
         assert seminorm(zero, mesh, 0, 2.0, degree=8) == 0.0
 
 
@@ -341,7 +323,7 @@ class TestTabulatedField:
     def test_derivatives_match_exact_chain_rule(self, l):
         # Dual route: table plus float chain rule against Fraction arithmetic.
         vertices = [(Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 3), Fraction(5, 4))]
-        simplex = Simplex([[float(c) for c in v] for v in vertices])
+        simplex = one_element_mesh([[float(c) for c in v] for v in vertices])
         grads = _exact_triangle_gradients(vertices)
         assert np.allclose(simplex.element_gradients[0], np.array(grads, dtype=float), rtol=1e-14, atol=1e-14)
 
@@ -382,7 +364,7 @@ def jittered_mesh_2d(per_side, seed):
     verts = mesh.vertices.copy()
     interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
     verts[interior] += np.random.default_rng(seed).uniform(-0.2, 0.2, (interior.sum(), 2)) / per_side
-    return simplex_mesh([Simplex(verts[idx]) for idx in mesh.connectivity])
+    return simplex_mesh([one_element_mesh(verts[idx]) for idx in mesh.connectivity])
 
 
 def blocks_at(mesh, degree):
@@ -432,7 +414,7 @@ class TestBlockedEvaluation:
         coefficients = np.random.default_rng(6).uniform(-1.0, 1.0, (len(self.mesh), basis.size))
         field = PiecewisePolynomialField(basis, coefficients)
         simplices = self.mesh.simplices
-        for f in (field, AnalyticField(SinPiProduct(2))):
+        for f in (field, SinPiProduct(2)):
             for l in (0, 1):
                 for p in (1.5, 2.0, 3.0):
                     powers = norms.element_powers(f, self.mesh, l, p, 10)
@@ -532,7 +514,7 @@ class TestRowContraction:
 
     def test_seminorm_does_not_depend_on_block_points(self, monkeypatch):
         mesh = uniform_mesh_1d(0.0, 1.0, 300)
-        err = DifferenceField(AnalyticField(SinPiProduct()), self.field(mesh, 3))
+        err = DifferenceField(SinPiProduct(), self.field(mesh, 3))
         rule = simplex_rule(1, 12)
         whole = [seminorm(err, mesh, l, 3.0, degree=12) for l in (0, 1, 2)]
         assert element_blocks(len(mesh), rule.size) == [(0, len(mesh))]

@@ -383,6 +383,17 @@ class TestBump:
         wide = bump_mass(Bump(0.0, 3.0))
         assert wide == pytest.approx(3.0 * narrow, rel=1e-9)
 
+    def test_support_near_the_float_maximum(self):
+        # u = (2h - a - b) / (b - a) overflowed for every h in the support, so
+        # the bump read 0 there and `weakstar --bump-a 1e308 --bump-b 1.7e308`
+        # printed target 0.0.  The panel rules' gap is absolute, so it warns at
+        # a mass of 1.6e307.
+        near = Bump(1e308, 1.7e308)
+        with pytest.warns(RuntimeWarning, match="Gauss rules on"):
+            (record,) = weak_star_test(1, [1], near, SinPiSeminormModel())
+        (unit,) = weak_star_test(1, [1], Bump(0.0, 1.0), SinPiSeminormModel())
+        assert record["target"] / (near.b - near.a) == pytest.approx(unit["target"], rel=1e-12)
+
     def test_validation(self):
         for a, b in [(1.0, 1.0), (1.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (1.0, math.nan), (-1e308, 1e308)]:
             with pytest.raises(ValueError):
