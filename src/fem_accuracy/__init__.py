@@ -17,7 +17,7 @@ import importlib
 _MODULES = {
     "basis": "BarycentricPolynomial PkBasis auxiliary_factor build_basis multi_indices",
     "bounds": "BoundCheck point_bound_check seminorm_bound_check",
-    "constants": "AdmissibilityError ConstantBundle SobolevIndex log_script_c script_c xi",
+    "constants": "AdmissibilityError ConstantBundle SobolevIndex log_script_c script_c",
     "fem1d": "DiscreteSolution ModelProblem assemble_and_solve_all convergence_study error_reports",
     "functions": "Polynomial1D SinPiProduct",
     "geometry": "DegenerateSimplexError SimplexMesh reference_simplex structured_mesh_2d uniform_mesh_1d",

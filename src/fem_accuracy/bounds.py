@@ -32,6 +32,11 @@ from .norms import PiecewisePolynomialField, element_blocks, seminorm
 DEFAULT_SUBDIVISIONS = 50
 DEFAULT_SAMPLES = 10_000
 
+# Most points of a scan, and of g^max(n, 2) for a seminorm-cap rule of g points a factor (each
+# factor takes time quadratic in g).  At n = 5 a scan of 3.49 million points took 2.2 s, and a
+# 2,000-point factor 0.75 s (Legendre) to 10 s (Jacobi, n >= 2), on a 2-core Xeon VM.
+POINT_BUDGET = 4_000_000
+
 
 @dataclass
 class BoundCheck:
@@ -90,6 +95,24 @@ def pointwise_cap(n, k, r):
         return float(k) ** (r * (n + 2) if r else n + 1)
     except OverflowError:
         raise ValueError(f"the pointwise cap leaves the floats at n={n}, k={k}, r={r}") from None
+
+
+def seminorm_cap_degree(k, l, p):
+    """Degree of the rule that seminorm_bound_check measures with."""
+    return max(1, math.ceil(p * max(k - l, 1))) + 2
+
+
+def check_budgets(n, k, l, p, samples):
+    """ValueError naming the count where a pointwise scan, or the seminorm cap's rule of g points a
+    factor (simplex_rule's at seminorm_cap_degree; inf where p (k - l) leaves the floats), is over budget."""
+    points = math.comb(DEFAULT_SUBDIVISIONS + n, n) + samples
+    if points > POINT_BUDGET:
+        raise ValueError(f"a pointwise scan of {points} points is over the budget of {POINT_BUDGET}")
+    g = (seminorm_cap_degree(k, l, p) + 2) // 2 if p * max(k - l, 1) < math.inf else math.inf
+    if g ** max(n, 2) > POINT_BUDGET:
+        raise ValueError(
+            f"the seminorm cap's rule of {g:.6g} points a factor is over its budget of {POINT_BUDGET} for g^{max(n, 2)}"
+        )
 
 
 def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAULT_SAMPLES, seed=0):
@@ -151,7 +174,7 @@ def seminorm_bound_check(basis, simplex, l, p):
         bound = math.inf
     if not math.isfinite(bound):
         raise ValueError(f"the seminorm cap leaves the floats at n={n}, k={k}, l={l}, p={p}")
-    degree = max(1, math.ceil(p * max(k - l, 1))) + 2
+    degree = seminorm_cap_degree(k, l, p)
     # Unit rows pick each shape function out of the basis's shared tables, exactly.
     measured = 0.0
     for unit in np.eye(basis.size):

@@ -116,8 +116,9 @@ def cmd_basis(args):
 def cmd_bounds(args):
     from . import bounds
 
-    for r in range(args.r + 1):  # every pointwise cap before any scan
+    for r in range(args.r + 1):  # every pointwise cap, and the budgets, before any scan
         bounds.pointwise_cap(args.n, args.k, r)
+    bounds.check_budgets(args.n, args.k, args.l, args.p, args.samples)
     basis = fa.build_basis(args.n, args.k)
     checks = [fa.point_bound_check(basis, r, samples=args.samples, seed=args.seed) for r in range(args.r + 1)]
     checks.append(fa.seminorm_bound_check(basis, fa.reference_simplex(args.n), args.l, args.p))

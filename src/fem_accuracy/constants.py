@@ -4,8 +4,9 @@ A W^{m,p} index on an n-dimensional domain and its admissibility for degree
 k (k + 1 > l + n/p for l = 0..m), and the k-explicit global constant
 script_C(k) multiplying h^{k+1-m} |u|_{k+1,p} in the error estimate,
 assembled from the shape regularity sigma, the gradient cap, the
-geometric-sum factor xi, and a ratio of factorial terms.  Factorials are
-handled in log space so large k stays finite.
+geometric-sum factor xi, and a ratio of factorial terms.  The constant is
+formed in log space, lgamma for the factorials and log-sum-exp for xi, so
+no factor overflows and large k stays finite.
 
 Standard library only: the `constant` subcommand and the critical-size
 formulas need no numpy.
@@ -97,39 +98,7 @@ class ConstantBundle:
             raise ValueError("sigma is a shape bound, must be finite and >= 1")
         if not (0 < self.lam < math.inf and 1.0 <= self.cea_ratio < math.inf and 0 < self.h_cap < math.inf):
             raise ValueError("need finite lam > 0, cea_ratio >= 1, h_cap > 0")
-        self.index.require(self.k)
-
-    @property
-    def index(self):
-        return SobolevIndex(m=self.m, p=self.p, n=self.n)
-
-    @property
-    def lam_star(self):
-        """max(1, lam^m): the gradient factor appearing in the constant."""
-        return max(1.0, self.lam**self.m)
-
-
-def xi(m, p, h):
-    """Geometric-sum factor (sum_{j=0..m} h^{jp})^{1/p}.
-
-    Written as the explicit sum, which equals the closed form
-    ((1 - h^{p(m+1)}) / (1 - h^p))^{1/p} for h != 1 and is continuous
-    through h = 1 where the closed form degenerates.
-    """
-    if h <= 0 or p <= 0 or m < 0:
-        raise ValueError("need h > 0, p > 0, m >= 0")
-    return math.fsum(h ** (j * p) for j in range(m + 1)) ** (1.0 / p)
-
-
-def c1_constant(bundle):
-    """1 + (n(n+1) sigma)^m lam* m! / n!"""
-    n, m = bundle.n, bundle.m
-    return 1.0 + (n * (n + 1) * bundle.sigma) ** m * bundle.lam_star * math.factorial(m) / math.factorial(n)
-
-
-def c2_constant(n):
-    """1 + 1/n!"""
-    return 1.0 + 1.0 / math.factorial(n)
+        SobolevIndex(m=self.m, p=self.p, n=self.n).require(self.k)
 
 
 def log_k_factor(n, m, p, k):
@@ -166,40 +135,20 @@ def log_k_factor_ratio(n, m, p, k1, k2):
     return math.log(num1 * den2 / (den1 * num2))
 
 
-def _log1p_exp(x):
-    """log(1 + e^x) without forming e^x where it overflows."""
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+def log_script_c(bundle):
+    """log of the global error constant script_C(k) = cea_ratio max(c1, c2) xi K(k).
 
-
-def _log_c_and_xi(bundle):
-    """log max(c1, c2) and log xi in log space: lgamma for the factorials, log-sum-exp for xi."""
+    max(c1, c2) is c1 = 1 + e^x, x = log((n(n+1) sigma)^m max(1, lam^m) m!/n!): the first
+    three factors are at least 1, so c1 >= c2 = 1 + 1/n!.  xi = (sum_{j=0..m} h_cap^{jp})^{1/p}.
+    """
     n, m, p = bundle.n, bundle.m, bundle.p
-    log_c1 = _log1p_exp(
-        m * math.log(n * (n + 1) * bundle.sigma)
-        + max(0.0, m * math.log(bundle.lam))
-        + math.lgamma(m + 1)
-        - math.lgamma(n + 1)
-    )
+    x = m * math.log(n * (n + 1) * bundle.sigma) + max(0.0, m * math.log(bundle.lam)) + math.lgamma(m + 1)
+    x -= math.lgamma(n + 1)
+    log_c1 = max(x, 0.0) + math.log1p(math.exp(-abs(x)))  # log(1 + e^x), e^x not formed where it overflows
     terms = [j * p * math.log(bundle.h_cap) for j in range(m + 1)]
     top = max(terms)
     log_xi = (top + math.log(math.fsum(math.exp(t - top) for t in terms))) / p
-    return max(log_c1, _log1p_exp(-math.lgamma(n + 1))), log_xi
-
-
-def log_script_c(bundle):
-    """log of the global error constant script_C(k).
-
-    Where a float factor c1, c2 or xi overflows, c1, c2 and xi are formed in
-    log space instead.
-    """
-    try:
-        log_c = math.log(max(c1_constant(bundle), c2_constant(bundle.n)))
-        log_xi = math.log(xi(bundle.m, bundle.p, bundle.h_cap))
-    except OverflowError:
-        log_c = math.inf
-    if log_c == math.inf:
-        log_c, log_xi = _log_c_and_xi(bundle)
-    return math.log(bundle.cea_ratio) + log_c + log_xi + log_k_factor(bundle.n, bundle.m, bundle.p, bundle.k)
+    return math.log(bundle.cea_ratio) + log_c1 + log_xi + log_k_factor(n, m, p, bundle.k)
 
 
 def exp_in_float_range(log_value, name):

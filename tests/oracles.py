@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from fem_accuracy.basis import BarycentricPolynomial
-from fem_accuracy.constants import c1_constant, c2_constant, log_k_factor
+from fem_accuracy.constants import log_k_factor
 from fem_accuracy.functions import AnalyticFunction
 from fem_accuracy.geometry import SimplexMesh, simplex_geometry
 from fem_accuracy.probability import _panel_integral
@@ -333,6 +333,47 @@ def ulps_from(value, reference):
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         return float(abs(decimal.Decimal(value) - reference) / decimal.Decimal(math.ulp(value)))
+
+
+def xi(m, p, h):
+    """Geometric-sum factor (sum_{j=0..m} h^{jp})^{1/p} in floats.
+
+    Written as the explicit sum, which equals the closed form
+    ((1 - h^{p(m+1)}) / (1 - h^p))^{1/p} for h != 1 and is continuous
+    through h = 1 where the closed form degenerates.
+    """
+    if h <= 0 or p <= 0 or m < 0:
+        raise ValueError("need h > 0, p > 0, m >= 0")
+    return math.fsum(h ** (j * p) for j in range(m + 1)) ** (1.0 / p)
+
+
+def c1_constant(bundle):
+    """1 + (n(n+1) sigma)^m lam* m! / n! in floats, with the gradient factor lam* = max(1, lam^m)."""
+    n, m = bundle.n, bundle.m
+    return 1.0 + (n * (n + 1) * bundle.sigma) ** m * max(1.0, bundle.lam**m) * math.factorial(m) / math.factorial(n)
+
+
+def c2_constant(n):
+    """1 + 1/n! in floats."""
+    return 1.0 + 1.0 / math.factorial(n)
+
+
+def decimal_log_script_c(bundle):
+    """log script_C(k) of the bundle to 60 digits, each float input taken at its exact value.
+
+    cea_ratio max(c1, c2) K(k) is an exact rational, of which the log is taken once; xi is
+    (sum_j exp(j p log h_cap))^{1/p} by Decimal ln and exp.
+    """
+    n, m, p = bundle.n, bundle.m, bundle.p
+    lam_star = max(1, Fraction(bundle.lam) ** m)
+    c1 = 1 + (n * (n + 1) * Fraction(bundle.sigma)) ** m * lam_star * Fraction(math.factorial(m), math.factorial(n))
+    c2 = 1 + Fraction(1, math.factorial(n))
+    front = Fraction(bundle.cea_ratio) * max(c1, c2) * k_factor(n, m, p, bundle.k)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        log_h, p_60 = decimal.Decimal(bundle.h_cap).ln(), decimal.Decimal(p)
+        xi_p = sum((j * p_60 * log_h).exp() for j in range(m + 1))
+        return decimal.Decimal(front.numerator).ln() - decimal.Decimal(front.denominator).ln() + xi_p.ln() / p_60
 
 
 def local_interp_bound(bundle, u_seminorm, h_element, l):

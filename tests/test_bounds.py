@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import tracemalloc
@@ -11,16 +12,22 @@ from fem_accuracy.bounds import BoundCheck, barycentric_lattice, point_bound_che
 from fem_accuracy.constants import (
     AdmissibilityError,
     ConstantBundle,
-    c1_constant,
-    c2_constant,
+    SobolevIndex,
     log_k_factor,
     log_script_c,
     script_c,
-    xi,
 )
 from fem_accuracy.geometry import reference_simplex, uniform_mesh_1d
 
-from oracles import lambda_derivative, lattice_by_combinations, local_interp_bound
+from oracles import (
+    c1_constant,
+    c2_constant,
+    decimal_log_script_c,
+    lambda_derivative,
+    lattice_by_combinations,
+    local_interp_bound,
+    xi,
+)
 
 
 class TestXi:
@@ -70,6 +77,12 @@ class TestFrontConstants:
         assert c1_constant(base) == pytest.approx(3.0, rel=1e-15)
         assert c1_constant(big) == pytest.approx(1.0 + 4.0 * 4.0, rel=1e-15)
 
+    def test_c1_gradient_factor_is_lam_star(self):
+        # lam* = max(1, lam^m): lam at m >= 1 once it passes 1, and 1 at m = 0.
+        for lam, want in ((0.5, 3.0), (1.0, 3.0), (7.0, 15.0)):
+            assert c1_constant(ConstantBundle(n=1, m=1, k=1, p=2.0, lam=lam)) == pytest.approx(want, rel=1e-15)
+        assert c1_constant(ConstantBundle(n=1, m=0, k=1, p=2.0, lam=7.0)) == pytest.approx(2.0, rel=1e-15)
+
 
 class TestConstantBundle:
     def test_validation(self):
@@ -98,11 +111,6 @@ class TestConstantBundle:
             ConstantBundle(n=1, m=2, k=1, p=2.0)
         with pytest.raises(AdmissibilityError):
             ConstantBundle(n=2, m=1, k=1, p=2.0)
-
-    def test_lam_star(self):
-        assert ConstantBundle(n=1, m=0, k=1, p=2.0, lam=7.0).lam_star == 1.0
-        assert ConstantBundle(n=1, m=1, k=1, p=2.0, lam=7.0).lam_star == 7.0
-        assert ConstantBundle(n=1, m=1, k=1, p=2.0, lam=0.5).lam_star == 1.0
 
 
 class TestScriptC:
@@ -141,15 +149,13 @@ class TestScriptC:
             (3, 1, 1.5, 4.0, 3.0, 1e-3),
         ],
     )
-    def test_log_space_factors_match_float_factors(self, monkeypatch, n, m, p, sigma, lam, h_cap):
-        # Dual route: forcing the overflow branch on finite inputs gives the same log to rounding.
+    def test_log_space_factors_match_float_factors(self, n, m, p, sigma, lam, h_cap):
+        # Dual route: the log-space factors against the logs of the oracle's float factors.
         b = ConstantBundle(n=n, m=m, k=m + 2, p=p, sigma=sigma, lam=lam, h_cap=h_cap)
-        direct = log_script_c(b)
-
-        def overflow(bundle):
-            raise OverflowError
-
-        monkeypatch.setattr(constants, "c1_constant", overflow)
+        direct = (
+            math.log(b.cea_ratio * max(c1_constant(b), c2_constant(n)) * xi(m, p, h_cap))
+            + log_k_factor(n, m, p, b.k)
+        )
         assert log_script_c(b) == pytest.approx(direct, abs=1e-14 * max(1.0, abs(direct)))
 
     def test_rise_then_decay_in_k(self):
@@ -170,6 +176,84 @@ class TestScriptC:
     def test_k_factor_margin_validation(self):
         with pytest.raises(ValueError):
             log_k_factor(2, 1, 2.0, 1)
+
+
+# Unit roundoff, and g of CPython's lgamma: for x > 2 it is the Lanczos form
+# log(sum) - g + (x - 1/2)(log(x + g - 1/2) - 1), exact 0 at x = 1, 2.
+UNIT = 2.0**-53
+LANCZOS_G = 6.024680040776729583740234375
+
+
+def script_c_log_error_bound(b):
+    """A bound on |log_script_c(b) - log script_C|, from the float operations it makes.
+
+    The log is a float sum of the terms below, each named by its size.  A log or log1p of a
+    rounded argument x(1 + 2u) is off by at most 2u |log x| + 2u, and an integer multiple adds
+    u: size |log x| + 1 per unit of multiplier, 4u each.  lgamma(x) is off by a few ulp of its
+    Lanczos parts, whose sizes add to at most 2g + x log(x + g) (at most 2.4u of that over
+    x = 3..5000, measured), 4u each.  log(margin), margin = k + 1 - m - n/p, carries the
+    rounding of n/p and of the difference as a relative u (k + 1 + m + n/p) / margin.  The
+    float sums (log-sum-exp, log c1's argument and the total) add at most 12u of the sum of the
+    sizes (recursive summation of up to 12 terms), and the division by p in log xi, u.
+    """
+    n, m, k, p = b.n, b.m, b.k, b.p
+    margin = k + 1 - m - n / p
+
+    def lgamma_size(x):
+        return 0.0 if x <= 2 else 2 * LANCZOS_G + x * math.log(x + LANCZOS_G)
+
+    sizes = [
+        abs(math.log(b.cea_ratio)) + 1,
+        m * (abs(math.log(n * (n + 1) * b.sigma)) + 1) + m * (abs(math.log(b.lam)) + 1),
+        lgamma_size(m + 1) + 2 * lgamma_size(n + 1) + 2 * (math.log(2.0) + 1),  # log c1 and log c2
+        m * (abs(math.log(b.h_cap)) + 1) + math.log(m + 1) + 1,  # log xi
+        n * (math.log(k + n) + 1) + m * (n + 2) * (math.log(k) + 1) + lgamma_size(k - m + 1),
+        abs(math.log(margin)) + 1 + (k + 1 + m + n / p) / margin,
+    ]
+    return (4 + 12 + 1) * UNIT * math.fsum(sizes)
+
+
+def script_c_bundles():
+    grid = []
+    for n, m, k, p, sigma, lam, h_cap in itertools.product(
+        (1, 2, 3), (0, 1, 2), range(1, 13), (1.5, 2.0, 3.0, 4.0), (1.0, 2.5), (0.5, 1.0, 7.0, 2048.0), (0.25, 1.0, 3.0)
+    ):
+        if SobolevIndex(m=m, p=p, n=n).admissible(k):
+            grid.append(ConstantBundle(n=n, m=m, k=k, p=p, sigma=sigma, lam=lam, h_cap=h_cap))
+    # The factors that overflow floats: the `constant` cases of tests/test_cli.py, and m! beyond them.
+    overflowing = [
+        dict(n=200, m=1, k=300),
+        dict(n=1, m=200, k=300),
+        dict(n=1, m=170, k=171),
+        dict(n=171, m=0, k=85),
+        dict(n=1, m=1, k=2, h_cap=1e300),
+        dict(n=1, m=2, k=3, sigma=1e200),
+        dict(n=1, m=3, k=5, h_cap=1e200),
+        dict(n=1, m=1, k=2, lam=1e308, sigma=1e10),
+        dict(n=1, m=1, k=2000),
+    ]
+    return grid + [ConstantBundle(p=2.0, **kwargs) for kwargs in overflowing]
+
+
+class TestScriptCDigits:
+    def test_script_c_within_derived_bound_of_exact_value(self):
+        # Digits audit: script_C against its 60-digit value.  Where script_C is a normal float,
+        # e^delta - 1 for the log's error delta and the 1 ulp of exp bound its relative error;
+        # beyond the float range, the log is checked against its derived bound.
+        checked = 0
+        for b in script_c_bundles():
+            exact_log = decimal_log_script_c(b)
+            log_bound = script_c_log_error_bound(b)
+            log_value = log_script_c(b)
+            assert abs(float(decimal.Decimal(log_value) - exact_log)) <= log_bound, b
+            if abs(log_value) < constants.LOG_FLOAT_RANGE:
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 60
+                    exact = exact_log.exp()
+                    rel = float(abs(decimal.Decimal(script_c(b)) - exact) / exact)
+                assert rel <= math.expm1(log_bound) + 2 * UNIT * math.exp(log_bound), b
+                checked += 1
+        assert checked > 9000
 
 
 class TestLocalInterpBound:

@@ -340,6 +340,34 @@ class TestBoundsCommand:
         assert exc.value.code == 2 and captured.out == ""
         assert [line for line in captured.err.splitlines() if "error:" in line] == [f"fem-accuracy: error: {error}"]
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            # The C(57, 7) = 264,385,836 lattice points ended in a MemoryError traceback.
+            ("bounds --n 7", "a pointwise scan of 264395836 points is over the budget of 4000000"),
+            # random.Random.randbytes was asked for 8 GB of sample words.
+            ("bounds --samples 1000000000", "a pointwise scan of 1000000051 points is over the budget of 4000000"),
+            # The seminorm cap's 50,002-point Gauss factor took minutes to build.
+            ("bounds --p 1e5", "the seminorm cap's rule of 50002 points a factor is over its budget of 4000000 for g^2"),
+            # p (k - l) = 2e308 leaves the floats: its ceil raised OverflowError, a traceback.
+            ("bounds --k 3 --p 1e308", "the seminorm cap's rule of inf points a factor is over its budget of 4000000 for g^2"),
+        ],
+        ids=["lattice", "samples", "rule", "rule-beyond-the-floats"],
+    )
+    def test_over_budget_is_usage_error_before_any_work(self, capsys, monkeypatch, argv, error):
+        from fem_accuracy import bounds, norms
+
+        def work(*args):
+            raise AssertionError("a scan or a seminorm began before the budgets were checked")
+
+        monkeypatch.setattr(bounds, "barycentric_lattice", work)
+        monkeypatch.setattr(norms, "element_powers", work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [f"fem-accuracy: error: {error}"]
+
 
 class TestConstantCommand:
     def test_default_value(self, capsys):
