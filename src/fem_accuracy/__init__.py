@@ -24,7 +24,7 @@ _MODULES = {
     "kernels": "chain_rule_weights tabulate",
     "norms": "DifferenceField PiecewisePolynomialField interpolation_error seminorm seminorm_with_estimate",
     "probability": (
-        "AccuracyLaw Bump ElementPair GeometricSeminormModel SinPiSeminormModel"
+        "AccuracyLaw Bump GeometricSeminormModel SinPiSeminormModel"
         " h_star h_star_explicit h_star_sequence h_stars weak_star_pairing weak_star_test"
     ),
     "quadrature": "QuadratureRule interval_rule simplex_rule",

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import kernels
 from .constants import SobolevIndex
+from .geometry import reference_simplex
 from .norms import PiecewisePolynomialField, element_blocks, seminorm
 
 # Lattice refinement and random sample count for the pointwise scans.
@@ -102,9 +103,30 @@ def seminorm_cap_degree(k, l, p):
     return max(1, math.ceil(p * max(k - l, 1))) + 2
 
 
-def check_budgets(n, k, l, p, samples):
-    """ValueError naming the count where a pointwise scan, or the seminorm cap's rule of g points a
-    factor (simplex_rule's at seminorm_cap_degree; inf where p (k - l) leaves the floats), is over budget."""
+def seminorm_cap(simplex, k, l, p):
+    """(n(n+1) lam)^l l! mes^{1/p} pointwise_cap(n, k, l) / rho^l on the one element of `simplex`, lam its
+    largest gradient entry and rho its inscribed diameter (each factor of l exactly 1 at l = 0); ValueError
+    where it leaves the floats."""
+    n = simplex.n
+    lam = float(np.abs(simplex.element_gradients).max())
+    mes = float(simplex.element_measures[0])
+    rho = float(simplex.element_inscribed[0])
+    try:
+        cap = (n * (n + 1) * lam) ** l * math.factorial(l) * mes ** (1.0 / p) * pointwise_cap(n, k, l) / rho**l
+    except (OverflowError, ValueError, ZeroDivisionError):  # a factor, pointwise_cap too, beyond the floats; rho^l = 0
+        cap = math.inf
+    if not math.isfinite(cap):
+        raise ValueError(f"the seminorm cap leaves the floats at n={n}, k={k}, l={l}, p={p}")
+    return cap
+
+
+def check_arguments(n, k, r, l, p, samples):
+    """`bounds`' refusals, in this order and before any work: a ValueError where a pointwise cap of order up to r
+    leaves the floats, a pointwise scan or the seminorm cap's rule of g points a factor (simplex_rule's at
+    seminorm_cap_degree; inf where p (k - l) leaves the floats) is over budget, or the reference simplex's
+    seminorm cap leaves the floats."""
+    for order in range(r + 1):
+        pointwise_cap(n, k, order)
     points = math.comb(DEFAULT_SUBDIVISIONS + n, n) + samples
     if points > POINT_BUDGET:
         raise ValueError(f"a pointwise scan of {points} points is over the budget of {POINT_BUDGET}")
@@ -113,6 +135,7 @@ def check_budgets(n, k, l, p, samples):
         raise ValueError(
             f"the seminorm cap's rule of {g:.6g} points a factor is over its budget of {POINT_BUDGET} for g^{max(n, 2)}"
         )
+    seminorm_cap(reference_simplex(n), k, l, p)
 
 
 def point_bound_check(basis, r, subdivisions=DEFAULT_SUBDIVISIONS, samples=DEFAULT_SAMPLES, seed=0):
@@ -142,9 +165,8 @@ def seminorm_bound_check(basis, simplex, l, p):
     """Compare max_i |p_i|_{l,p,K} against the geometric seminorm cap on the
     one element K of the SimplexMesh `simplex`.
 
-    For l = 0 the cap is mes(K)^{1/p} k^{n+1}; for l >= 1 it is
-    (n(n+1) lam_K)^l l! mes(K)^{1/p} k^{l(n+2)} / rho^l.  Combinations
-    failing k + 1 > l + n/p are still computed but flagged with a warning.
+    The cap is seminorm_cap's.  Combinations failing k + 1 > l + n/p are
+    still computed but flagged with a warning.
     """
     n, k = basis.n, basis.k
     if simplex.n != n or len(simplex) != 1:
@@ -156,24 +178,7 @@ def seminorm_bound_check(basis, simplex, l, p):
             f"seminorm cap outside its hypothesis: k+1 > l + n/p fails for k={k}, l={l}, n={n}, p={p}",
             stacklevel=2,
         )
-    mes = float(simplex.element_measures[0])
-    try:
-        if l == 0:
-            bound = mes ** (1.0 / p) * float(k) ** (n + 1)
-        else:
-            lam = float(np.abs(simplex.element_gradients).max())
-            rho = float(simplex.element_inscribed[0])
-            bound = (
-                (n * (n + 1) * lam) ** l
-                * math.factorial(l)
-                * mes ** (1.0 / p)
-                * float(k) ** (l * (n + 2))
-                / rho**l
-            )
-    except (OverflowError, ZeroDivisionError):  # a factor beyond the floats, or rho^l underflowing to 0
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ValueError(f"the seminorm cap leaves the floats at n={n}, k={k}, l={l}, p={p}")
+    bound = seminorm_cap(simplex, k, l, p)
     degree = seminorm_cap_degree(k, l, p)
     # Unit rows pick each shape function out of the basis's shared tables, exactly.
     measured = 0.0

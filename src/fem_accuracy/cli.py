@@ -116,9 +116,7 @@ def cmd_basis(args):
 def cmd_bounds(args):
     from . import bounds
 
-    for r in range(args.r + 1):  # every pointwise cap, and the budgets, before any scan
-        bounds.pointwise_cap(args.n, args.k, r)
-    bounds.check_budgets(args.n, args.k, args.l, args.p, args.samples)
+    bounds.check_arguments(args.n, args.k, args.r, args.l, args.p, args.samples)
     basis = fa.build_basis(args.n, args.k)
     checks = [fa.point_bound_check(basis, r, samples=args.samples, seed=args.seed) for r in range(args.r + 1)]
     checks.append(fa.seminorm_bound_check(basis, fa.reference_simplex(args.n), args.l, args.p))
@@ -143,16 +141,16 @@ def _h_grid(args):
 def cmd_prob(args):
     if (args.ck1 is None) != (args.ck2 is None):
         raise ValueError("give both --ck1 and --ck2, or neither")
+    q = args.k2 - args.k1
     if args.ck1 is not None:
-        pair = fa.ElementPair(k1=args.k1, k2=args.k2, c_k1=args.ck1, c_k2=args.ck2)
-        law = fa.AccuracyLaw.from_pair(pair)
+        hs = fa.h_star(args.ck1, args.ck2, q)
     else:
         hs = fa.h_star_explicit(
             args.n, args.m, args.p, args.k1, args.k2, seminorm_ratio=args.seminorm_ratio, cea_quotient=args.cea_ratio
         )
-        law = fa.AccuracyLaw(h_star=hs, exponent=args.k2 - args.k1)
-    step = fa.AccuracyLaw(h_star=law.h_star, exponent=law.exponent, kind="step")
-    return [{"h": h, "probability": law(h), "step": step(h), "h_star": law.h_star} for h in _h_grid(args)], None
+    law = fa.AccuracyLaw(h_star=hs, exponent=q)
+    step = fa.AccuracyLaw(h_star=hs, exponent=q, kind="step")
+    return [{"h": h, "probability": law(h), "step": step(h), "h_star": hs} for h in _h_grid(args)], None
 
 
 def cmd_hstar_seq(args):

@@ -28,34 +28,10 @@ from dataclasses import dataclass
 from .constants import SobolevIndex, exp_in_float_range, log_k_factor_ratio
 from .quadrature import legendre_factor
 
-# Absolute tolerance for the weak-* pairing integrals, and the Gauss-Legendre
-# nodes per panel that meet it.
+# Tolerance for the weak-* pairing integrals, absolute up to an integral of
+# size 1 and relative beyond, and the Gauss-Legendre nodes per panel that meet it.
 PAIRING_ABS_TOL = 1e-10
 PAIRING_POINTS = 80
-
-
-@dataclass(frozen=True)
-class ElementPair:
-    """Two competing degrees with their error-bound constants.
-
-    c_k1 and c_k2 are the full constants multiplying h^{k+1-m}, i.e.
-    script_C(k) times the matching solution seminorm.
-    """
-
-    k1: int
-    k2: int
-    c_k1: float
-    c_k2: float
-
-    def __post_init__(self):
-        if not self.k1 < self.k2:
-            raise ValueError("need k1 < k2")
-        if not (0 < self.c_k1 < math.inf and 0 < self.c_k2 < math.inf):
-            raise ValueError("c_k1 and c_k2 must be positive and finite")
-
-    @property
-    def exponent(self):
-        return self.k2 - self.k1
 
 
 def _root_from_log(log_pow, q):
@@ -63,16 +39,20 @@ def _root_from_log(log_pow, q):
     return exp_in_float_range(log_pow / q, "critical mesh size")
 
 
-def h_star(pair):
-    """Critical mesh size (c_k1 / c_k2)^(1/(k2-k1)).
+def h_star(c_k1, c_k2, q):
+    """Critical mesh size (c_k1 / c_k2)^(1/q) of the degrees k1 and k2 = k1 + q.
 
-    The ratio is formed first so that common scalings of the two constants
-    cancel; if the ratio itself over- or underflows the computation falls
-    back to the difference of logs.
+    c_k1 and c_k2 are the full constants multiplying h^{k+1-m}, i.e. script_C(k)
+    times the matching solution seminorm.  The ratio is formed first so that common
+    scalings cancel; where it over- or underflows, the difference of logs is used.
     """
-    ratio = pair.c_k1 / pair.c_k2
-    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(pair.c_k1) - math.log(pair.c_k2)
-    return _root_from_log(log_ratio, pair.exponent)
+    if q < 1:
+        raise ValueError("need k1 < k2")
+    if not (0 < c_k1 < math.inf and 0 < c_k2 < math.inf):
+        raise ValueError("c_k1 and c_k2 must be positive and finite")
+    ratio = c_k1 / c_k2
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(c_k1) - math.log(c_k2)
+    return _root_from_log(log_ratio, q)
 
 
 def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
@@ -86,9 +66,7 @@ def h_star_explicit(n, m, p, k1, k2, seminorm_ratio=1.0, cea_quotient=1.0):
         raise ValueError("need k1 < k2")
     if not (0 < seminorm_ratio < math.inf and 0 < cea_quotient < math.inf):
         raise ValueError("seminorm_ratio and cea_quotient must be positive and finite")
-    idx = SobolevIndex(m=m, p=p, n=n)
-    idx.require(k1)
-    idx.require(k2)
+    SobolevIndex(m=m, p=p, n=n).require(k1)  # k2 > k1 then meets k + 1 > l + n/p too
     # The two ratios enter as two logs: their product can overflow.
     log_pow = log_k_factor_ratio(n, m, p, k1, k2) + math.log(seminorm_ratio) + math.log(cea_quotient)
     return _root_from_log(log_pow, k2 - k1)
@@ -118,10 +96,6 @@ class AccuracyLaw(_Pointwise):
             raise ValueError("need a finite h_star > 0 and exponent >= 1")
         if self.kind not in ("nonlinear", "step"):
             raise ValueError("kind must be 'nonlinear' or 'step'")
-
-    @classmethod
-    def from_pair(cls, pair):
-        return cls(h_star=h_star(pair), exponent=pair.exponent)
 
     def _value(self, h):
         if not h >= 0.0:
@@ -202,7 +176,7 @@ class Bump(_Pointwise):
 def _panel_integral(f, lo, hi, split=None):
     """Integral over (lo, hi) of f, which maps a list of points to a list of values, by
     PAIRING_POINTS-point Gauss-Legendre panels split at split if it lies inside; twice
-    as many nodes per panel check it, and a gap above PAIRING_ABS_TOL warns."""
+    as many nodes per panel check it, and a gap above PAIRING_ABS_TOL max(1, |integral|) warns."""
     edges = [lo, split, hi] if split is not None and lo < split < hi else [lo, hi]
     panels = [(start, end - start) for start, end in zip(edges, edges[1:])]
     values = []
@@ -211,7 +185,7 @@ def _panel_integral(f, lo, hi, split=None):
         fx = iter(f([start + width * x for start, width in panels for x in nodes]))
         values.append(math.fsum(width * w * next(fx) for _, width in panels for w in weights))
     gap = abs(values[1] - values[0])
-    if gap > PAIRING_ABS_TOL:
+    if gap > PAIRING_ABS_TOL * max(1.0, abs(values[0])):
         warnings.warn(f"Gauss rules on ({lo}, {hi}) differ by {gap:.2e}", RuntimeWarning, stacklevel=3)
     return values[0]
 

@@ -41,7 +41,6 @@ from fem_accuracy.norms import interpolation_error, seminorm
 from fem_accuracy.probability import (
     AccuracyLaw,
     Bump,
-    ElementPair,
     SinPiSeminormModel,
     h_star,
     h_star_sequence,
@@ -249,11 +248,11 @@ def test_criterion_6_law_shape_and_scaling():
         assert np.all(vals < 1.0) and np.all(vals > 0.0)
     # Common scaling of the two constants cancels: bitwise for lossless
     # power-of-two factors, to rounding for generic ones.
-    base = h_star(ElementPair(1, 3, 20.0, 9.0))
+    base = h_star(20.0, 9.0, 2)
     for t in (2.0**-40, 0.125, 2.0, 2.0**17, 2.0**51):
-        assert h_star(ElementPair(1, 3, 20.0 * t, 9.0 * t)) == base
+        assert h_star(20.0 * t, 9.0 * t, 2) == base
     for t in (3.7, 0.000123, 1.0e8):
-        scaled = h_star(ElementPair(1, 3, 20.0 * t, 9.0 * t))
+        scaled = h_star(20.0 * t, 9.0 * t, 2)
         assert scaled == pytest.approx(base, rel=1e-14)
     elapsed = time.perf_counter() - start
     _report(6, "probability-law shape", elapsed, "half at crossing exact, strict decay, scaling invariant")

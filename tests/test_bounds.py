@@ -8,7 +8,14 @@ import pytest
 
 from fem_accuracy import constants, norms
 from fem_accuracy.basis import build_basis
-from fem_accuracy.bounds import BoundCheck, barycentric_lattice, point_bound_check, simplex_samples, seminorm_bound_check
+from fem_accuracy.bounds import (
+    BoundCheck,
+    barycentric_lattice,
+    point_bound_check,
+    seminorm_bound_check,
+    seminorm_cap,
+    simplex_samples,
+)
 from fem_accuracy.constants import (
     AdmissibilityError,
     ConstantBundle,
@@ -17,7 +24,7 @@ from fem_accuracy.constants import (
     log_script_c,
     script_c,
 )
-from fem_accuracy.geometry import reference_simplex, uniform_mesh_1d
+from fem_accuracy.geometry import SimplexMesh, reference_simplex, uniform_mesh_1d
 
 from oracles import (
     c1_constant,
@@ -443,6 +450,24 @@ class TestSeminormCap:
         chk = seminorm_bound_check(basis, reference_simplex(1), 0, 2.0)
         assert chk.bound == pytest.approx(4.0, rel=1e-14)
         assert chk.passed
+
+    @pytest.mark.parametrize(
+        "vertices", [[[0.2], [1.7]], [[0.3, 0.1], [2.1, 0.4], [0.7, 1.9]], [[0, 0, 0], [1.5, 0, 0], [0.2, 1, 0], [0.1, 0.3, 0.8]]]
+    )
+    def test_one_formula_keeps_the_bits_of_each_order(self, vertices):
+        # The cap's two statements, mes^(1/p) k^(n+1) at l = 0 and the geometric product at l >= 1,
+        # float operation for float operation: at l = 0 the factors of l are exactly 1.
+        simplex = SimplexMesh(vertices, [range(len(vertices))])
+        n = simplex.n
+        mes = float(simplex.element_measures[0])
+        lam = float(np.abs(simplex.element_gradients).max())
+        rho = float(simplex.element_inscribed[0])
+        for k, l, p in itertools.product(range(1, 7), range(4), (1.5, 2.0, 3.0)):
+            if l == 0:
+                want = mes ** (1.0 / p) * float(k) ** (n + 1)
+            else:
+                want = (n * (n + 1) * lam) ** l * math.factorial(l) * mes ** (1.0 / p) * float(k) ** (l * (n + 2)) / rho**l
+            assert seminorm_cap(simplex, k, l, p) == want, (k, l, p)
 
     @pytest.mark.parametrize("l,p", [(0, 1.5), (0, 3.0), (1, 2.0), (1, 3.0)])
     def test_triangle_caps_hold(self, l, p):

@@ -18,6 +18,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
     import tomli as tomllib
 
+import fem_accuracy
 from fem_accuracy import kernels
 from fem_accuracy.cli import build_parser, main
 
@@ -313,27 +314,24 @@ class TestBoundsCommand:
 
 
     @pytest.mark.parametrize(
-        "argv,error,scans",
+        "argv,error",
         [
             # k^(r(n+2)) is 10^309 at r = 103: float ** raised OverflowError, a traceback with exit 1.
             # Every pointwise cap is checked before any scan, so r = 0..102 are not scanned first.
-            ("bounds --n 1 --k 10 --r 400 --samples 0", "the pointwise cap leaves the floats at n=1, k=10, r=103", False),
+            ("bounds --n 1 --k 10 --r 400 --samples 0", "the pointwise cap leaves the floats at n=1, k=10, r=103"),
             # 400! is an int beyond the floats: its product with a float raised OverflowError.
-            (
-                "bounds --n 1 --k 2 --l 400 --r 0 --samples 0",
-                "the seminorm cap leaves the floats at n=1, k=2, l=400, p=2.0",
-                True,
-            ),
+            ("bounds --n 1 --k 2 --l 400 --r 0 --samples 0", "the seminorm cap leaves the floats at n=1, k=2, l=400, p=2.0"),
+            # k^(l(n+2)) is 10^309 at l = 103: the seminorm cap is checked with the others, before the basis is built.
+            ("bounds --n 1 --k 10 --l 103 --r 0", "the seminorm cap leaves the floats at n=1, k=10, l=103, p=2.0"),
         ],
-        ids=["pointwise", "seminorm"],
+        ids=["pointwise", "seminorm", "seminorm-power"],
     )
-    def test_cap_beyond_the_floats_is_usage_error(self, capsys, monkeypatch, argv, error, scans):
-        if not scans:
+    def test_cap_beyond_the_floats_is_usage_error(self, capsys, monkeypatch, argv, error):
+        def work(*args):
+            raise AssertionError("a basis was built or a scan ran before every cap was checked")
 
-            def scan(*args):
-                raise AssertionError("a pointwise scan ran before every cap was checked")
-
-            monkeypatch.setattr(kernels, "derivative_rows", scan)
+        monkeypatch.setattr(kernels, "derivative_rows", work)
+        monkeypatch.setattr(fem_accuracy, "build_basis", work)
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         captured = capsys.readouterr()
@@ -476,6 +474,14 @@ class TestWeakstarCommand:
         code, out, err = run_main(capsys, ["weakstar", "--q-list", "1", "--p", "1e308"])
         assert (code, err) == (0, "")
         assert out == run_main(capsys, ["weakstar", "--q-list", "1", "--p", "5e305"])[1]
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # the warning is printed, not raised
+    def test_pairing_warns_on_its_gap_relative_to_the_integral(self, capsys):
+        # The bump's mass 1.55e307 came out of its two Gauss rules 2.32e+293 apart, a relative
+        # gap of 1.5e-14, and warned; the pairing's own gap, 2.34e-05 on 0.0145, still warns.
+        code, out, err = run_main(capsys, "weakstar --bump-a 1e308 --bump-b 1.7e308 --q-list 1".split())
+        assert code == 0 and out
+        assert err == "warning: Gauss rules on (1e+308, 1.7e+308) differ by 2.34e-05\n"
 
 
 class TestConvergeCommand:

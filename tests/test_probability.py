@@ -14,7 +14,6 @@ from fem_accuracy.probability import (
     PAIRING_ABS_TOL,
     AccuracyLaw,
     Bump,
-    ElementPair,
     GeometricSeminormModel,
     SinPiSeminormModel,
     h_star,
@@ -29,49 +28,48 @@ from oracles import PI_60, bump_mass, decimal_h_star, h_star_power, root_relativ
 
 
 class TestElementPair:
+    """The pair that h_star compares: a degree gap q = k2 - k1 of at least 1, and two positive finite constants."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ElementPair(k1=2, k2=2, c_k1=1.0, c_k2=1.0)
-        with pytest.raises(ValueError):
-            ElementPair(k1=3, k2=2, c_k1=1.0, c_k2=1.0)
-        with pytest.raises(ValueError):
-            ElementPair(k1=1, k2=2, c_k1=0.0, c_k2=1.0)
+        with pytest.raises(ValueError, match="need k1 < k2"):
+            h_star(1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="need k1 < k2"):
+            h_star(1.0, 1.0, -1)
+        with pytest.raises(ValueError, match="c_k1 and c_k2 must be positive and finite"):
+            h_star(0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="need k1 < k2"):  # the gap is checked first
+            h_star(0.0, 1.0, 0)
 
     @pytest.mark.parametrize("c_k1,c_k2", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
     def test_nonfinite_constants_rejected(self, c_k1, c_k2):
         # An infinite constant used to give h* = inf or 0.0 instead of an error.
         with pytest.raises(ValueError, match="c_k1 and c_k2 must be positive and finite"):
-            ElementPair(k1=1, k2=2, c_k1=c_k1, c_k2=c_k2)
-
-    def test_exponent(self):
-        assert ElementPair(k1=1, k2=4, c_k1=1.0, c_k2=1.0).exponent == 3
+            h_star(c_k1, c_k2, 1)
 
 
 class TestHStar:
     def test_frozen_values(self):
-        assert h_star(ElementPair(1, 2, 20.0, 9.0)) == pytest.approx(20.0 / 9.0, rel=1e-14)
-        assert h_star(ElementPair(1, 3, 4.0, 1.0)) == pytest.approx(2.0, rel=1e-14)
+        assert h_star(20.0, 9.0, 1) == pytest.approx(20.0 / 9.0, rel=1e-14)
+        assert h_star(4.0, 1.0, 2) == pytest.approx(2.0, rel=1e-14)
 
     def test_common_scaling_cancels_exactly(self):
-        base = h_star(ElementPair(1, 2, 20.0, 9.0))
+        base = h_star(20.0, 9.0, 1)
         for shift in (2.0**100, 2.0**-100):
-            scaled = h_star(ElementPair(1, 2, 20.0 * shift, 9.0 * shift))
+            scaled = h_star(20.0 * shift, 9.0 * shift, 1)
             assert scaled == base
 
     def test_log_fallback_when_ratio_overflows(self):
         # The plain ratio is inf in floats; the log route still gives 10.
-        pair = ElementPair(k1=1, k2=601, c_k1=1e300, c_k2=1e-300)
-        assert pair.c_k1 / pair.c_k2 == math.inf
-        assert h_star(pair) == pytest.approx(10.0, rel=1e-12)
+        assert 1e300 / 1e-300 == math.inf
+        assert h_star(1e300, 1e-300, 600) == pytest.approx(10.0, rel=1e-12)
 
     def test_log_fallback_when_ratio_underflows(self):
-        pair = ElementPair(k1=1, k2=601, c_k1=1e-300, c_k2=1e300)
-        assert h_star(pair) == pytest.approx(0.1, rel=1e-12)
+        assert h_star(1e-300, 1e300, 600) == pytest.approx(0.1, rel=1e-12)
 
     def test_beyond_float_range_is_value_error(self):
         # Each of these critical sizes exceeds the largest float, about 1.8e308.
         with pytest.raises(ValueError, match="beyond the float range"):
-            h_star(ElementPair(k1=1, k2=2, c_k1=1e308, c_k2=1e-308))
+            h_star(1e308, 1e-308, 1)
         with pytest.raises(ValueError, match="beyond the float range"):
             h_star_explicit(1, 0, 2.0, 1, 2, seminorm_ratio=1e308, cea_quotient=100.0)
         with pytest.raises(ValueError, match="beyond the float range"):
@@ -90,7 +88,7 @@ class TestHStarExplicit:
         kwargs = dict(n=1, m=1, p=2.0, sigma=2.0, lam=3.0, cea_ratio=1.5, h_cap=2.0)
         lo = script_c(ConstantBundle(k=2, **kwargs))
         hi = script_c(ConstantBundle(k=4, **kwargs))
-        via_pair = h_star(ElementPair(2, 4, lo, hi))
+        via_pair = h_star(lo, hi, 2)
         direct = h_star_explicit(1, 1, 2.0, 2, 4)
         assert direct == pytest.approx(via_pair, rel=1e-12)
 
@@ -203,12 +201,6 @@ class TestAccuracyLaw:
     def test_nonfinite_h_star_rejected(self, kind, h_star):
         with pytest.raises(ValueError):
             AccuracyLaw(h_star=h_star, exponent=2, kind=kind)
-
-    def test_from_pair(self):
-        pair = ElementPair(1, 2, 20.0, 9.0)
-        law = AccuracyLaw.from_pair(pair)
-        assert law.h_star == pytest.approx(20.0 / 9.0, rel=1e-14)
-        assert law.exponent == 1
 
 
 @seed(20240819)
